@@ -15,13 +15,10 @@ from .asymptotics import (
     w_explicit,
 )
 from .bell import (
-    BellRoute,
-    BellValue,
     bell_convolution,
     bell_egf,
     bell_general_closed,
     bell_lambda1,
-    bell_value,
     deranged_bell_classic,
     omega,
     omega_egf,
@@ -29,14 +26,12 @@ from .bell import (
     product_form_check,
 )
 from .derangements import (
-    DerangementQuery,
     derangement,
     r_derangement,
     r_derangement_egf,
     r_derangement_rec,
 )
 from .enumeration import (
-    ArrangementTally,
     BlockPartition,
     EnumerationCapError,
     barred_count,
@@ -47,26 +42,21 @@ from .enumeration import (
     set_partitions,
     set_partitions_count,
 )
-from .exact import ParamSet, Rat, binomial, falling, format_rat, gen_falling, multinomial, parse_rat
+from .exact import ParamSet, binomial, falling, format_rat, gen_falling, multinomial
 from .series import TruncatedSeries, binpow
-from .stirling import StirlingTable, colored_block_egf, stirling_egf, stirling_rec
+from .stirling import StirlingTable, stirling_egf, stirling_rec
 from .verify import GridSpec, VerificationReport, emit_report, run_claims
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrangementTally",
     "AsymptoticComparison",
     "BaseSequence",
-    "BellRoute",
-    "BellValue",
     "BlockPartition",
-    "DerangementQuery",
     "EnumerationCapError",
     "GridSpec",
     "IntPartition",
     "ParamSet",
-    "Rat",
     "StirlingTable",
     "TruncatedSeries",
     "VerificationReport",
@@ -76,10 +66,8 @@ __all__ = [
     "bell_egf",
     "bell_general_closed",
     "bell_lambda1",
-    "bell_value",
     "binomial",
     "binpow",
-    "colored_block_egf",
     "deranged_bell_classic",
     "derangement",
     "emit_report",
@@ -93,7 +81,6 @@ __all__ = [
     "omega_egf",
     "omega_identity_check",
     "ordered_partitions_count",
-    "parse_rat",
     "partitions_with_parts",
     "product_form_check",
     "r_derangement",

@@ -17,7 +17,6 @@ assumed.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,22 +29,6 @@ from .exact import ParamSet, binomial, gen_falling, multinomial
 from .series import TruncatedSeries, binpow
 
 _ZERO = Fraction(0)
-
-
-class BellRoute(enum.Enum):
-    EGF = "egf"
-    LAMBDA1 = "lambda1"
-    GENERAL_CLOSED = "closed"
-    CONVOLUTION = "convolution"
-    CLASSIC = "classic"
-
-
-@dataclass(frozen=True)
-class BellValue:
-    n: int
-    params: ParamSet
-    value: Fraction
-    route: BellRoute
 
 
 def _xu(params: ParamSet, order: int) -> TruncatedSeries:
@@ -69,10 +52,6 @@ def _bell_egf(params: ParamSet, n_max: int) -> tuple:
 def bell_egf(n_max: int, params: ParamSet) -> list:
     """B[0..n_max] from the defining generating function."""
     return list(_bell_egf(params, n_max))
-
-
-def bell_at(n: int, params: ParamSet) -> Fraction:
-    return _bell_egf(params, n)[n]
 
 
 @lru_cache(maxsize=None)
@@ -176,25 +155,13 @@ def deranged_bell_classic(n: int, r: int) -> int:
     return int(total)
 
 
-def bell_value(n: int, params: ParamSet, route: BellRoute = BellRoute.EGF) -> BellValue:
-    if route is BellRoute.EGF:
-        value = bell_at(n, params)
-    elif route is BellRoute.LAMBDA1:
-        value = bell_lambda1(n, params)
-    elif route is BellRoute.GENERAL_CLOSED:
-        value = bell_general_closed(n, params)
-    elif route is BellRoute.CONVOLUTION:
-        value = bell_convolution(n, params)
-    elif route is BellRoute.CLASSIC:
-        expected = ParamSet.make(alpha=0, beta=1, gamma=params.r, x=1, lam=1, r=params.r)
-        if params != expected:
-            raise ValueError(
-                "the classic route is the specialization alpha=0, beta=1, gamma=r, x=1, lam=1"
-            )
-        value = Fraction(deranged_bell_classic(n, params.r))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown route {route}")
-    return BellValue(n, params, value, route)
+def bell_classic(n: int, params: ParamSet) -> int:
+    """deranged_bell_classic at the one point of the family it specializes."""
+    if params != ParamSet.make(alpha=0, beta=1, gamma=params.r, x=1, lam=1, r=params.r):
+        raise ValueError(
+            "the classic route is the specialization alpha=0, beta=1, gamma=r, x=1, lam=1"
+        )
+    return deranged_bell_classic(n, params.r)
 
 
 # -- barred-arrangement polynomials --------------------------------------------

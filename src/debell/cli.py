@@ -10,35 +10,21 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 
 from . import asymptotics, bell, enumeration, stirling, verify
-from .derangements import DerangementQuery, r_derangement_egf, r_derangement_rec
-from .exact import ParamSet, format_rat, parse_rat
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    params: ParamSet
-    order: int | None
-    fmt: str
-    out: str | None
-
-    def resolved_order(self, max_n: int) -> int:
-        return self.order if self.order is not None else max_n + 2
+from .derangements import r_derangement_egf, r_derangement_rec
+from .exact import ParamSet, as_rat, format_rat
 
 
 class _RationalType(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
         try:
-            return parse_rat(value)
+            return as_rat(value)
         except (ValueError, ZeroDivisionError, TypeError):
             self.fail(f"{value!r} is not an integer or p/q rational", param, ctx)
 
@@ -46,35 +32,32 @@ class _RationalType(click.ParamType):
 RATIONAL = _RationalType()
 
 
-def _param_options(fn):
-    for decorator in reversed(
-        [
-            click.option("--alpha", type=RATIONAL, default=Fraction(0), show_default="0"),
-            click.option("--beta", type=RATIONAL, default=Fraction(1), show_default="1"),
-            click.option("--gamma", type=RATIONAL, default=Fraction(0), show_default="0"),
-            click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1"),
-            click.option("--lambda", "lam", type=click.IntRange(min=0), default=1, show_default=True),
-            click.option("--r", type=click.IntRange(min=0), default=0, show_default=True),
-        ]
-    ):
-        fn = decorator(fn)
-    return fn
+def _options(*decorators):
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+
+    return apply
 
 
-def _output_options(fn):
-    for decorator in reversed(
-        [
-            click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"),
-            click.option("--order", type=click.IntRange(min=0), default=None),
-            click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None),
-        ]
-    ):
-        fn = decorator(fn)
-    return fn
+_weight_options = _options(
+    click.option("--alpha", type=RATIONAL, default=Fraction(0), show_default="0"),
+    click.option("--beta", type=RATIONAL, default=Fraction(1), show_default="1"),
+    click.option("--gamma", type=RATIONAL, default=Fraction(0), show_default="0"),
+)
 
+_param_options = _options(
+    _weight_options,
+    click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1"),
+    click.option("--lambda", "lam", type=click.IntRange(min=0), default=1, show_default=True),
+    click.option("--r", type=click.IntRange(min=0), default=0, show_default=True),
+)
 
-def _config(alpha, beta, gamma, x, lam, r, order=None, fmt="plain", out=None) -> CliConfig:
-    return CliConfig(ParamSet.make(alpha, beta, gamma, x, lam, r), order, fmt, out)
+_output_options = _options(
+    click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"),
+    click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None),
+)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -85,27 +68,29 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_scalar(command: str, cfg: CliConfig, extras: dict, value) -> None:
-    if cfg.fmt == "plain":
-        _write(format_rat(value) + "\n", cfg.out)
-        return
-    doc = {
-        "command": command,
-        "point": {k: v for k, v in cfg.params.as_pairs()},
-        **extras,
-        "value": format_rat(value),
-    }
-    if cfg.fmt == "json":
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", cfg.out)
-    else:
-        keys = sorted(doc)
-        lines = [",".join(keys), ",".join(json.dumps(str(doc[k])) for k in keys)]
-        _write("\n".join(lines) + "\n", cfg.out)
+def _emit(fmt: str, out: str | None, doc, lines) -> None:
+    """Write ``doc`` as sorted, indented JSON for fmt "json", else ``lines``,
+    each followed by a newline."""
+    if fmt == "json":
+        lines = [json.dumps(doc, sort_keys=True, indent=2)]
+    _write("".join(line + "\n" for line in lines), out)
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
+    doc = {"command": command, "point": dict(params.as_pairs()), **extras}
+    doc["value"] = format_rat(value)
+    keys = sorted(doc)
+    csv_lines = [",".join(keys), ",".join(json.dumps(str(doc[k])) for k in keys)]
+    _emit(fmt, out, doc, [format_rat(value)] if fmt == "plain" else csv_lines)
+
+
+def _run(fn, *args):
+    """fn(*args), with a computation error reported as exit status 1."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 @click.group()
@@ -118,134 +103,90 @@ def main():
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--route", type=click.Choice(["rec", "egf"]), default="rec", show_default=True)
-@_param_options
+@_weight_options
 @_output_options
-def stirling_cmd(n, k, route, alpha, beta, gamma, x, lam, r, fmt, order, out):
+def stirling_cmd(n, k, route, alpha, beta, gamma, fmt, out):
     """Generalized Stirling number S(n, k; alpha, beta, gamma)."""
-    cfg = _config(alpha, beta, gamma, x, lam, r, order, fmt, out)
-    try:
-        if route == "rec":
-            value = stirling.stirling_rec(n, k, alpha, beta, gamma)
-        else:
-            value = stirling.stirling_egf(n, k, alpha, beta, gamma, cfg.resolved_order(n))
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit_scalar("stirling", cfg, {"n": n, "k": k, "route": route}, value)
+    compute = stirling.stirling_rec if route == "rec" else stirling.stirling_egf
+    value = _run(compute, n, k, alpha, beta, gamma)
+    params = ParamSet.make(alpha, beta, gamma)
+    _emit_scalar("stirling", params, fmt, out, {"n": n, "k": k, "route": route}, value)
 
 
 @main.command("rderange")
 @click.option("--k", type=click.IntRange(min=0), required=True)
 @click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--s", type=click.IntRange(min=0), default=None, help="recurrence pivot in 1..r")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
-@click.option("--order", type=click.IntRange(min=0), default=None)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def rderange_cmd(k, r, s, fmt, order, out):
+@_output_options
+def rderange_cmd(k, r, s, fmt, out):
     """r-derangement number d_{k,r} (recurrence route when --s is given)."""
-    cfg = CliConfig(ParamSet.make(lam=1, r=r), order, fmt, out)
-    try:
-        query = DerangementQuery(k, r, s)
-        if query.s is None:
-            value = r_derangement_egf(k, r, cfg.resolved_order(k))
-        else:
-            value = r_derangement_rec(k, r, query.s)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit_scalar("rderange", cfg, {"k": k, "r": r, "s": s}, value)
+    if s is None:
+        value = _run(r_derangement_egf, k, r)
+    else:
+        value = _run(r_derangement_rec, k, r, s)
+    _emit_scalar("rderange", ParamSet.make(lam=1, r=r), fmt, out, {"k": k, "r": r, "s": s}, value)
+
+
+_BELL_ROUTES = {
+    "egf": lambda n, params: bell.bell_egf(n, params)[n],
+    "lambda1": bell.bell_lambda1,
+    "closed": bell.bell_general_closed,
+    "convolution": bell.bell_convolution,
+    "classic": bell.bell_classic,
+}
 
 
 @main.command("bell")
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option(
-    "--route",
-    type=click.Choice([rt.value for rt in bell.BellRoute]),
-    default=bell.BellRoute.EGF.value,
-    show_default=True,
-)
+@click.option("--route", type=click.Choice(list(_BELL_ROUTES)), default="egf", show_default=True)
 @_param_options
 @_output_options
-def bell_cmd(n, route, alpha, beta, gamma, x, lam, r, fmt, order, out):
+def bell_cmd(n, route, alpha, beta, gamma, x, lam, r, fmt, out):
     """Higher-order r-deranged Bell number B[n]."""
-    cfg = _config(alpha, beta, gamma, x, lam, r, order, fmt, out)
-    try:
-        value = bell.bell_value(n, cfg.params, bell.BellRoute(route)).value
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit_scalar("bell", cfg, {"n": n, "route": route}, value)
+    params = ParamSet.make(alpha, beta, gamma, x, lam, r)
+    value = _run(_BELL_ROUTES[route], n, params)
+    _emit_scalar("bell", params, fmt, out, {"n": n, "route": route}, value)
 
 
 @main.command("omega")
 @click.option("--n", type=click.IntRange(min=0), required=True)
 @_param_options
 @_output_options
-def omega_cmd(n, alpha, beta, gamma, x, lam, r, fmt, order, out):
+def omega_cmd(n, alpha, beta, gamma, x, lam, r, fmt, out):
     """Barred-arrangement polynomial value omega[n]."""
-    cfg = _config(alpha, beta, gamma, x, lam, r, order, fmt, out)
-    try:
-        value = bell.omega(n, cfg.params)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit_scalar("omega", cfg, {"n": n}, value)
+    params = ParamSet.make(alpha, beta, gamma, x, lam, r)
+    _emit_scalar("omega", params, fmt, out, {"n": n}, _run(bell.omega, n, params))
 
 
 @main.command("enumerate")
-@click.option(
-    "--family",
-    type=click.Choice(
-        [
-            "set-partitions",
-            "r-stirling",
-            "ordered",
-            "barred",
-            "r-derangements",
-            "r-deranged-partitions",
-        ]
-    ),
-    required=True,
-)
+@click.option("--family", type=click.Choice(list(enumeration.FAMILIES)), required=True)
 @click.option("--n", type=click.IntRange(min=0), default=None)
 @click.option("--k", type=click.IntRange(min=0), default=None)
 @click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--lambda", "lam", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--list", "list_items", is_flag=True, help="print arrangements one per line")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_output_options
 def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     """Brute-force counts (and listings) of the combinatorial families."""
-    needed = {
-        "set-partitions": ("n", "k"),
-        "r-stirling": ("n", "k", "r"),
-        "ordered": ("n",),
-        "barred": ("n", "lam"),
-        "r-derangements": ("k", "r"),
-        "r-deranged-partitions": ("n", "r"),
-    }[family]
-    point = {}
-    for name in needed:
-        value = {"n": n, "k": k, "r": r, "lam": lam}[name]
-        if value is None:
+    fields, counter = enumeration.FAMILIES[family]
+    given = {"n": n, "k": k, "r": r, "lam": lam}
+    for name in fields:
+        if given[name] is None:
             raise click.UsageError(f"--{'lambda' if name == 'lam' else name} is required for {family}")
-        point[name] = value
-    try:
-        if list_items:
-            lines = list(enumeration.list_arrangements(family, **point))
-            _write("".join(line + "\n" for line in lines), out)
-            return
-        result = enumeration.tally(family, **point)
-    except enumeration.EnumerationCapError as exc:
-        _fail(str(exc))
-    except (ValueError, RuntimeError) as exc:
-        _fail(str(exc))
-    if fmt == "plain":
-        _write(f"{result.count}\n", out)
-    elif fmt == "json":
-        doc = {"command": "enumerate", "family": family, "point": dict(result.point), "count": result.count}
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
-    else:
-        keys = [name for name, _ in result.point]
-        header = ",".join(["family", *keys, "count"])
-        row = ",".join([family, *(str(v) for _, v in result.point), str(result.count)])
-        _write(header + "\n" + row + "\n", out)
+    point = {name: given[name] for name in fields}
+    if list_items:
+        if fmt != "plain":
+            raise click.UsageError("--list prints plain lines only; drop --format")
+        _emit(fmt, out, None, _run(lambda: list(enumeration.list_arrangements(family, **point))))
+        return
+    count = _run(counter, *point.values())
+    doc = {"command": "enumerate", "family": family, "point": point, "count": count}
+    keys = sorted(point)
+    csv_lines = [
+        ",".join(["family", *keys, "count"]),
+        ",".join([family, *(str(point[key]) for key in keys), str(count)]),
+    ]
+    _emit(fmt, out, doc, [str(count)] if fmt == "plain" else csv_lines)
 
 
 @main.command("asymp")
@@ -259,39 +200,25 @@ def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, lam, r, fmt, out):
     """Convergence table (delta, estimate, exact, rel_error) for B[n]/n!."""
     params = ParamSet.make(alpha, beta, gamma, x, lam, r)
     m = n - 1 if m is None else m
-    rows = []
-    try:
-        for delta in sorted(set(deltas)):
-            cmp = asymptotics.bell_asymptotic_estimate(n, m, delta, params)
-            rows.append(cmp)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        doc = {
-            "command": "asymp",
-            "n": n,
-            "m": m,
-            "point": {k_: v_ for k_, v_ in params.as_pairs()},
-            "rows": [
-                {
-                    "delta": cmp.delta,
-                    "estimate": format_rat(cmp.estimate),
-                    "exact": format_rat(cmp.exact),
-                    "rel_error": None if cmp.rel_error is None else format_rat(cmp.rel_error),
-                    "status": cmp.status,
-                }
-                for cmp in rows
-            ],
+    rows = _run(
+        lambda: [asymptotics.bell_asymptotic_estimate(n, m, d, params) for d in sorted(set(deltas))]
+    )
+    table = [
+        {
+            "delta": cmp.delta,
+            "estimate": format_rat(cmp.estimate),
+            "exact": format_rat(cmp.exact),
+            "rel_error": None if cmp.rel_error is None else format_rat(cmp.rel_error),
+            "status": cmp.status,
         }
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
-    else:
-        lines = ["delta,estimate,exact,rel_error,status"]
-        for cmp in rows:
-            rel = "" if cmp.rel_error is None else format_rat(cmp.rel_error)
-            lines.append(
-                f"{cmp.delta},{format_rat(cmp.estimate)},{format_rat(cmp.exact)},{rel},{cmp.status}"
-            )
-        _write("\n".join(lines) + "\n", out)
+        for cmp in rows
+    ]
+    doc = {"command": "asymp", "n": n, "m": m, "point": dict(params.as_pairs()), "rows": table}
+    csv_lines = ["delta,estimate,exact,rel_error,status"] + [
+        f"{row['delta']},{row['estimate']},{row['exact']},{row['rel_error'] or ''},{row['status']}"
+        for row in table
+    ]
+    _emit(fmt, out, doc, csv_lines)
 
 
 @main.command("verify")
@@ -311,12 +238,8 @@ def verify_cmd(claims, fmt, out, max_n):
         report = verify.run_claims(ids, grid)
     except verify.UnknownClaimError as exc:
         raise click.UsageError(str(exc))
-    data = verify.emit_report(report, fmt)
-    if out is None:
-        click.echo(data.decode(), nl=False)
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+    # the report bytes are emit_report's own (and pinned), so they bypass _emit
+    _write(verify.emit_report(report, fmt).decode(), out)
     if not report.all_required_equal:
         failures = report.required_failures()
         click.echo(f"required-equal failures: {len(failures)}", err=True)
@@ -330,12 +253,8 @@ def verify_cmd(claims, fmt, out, max_n):
 def table_cmd(max_n, alpha, beta, gamma, x, lam, r, out):
     """CSV table of B[n] for n = 0..max-n."""
     params = ParamSet.make(alpha, beta, gamma, x, lam, r)
-    try:
-        values = bell.bell_egf(max_n, params)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    lines = ["n,value"] + [f"{n},{format_rat(v)}" for n, v in enumerate(values)]
-    _write("\n".join(lines) + "\n", out)
+    values = _run(bell.bell_egf, max_n, params)
+    _emit("csv", out, None, ["n,value"] + [f"{n},{format_rat(v)}" for n, v in enumerate(values)])
 
 
 if __name__ == "__main__":

@@ -13,28 +13,12 @@ classical numbers (d_{k,0} = d_k, d_{0,0} = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .exact import binomial
 from .series import TruncatedSeries, binpow
-
-
-@dataclass(frozen=True)
-class DerangementQuery:
-    """A (k, r) index with an optional recurrence pivot s."""
-
-    k: int
-    r: int
-    s: int | None = None
-
-    def __post_init__(self):
-        if self.k < 0 or self.r < 0:
-            raise ValueError("k and r must be nonnegative")
-        if self.s is not None and not 0 <= self.s <= self.r:
-            raise ValueError("pivot s must satisfy 0 <= s <= r")
 
 
 @lru_cache(maxsize=None)
@@ -48,15 +32,11 @@ def derangement(n: int) -> int:
     return int(total)
 
 
-def r_derangement_egf(k: int, r: int, order: int | None = None) -> int:
+def r_derangement_egf(k: int, r: int) -> int:
     """k! times the t^k coefficient of t^r e^{-t} / (1-t)^{r+1}."""
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
-    if order is None:
-        order = k
-    if order < k:
-        raise ValueError(f"order {order} too small for index {k}")
-    work = order + 1
+    work = k + 1
     if r > work:
         return 0
     one_minus_t = TruncatedSeries.one(work) - TruncatedSeries.monomial(1, 1, work)

@@ -4,7 +4,7 @@ Everything here is deliberately brute force: these are the oracles the
 formula routes are judged against, so they share no machinery with the
 series or closed-sum modules.  Each family has a hard size cap; exceeding a
 cap raises rather than silently truncating.  The ``DEBELL_MAX_ENUM``
-environment variable, when set to an integer, replaces every cap.
+environment variable, when set to a nonnegative integer, replaces every cap.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def _check_cap(family: str, size: int) -> None:
     cap = _DEFAULT_CAPS[family]
     override = os.environ.get("DEBELL_MAX_ENUM")
     if override is not None:
+        if not override.isdecimal():
+            raise ValueError(f"DEBELL_MAX_ENUM must be a nonnegative integer, got {override!r}")
         cap = int(override)
     if size > cap:
         raise EnumerationCapError(f"{family}: size {size} exceeds cap {cap}")
@@ -75,17 +77,6 @@ class BlockPartition:
 
     def text(self) -> str:
         return format_blocks(self.blocks)
-
-
-@dataclass(frozen=True)
-class ArrangementTally:
-    family: str
-    point: tuple
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
 
 
 def format_blocks(blocks) -> str:
@@ -244,54 +235,8 @@ def iter_barred(n: int, lam: int):
 # -- derangements -------------------------------------------------------------
 
 
-def _cycle_ids(perm) -> list:
-    """Cycle label per element (1-indexed permutation as tuple of images)."""
-    m = len(perm)
-    labels = [0] * (m + 1)
-    cid = 0
-    for start in range(1, m + 1):
-        if labels[start]:
-            continue
-        cid += 1
-        e = start
-        while not labels[e]:
-            labels[e] = cid
-            e = perm[e - 1]
-    return labels
-
-
-def _iter_r_derangements(k: int, r: int):
-    m = k + r
-    if m == 0:
-        yield ()
-        return
-    for perm in permutations(range(1, m + 1)):
-        if any(perm[i] == i + 1 for i in range(m)):
-            continue
-        if r >= 2:
-            labels = _cycle_ids(perm)
-            if len({labels[e] for e in range(1, r + 1)}) != r:
-                continue
-        yield perm
-
-
-def r_derangements_enum(k: int, r: int) -> int:
-    """Permutations of [k+r] with no fixed point and 1..r in pairwise
-    distinct cycles, counted by explicit generation."""
-    _check_cap("r_derangements", k + r)
-    return sum(1 for _ in _iter_r_derangements(k, r))
-
-
-def iter_r_derangements(k: int, r: int):
-    _check_cap("r_derangements", k + r)
-    yield from _iter_r_derangements(k, r)
-
-
-# -- deranged partitions ------------------------------------------------------
-
-
-def _position_derangements(m: int, r: int):
-    """Derangements of positions 0..m-1 with positions 0..r-1 in distinct cycles."""
+def _derangements(m: int, r: int):
+    """Derangements of 0..m-1 (tuples of images) with 0..r-1 in distinct cycles."""
     for sigma in permutations(range(m)):
         if any(sigma[i] == i for i in range(m)):
             continue
@@ -311,6 +256,23 @@ def _position_derangements(m: int, r: int):
         yield sigma
 
 
+def r_derangements_enum(k: int, r: int) -> int:
+    """Permutations of [k+r] with no fixed point and 1..r in pairwise
+    distinct cycles, counted by explicit generation."""
+    _check_cap("r_derangements", k + r)
+    return sum(1 for _ in _derangements(k + r, r))
+
+
+def iter_r_derangements(k: int, r: int):
+    """Yield each r-derangement of [k+r] as a tuple of 1-indexed images."""
+    _check_cap("r_derangements", k + r)
+    for sigma in _derangements(k + r, r):
+        yield tuple(e + 1 for e in sigma)
+
+
+# -- deranged partitions ------------------------------------------------------
+
+
 def r_deranged_partitions_enum(n: int, r: int) -> int:
     """Deranged partitions of [n+r]: partitions with 1..r in distinct blocks
     whose standard-form block sequence is permuted with no fixed position and
@@ -325,7 +287,7 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
     for p in _partitions_raw(total):
         if not _first_r_separated(p, r):
             continue
-        direct += sum(1 for _ in _position_derangements(len(p), r))
+        direct += sum(1 for _ in _derangements(len(p), r))
     factored = sum(
         r_stirling_count(n, i, r) * r_derangements_enum(i, r) for i in range(n + 1)
     )
@@ -343,26 +305,21 @@ def iter_r_deranged_partitions(n: int, r: int):
     for p in _partitions_raw(n + r):
         if not _first_r_separated(p, r):
             continue
-        for sigma in _position_derangements(len(p), r):
+        for sigma in _derangements(len(p), r):
             yield tuple(p[sigma[i]] for i in range(len(p)))
 
 
-# -- CLI-facing tallies --------------------------------------------------------
+# -- the family table ---------------------------------------------------------
 
-
-def tally(family: str, **point) -> ArrangementTally:
-    counters = {
-        "set-partitions": lambda: set_partitions_count(point["n"], point["k"]),
-        "r-stirling": lambda: r_stirling_count(point["n"], point["k"], point["r"]),
-        "ordered": lambda: ordered_partitions_count(point["n"]),
-        "barred": lambda: barred_count(point["n"], point["lam"]),
-        "r-derangements": lambda: r_derangements_enum(point["k"], point["r"]),
-        "r-deranged-partitions": lambda: r_deranged_partitions_enum(point["n"], point["r"]),
-    }
-    if family not in counters:
-        raise ValueError(f"unknown family: {family}")
-    count = counters[family]()
-    return ArrangementTally(family, tuple(sorted(point.items())), count)
+# family -> (point fields, counter); the counter takes the fields in this order.
+FAMILIES = {
+    "set-partitions": (("n", "k"), set_partitions_count),
+    "r-stirling": (("n", "k", "r"), r_stirling_count),
+    "ordered": (("n",), ordered_partitions_count),
+    "barred": (("n", "lam"), barred_count),
+    "r-derangements": (("k", "r"), r_derangements_enum),
+    "r-deranged-partitions": (("n", "r"), r_deranged_partitions_enum),
+}
 
 
 def list_arrangements(family: str, **point):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Rat = Fraction
-
 
 def as_rat(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a Fraction."""
@@ -34,10 +32,6 @@ def format_rat(value) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(text: str) -> Fraction:
-    return as_rat(text)
 
 
 def binomial(n: int, k: int) -> int:
@@ -140,9 +134,6 @@ class ParamSet:
             if self.beta % self.alpha != 0 or self.gamma % self.alpha != 0:
                 return False
         return True
-
-    def sort_key(self):
-        return (self.alpha, self.beta, self.gamma, self.x, self.lam, self.r)
 
     def as_pairs(self) -> tuple:
         return (

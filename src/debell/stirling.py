@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import ParamSet, as_rat
+from .exact import as_rat
 from .series import TruncatedSeries, binpow
 
 _ZERO = Fraction(0)
@@ -44,10 +44,6 @@ class StirlingTable:
         while len(self._rows) <= n:
             self._grow()
         return self._rows[n][k]
-
-    def row(self, n: int) -> tuple:
-        self.value(n, 0)
-        return self._rows[n]
 
     def _grow(self):
         n = len(self._rows) - 1
@@ -78,33 +74,14 @@ def stirling_rec(n: int, k: int, alpha, beta, gamma) -> Fraction:
     return table(alpha, beta, gamma).value(n, k)
 
 
-def stirling_egf(n: int, k: int, alpha, beta, gamma, order: int | None = None) -> Fraction:
+def stirling_egf(n: int, k: int, alpha, beta, gamma) -> Fraction:
     """Series-route value: n!/k! times the t^n coefficient of
     (u/beta)^k (1+alpha t)^(gamma/alpha) with u = (1+alpha t)^(beta/alpha) - 1."""
     beta = as_rat(beta)
     if beta == 0:
         raise ValueError("the series route divides by beta^k; use stirling_rec at beta = 0")
-    if order is None:
-        order = n
-    if order < n:
-        raise ValueError(f"order {order} too small for index {n}")
-    work = order + 1  # one spare position past anything read
+    work = n + 1  # one spare position past anything read
     u = binpow(alpha, beta, work) - TruncatedSeries.one(work)
     numer = u.pow_int(k).scale(1 / beta**k) * binpow(alpha, gamma, work)
     return numer.egf_coeff(n) / factorial(k)
 
-
-def colored_block_egf(k: int, r: int, params: ParamSet, order: int) -> list:
-    """EGF coefficients of (x u)^(k+r) (1+alpha t)^(gamma/alpha) / (k+r)!:
-    entry n equals x^(k+r) beta^(k+r) S(n, k+r)."""
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be nonnegative")
-    if params.beta == 0:
-        raise ValueError("colored-block series requires beta != 0")
-    m = k + r
-    work = order + 1
-    u = binpow(params.alpha, params.beta, work) - TruncatedSeries.one(work)
-    xu = u.scale(params.x)
-    ser = xu.pow_int(m) * binpow(params.alpha, params.gamma, work)
-    ser = ser.scale(Fraction(1, factorial(m)))
-    return [ser.egf_coeff(n) for n in range(order + 1)]

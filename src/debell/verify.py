@@ -38,13 +38,6 @@ class ClaimPoint:
     delta: int | None = None
     m: int | None = None
 
-    def sort_key(self):
-        return self.params.sort_key() + (
-            self.n,
-            self.delta if self.delta is not None else -1,
-            self.m if self.m is not None else -1,
-        )
-
     def as_pairs(self) -> tuple:
         pairs = self.params.as_pairs() + (("n", str(self.n)),)
         if self.delta is not None:
@@ -117,10 +110,10 @@ class GridSpec:
     def default(cls) -> "GridSpec":
         return cls()
 
-    def triples(self) -> Iterator[tuple]:
+    def triples(self, betas=None) -> Iterator[tuple]:
         for a in self.alphas:
             a = as_rat(a)
-            for b in self.betas:
+            for b in self.betas if betas is None else betas:
                 b = as_rat(b)
                 if a != 0 and b % a != 0:
                     continue
@@ -130,10 +123,11 @@ class GridSpec:
                         continue
                     yield (a, b, g)
 
-    def param_sets(self, lambdas=None, rs=None) -> Iterator[ParamSet]:
+    def param_sets(self, lambdas=None, rs=None, betas=None) -> Iterator[ParamSet]:
+        """The grid's points; ``lambdas``, ``rs`` and ``betas`` replace its own axes."""
         lams = self.lambdas if lambdas is None else lambdas
         rvals = self.rs if rs is None else rs
-        for a, b, g in self.triples():
+        for a, b, g in self.triples(betas):
             for x in self.xs:
                 for lam in lams:
                     for r in rvals:
@@ -204,19 +198,8 @@ def _eval_eq40(claim_id: str, literal: bool, point: ClaimPoint, grid: GridSpec) 
 
 
 def _ex_points(grid: GridSpec, r: int, n: int) -> Iterator[ClaimPoint]:
-    for a in grid.alphas:
-        a = as_rat(a)
-        for b in grid.ex_betas:
-            b = as_rat(b)
-            if a != 0 and b % a != 0:
-                continue
-            for g in grid.gammas:
-                g = as_rat(g)
-                if a != 0 and g % a != 0:
-                    continue
-                for x in grid.xs:
-                    for lam in grid.ex_lambdas:
-                        yield ClaimPoint(params=ParamSet.make(a, b, g, x, lam, r), n=n)
+    for ps in grid.param_sets(lambdas=grid.ex_lambdas, rs=(r,), betas=grid.ex_betas):
+        yield ClaimPoint(params=ps, n=n)
 
 
 def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -246,11 +229,9 @@ def _eval_ex(claim_id: str, poly, point: ClaimPoint, grid: GridSpec) -> ReportRo
 
 
 def _w_points(grid: GridSpec, f: int) -> Iterator[ClaimPoint]:
-    for a, b, g in grid.triples():
-        for x in grid.xs:
-            for r in grid.rs:
-                for n in range(f + 1, grid.w_max_n + 1):
-                    yield ClaimPoint(params=ParamSet.make(a, b, g, x, 1, r), n=n)
+    for ps in grid.param_sets(lambdas=(1,)):
+        for n in range(f + 1, grid.w_max_n + 1):
+            yield ClaimPoint(params=ps, n=n)
 
 
 def _eval_w(claim_id: str, f: int, point: ClaimPoint, grid: GridSpec) -> ReportRow:
@@ -260,12 +241,10 @@ def _eval_w(claim_id: str, f: int, point: ClaimPoint, grid: GridSpec) -> ReportR
 
 
 def _asymp_points(grid: GridSpec) -> Iterator[ClaimPoint]:
-    for a, b, g in grid.triples():
-        for x in grid.xs:
-            ps = ParamSet.make(a, b, g, x, 1, 0)
-            for n in grid.asymp_n:
-                for delta in grid.deltas:
-                    yield ClaimPoint(params=ps, n=n, delta=delta, m=n - 1)
+    for ps in grid.param_sets(lambdas=(1,), rs=(0,)):
+        for n in grid.asymp_n:
+            for delta in grid.deltas:
+                yield ClaimPoint(params=ps, n=n, delta=delta, m=n - 1)
 
 
 def _eval_asymp(point: ClaimPoint, grid: GridSpec) -> ReportRow:

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from debell.bell import (
-    BellRoute,
+    bell_classic,
     bell_convolution,
     bell_convolution_nr,
     bell_egf,
     bell_general_closed,
     bell_lambda1,
-    bell_value,
     deranged_bell_classic,
     omega,
     omega_egf,
@@ -159,16 +158,15 @@ class TestClassicSpecialization:
 class TestBellValueDispatch:
     def test_routes_agree_where_defined(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 1)
-        egf = bell_value(4, p, BellRoute.EGF)
-        assert egf.value == bell_value(4, p, BellRoute.LAMBDA1).value
-        assert egf.value == bell_value(4, p, BellRoute.GENERAL_CLOSED).value
-        assert egf.value == bell_value(4, p, BellRoute.CONVOLUTION).value
-        assert egf.value == bell_value(4, p, BellRoute.CLASSIC).value
-        assert egf.route is BellRoute.EGF
+        egf = bell_egf(4, p)[4]
+        assert egf == bell_lambda1(4, p)
+        assert egf == bell_general_closed(4, p)
+        assert egf == bell_convolution(4, p)
+        assert egf == bell_classic(4, p)
 
     def test_classic_route_guards_its_specialization(self):
         with pytest.raises(ValueError):
-            bell_value(3, ParamSet.make(0, 2, 0, 1, 1, 0), BellRoute.CLASSIC)
+            bell_classic(3, ParamSet.make(0, 2, 0, 1, 1, 0))
 
 
 class TestOmega:

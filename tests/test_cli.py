@@ -1,8 +1,36 @@
+import ast
+import hashlib
+import inspect
 import json
+import textwrap
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from debell.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# stdout of every example in README "Command line", pinned byte for byte.
+README_EXAMPLES = {
+    "debell stirling --n 5 --k 3 --alpha 0 --beta 1 --gamma 0": "25\n",
+    "debell rderange --k 2 --r 2": "2\n",
+    "debell rderange --k 6 --r 2 --s 1": "5430\n",
+    "debell bell --n 3 --lambda 1 --x 1 --alpha 0 --beta 1 --gamma 0": "5\n",
+    "debell omega --n 3": "13\n",
+    "debell enumerate --family r-deranged-partitions --n 3 --r 0": "5\n",
+    "debell enumerate --family barred --n 2 --lambda 2 --list":
+        "|{1,2}\n{1,2}|\n|{1}{2}\n{1}|{2}\n{1}{2}|\n|{2}{1}\n{2}|{1}\n{2}{1}|\n",
+    "debell table --max-n 8 --gamma 1":
+        "n,value\n0,1\n1,1\n2,2\n3,9\n4,55\n5,400\n6,3451\n7,34797\n8,401556\n",
+    "debell asymp --n 4 --m 2 --delta 100 --delta 1000 --gamma 1":
+        "delta,estimate,exact,rel_error,status\n100,4426125,26558125/6,1/19315,ok\n"
+        "1000,41917623750,125752878125/3,11/201204605,ok\n",
+    # 510,109 bytes of markdown, pinned by digest
+    "debell verify --claims T5,EQ40-power --format markdown":
+        "sha256:f2c7b1f71d3a38fa1ff8a932c646332e8605bd7cf984b943f9ae4143c1bbd041",
+}
 
 
 def invoke(*args, env=None):
@@ -85,6 +113,12 @@ class TestEnumerateCommand:
         assert result.exit_code == 1
         assert "exceeds cap 3" in result.stderr
 
+    @pytest.mark.parametrize("bad", ["abc", "-1"])
+    def test_malformed_env_override_is_computation_error(self, bad):
+        result = invoke("enumerate", "--family", "ordered", "--n", "2", env={"DEBELL_MAX_ENUM": bad})
+        assert result.exit_code == 1
+        assert result.stderr == f"error: DEBELL_MAX_ENUM must be a nonnegative integer, got {bad!r}\n"
+
     def test_json_output(self):
         result = invoke("enumerate", "--family", "barred", "--n", "2", "--lambda", "2", "--format", "json")
         doc = json.loads(result.output)
@@ -145,3 +179,56 @@ class TestTableCommand:
         target = tmp_path / "table.csv"
         invoke("table", "--max-n", "2", "--out", str(target))
         assert target.read_text().splitlines()[0] == "n,value"
+
+
+class TestReadmeExamples:
+    def test_table_lists_every_readme_example(self):
+        section = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+        lines = [line.split("#")[0].strip() for line in section.splitlines()]
+        assert [line for line in lines if line.startswith("debell ")] == list(README_EXAMPLES)
+
+    @pytest.mark.parametrize("line", list(README_EXAMPLES))
+    def test_stdout_and_exit_code(self, line):
+        result = invoke(*line.split()[1:])
+        assert result.exit_code == 0
+        expected = README_EXAMPLES[line]
+        if expected.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(result.stdout.encode()).hexdigest() == expected
+        else:
+            assert result.stdout == expected
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bell", "--n", "3", "--order", "0"),
+            ("omega", "--n", "3", "--order", "3"),
+            ("stirling", "--n", "3", "--k", "1", "--x", "2"),
+            ("enumerate", "--family", "ordered", "--n", "2", "--list", "--format", "json"),
+        ],
+    )
+    def test_is_usage_error(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+
+def _reads(fn) -> set:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    body = tree.body[0].body
+    return {
+        node.id
+        for stmt in body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+class TestEveryFlagIsRead:
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_each_declared_parameter_is_read(self, name):
+        command = main.commands[name]
+        declared = {param.name for param in command.params}
+        assert declared == set(inspect.signature(command.callback).parameters)
+        assert declared - _reads(command.callback) == set()

@@ -1,7 +1,6 @@
 import pytest
 
 from debell.derangements import (
-    DerangementQuery,
     derangement,
     r_derangement,
     r_derangement_egf,
@@ -38,10 +37,6 @@ class TestSeriesRoute:
     def test_r_zero_matches_closed_form(self):
         for k in range(9):
             assert r_derangement_egf(k, 0) == derangement(k)
-
-    def test_order_too_small(self):
-        with pytest.raises(ValueError):
-            r_derangement_egf(5, 1, order=3)
 
 
 class TestRecurrence:
@@ -81,13 +76,3 @@ class TestOracleAgreement:
                 value = r_derangement(k, r)
                 assert isinstance(value, int) and value >= 0
 
-
-class TestQuery:
-    def test_validation(self):
-        DerangementQuery(3, 2, 1)
-        DerangementQuery(3, 2, None)
-        DerangementQuery(3, 2, 0)
-        with pytest.raises(ValueError):
-            DerangementQuery(-1, 0)
-        with pytest.raises(ValueError):
-            DerangementQuery(3, 2, 5)

@@ -1,8 +1,8 @@
 import pytest
 
 from debell.enumeration import (
-    ArrangementTally,
     BlockPartition,
+    FAMILIES,
     EnumerationCapError,
     barred_count,
     format_blocks,
@@ -19,7 +19,6 @@ from debell.enumeration import (
     r_stirling_count,
     set_partitions,
     set_partitions_count,
-    tally,
 )
 
 
@@ -145,6 +144,13 @@ class TestEnvOverride(object):
         monkeypatch.setenv("DEBELL_MAX_ENUM", "11")
         assert set_partitions_count(11, 11) == 1
 
+    @pytest.mark.parametrize("bad", ["abc", "-1"])
+    def test_malformed_override_is_rejected(self, monkeypatch, bad):
+        monkeypatch.setenv("DEBELL_MAX_ENUM", bad)
+        with pytest.raises(ValueError, match=f"DEBELL_MAX_ENUM .* got '{bad}'") as info:
+            ordered_partitions_count(2)
+        assert not isinstance(info.value, EnumerationCapError)
+
 
 class TestTypesAndFormatting:
     def test_block_partition_validation(self):
@@ -163,11 +169,11 @@ class TestTypesAndFormatting:
         assert BlockPartition(((1, 2),)).text() == "{1,2}"
 
     def test_tally_and_listing(self):
-        t = tally("set-partitions", n=4, k=2)
-        assert isinstance(t, ArrangementTally) and t.count == 7
+        fields, counter = FAMILIES["set-partitions"]
+        assert fields == ("n", "k") and counter(4, 2) == 7
         listed = list(list_arrangements("set-partitions", n=3, k=2))
         assert sorted(listed) == ["{1,2}{3}", "{1,3}{2}", "{1}{2,3}"]
         assert len(set(listed)) == 3
         assert len(list(list_arrangements("barred", n=2, lam=2))) == 8
         with pytest.raises(ValueError):
-            tally("unknown-family", n=1)
+            list(list_arrangements("unknown-family", n=1))

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from debell.enumeration import r_stirling_count, set_partitions_count
-from debell.exact import ParamSet, gen_falling
-from debell.stirling import StirlingTable, colored_block_egf, stirling_egf, stirling_rec
+from debell.exact import gen_falling
+from debell.stirling import StirlingTable, stirling_egf, stirling_rec
 
 # rational weight triples for route-equality checks; beta != 0 throughout
 RATIONAL_TRIPLES = [
@@ -57,10 +57,6 @@ class TestRouteEquality:
         with pytest.raises(ValueError):
             stirling_egf(3, 1, 1, 0, 2)
 
-    def test_order_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            stirling_egf(5, 2, 0, 1, 0, order=3)
-
 
 class TestSpecializations:
     def test_classical_against_enumeration(self):
@@ -102,33 +98,3 @@ class TestSpecializations:
             total = sum(stirling_rec(n, k, 0, 1, 0) for k in range(n + 1))
             assert total == sum(set_partitions_count(n, k) for k in range(n + 1))
 
-
-class TestColoredBlocks:
-    def test_low_indices_vanish(self):
-        p = ParamSet.make(alpha=1, beta=2, gamma=2, x=2, lam=1, r=1)
-        values = colored_block_egf(2, 1, p, order=8)
-        assert values[:3] == [0, 0, 0]  # lowest series degree is k + r
-
-    def test_leading_value(self):
-        p = ParamSet.make(alpha=0, beta=3, gamma=1, x=2, lam=1, r=1)
-        k, r = 1, 1
-        values = colored_block_egf(k, r, p, order=6)
-        assert values[k + r] == p.x ** (k + r) * p.beta ** (k + r)
-
-    def test_reduction_to_plain_head(self):
-        p = ParamSet.make(alpha=2, beta=2, gamma=4, x=2, lam=1, r=0)
-        values = colored_block_egf(0, 0, p, order=6)
-        assert values == [gen_falling(4, 2, n) for n in range(7)]
-
-    def test_matches_triangle_route(self):
-        p = ParamSet.make(alpha=1, beta=2, gamma=3, x=2, lam=1, r=2)
-        k, r = 1, 2
-        values = colored_block_egf(k, r, p, order=7)
-        for n in range(8):
-            expected = p.x ** (k + r) * p.beta ** (k + r) * stirling_rec(n, k + r, 1, 2, 3)
-            assert values[n] == expected
-
-    def test_beta_zero_rejected(self):
-        p = ParamSet.make(beta=0)
-        with pytest.raises(ValueError):
-            colored_block_egf(1, 0, p, order=4)
