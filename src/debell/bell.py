@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from . import stirling
 from .derangements import r_derangement
@@ -31,22 +31,32 @@ from .series import TruncatedSeries, binpow
 _ZERO = Fraction(0)
 
 
-def _xu(params: ParamSet, order: int) -> TruncatedSeries:
-    u = binpow(params.alpha, params.beta, order) - TruncatedSeries.one(order)
-    return u.scale(params.x)
+def _rescaled(params: ParamSet, order: int) -> tuple:
+    """(S, head, x u): (1+alpha t)^(gamma/alpha) and x u read at t -> S t with
+    S = lcm(den alpha, den beta, den gamma) * den x.  Their EGF numerators
+    (gamma S|alpha S)_n and x (beta S|alpha S)_n = x (den x)^n (...)_n are
+    integers, so is every series built from them; ``_unscale`` divides S^n out."""
+    a, b, g, x = params.alpha, params.beta, params.gamma, params.x
+    s = lcm(a.denominator, b.denominator, g.denominator) * x.denominator
+    head = binpow(a * s, g * s, order)
+    u = binpow(a * s, b * s, order) - TruncatedSeries.one(order)
+    return s, head, u.scale(x)
+
+
+def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> tuple:
+    return tuple(Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1))
 
 
 @lru_cache(maxsize=None)
 def _bell_egf(params: ParamSet, n_max: int) -> tuple:
     order = n_max + 1  # spare position past anything read
-    head = binpow(params.alpha, params.gamma, order)
+    s, head, xu = _rescaled(params, order)
     lam, r = params.lam, params.r
-    xu = _xu(params, order)
     ser = head * xu.pow_int(r * lam)
     ser = ser * xu.scale(-lam).exp()
     one = TruncatedSeries.one(order)
     ser = ser * (one - xu).log().scale(-(r + 1) * lam).exp()
-    return tuple(ser.egf_coeff(n) for n in range(n_max + 1))
+    return _unscale(ser, s, n_max)
 
 
 def bell_egf(n_max: int, params: ParamSet) -> list:
@@ -182,11 +192,10 @@ def omega(n: int, params: ParamSet) -> Fraction:
 @lru_cache(maxsize=None)
 def _omega_egf(params: ParamSet, n_max: int) -> tuple:
     order = n_max + 1
-    head = binpow(params.alpha, params.gamma, order)
-    xu = _xu(params, order)
+    s, head, xu = _rescaled(params, order)
     one = TruncatedSeries.one(order)
     ser = head * (one - xu).log().scale(-params.lam).exp()
-    return tuple(ser.egf_coeff(n) for n in range(n_max + 1))
+    return _unscale(ser, s, n_max)
 
 
 def omega_egf(n_max: int, params: ParamSet) -> list:
@@ -231,8 +240,7 @@ class ProductFormRow:
 @lru_cache(maxsize=None)
 def _product_forms(params: ParamSet, n_max: int) -> tuple:
     order = n_max + 1
-    head = binpow(params.alpha, params.gamma, order)
-    xu = _xu(params, order)
+    s, head, xu = _rescaled(params, order)
     one = TruncatedSeries.one(order)
     log_one_minus = (one - xu).log()
     r, lam = params.r, params.lam
@@ -244,10 +252,7 @@ def _product_forms(params: ParamSet, n_max: int) -> tuple:
         factor = xu.pow_int(r * i) * xu.scale(-i).exp() * log_one_minus.scale(-(r + 1) * i).exp()
         literal = literal * factor
     power = head * single.pow_int(lam)
-    return (
-        tuple(literal.egf_coeff(n) for n in range(n_max + 1)),
-        tuple(power.egf_coeff(n) for n in range(n_max + 1)),
-    )
+    return _unscale(literal, s, n_max), _unscale(power, s, n_max)
 
 
 def product_form_check(n_max: int, params: ParamSet) -> list:

@@ -47,11 +47,14 @@ _weight_options = _options(
     click.option("--gamma", type=RATIONAL, default=Fraction(0), show_default="0"),
 )
 
+_x_option = click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1")
+_r_option = click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
+
 _param_options = _options(
     _weight_options,
-    click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1"),
+    _x_option,
     click.option("--lambda", "lam", type=click.IntRange(min=0), default=1, show_default=True),
-    click.option("--r", type=click.IntRange(min=0), default=0, show_default=True),
+    _r_option,
 )
 
 _output_options = _options(
@@ -115,11 +118,13 @@ def stirling_cmd(n, k, route, alpha, beta, gamma, fmt, out):
 
 @main.command("rderange")
 @click.option("--k", type=click.IntRange(min=0), required=True)
-@click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--s", type=click.IntRange(min=0), default=None, help="recurrence pivot in 1..r")
+@_r_option
+@click.option("--s", type=int, default=None, help="recurrence pivot in 1..r")
 @_output_options
 def rderange_cmd(k, r, s, fmt, out):
     """r-derangement number d_{k,r} (recurrence route when --s is given)."""
+    if s is not None and not 1 <= s <= r:
+        raise click.BadParameter(f"{s} is outside the pivot range 1..r = 1..{r}", param_hint="--s")
     if s is None:
         value = _run(r_derangement_egf, k, r)
     else:
@@ -162,7 +167,7 @@ def omega_cmd(n, alpha, beta, gamma, x, lam, r, fmt, out):
 @click.option("--family", type=click.Choice(list(enumeration.FAMILIES)), required=True)
 @click.option("--n", type=click.IntRange(min=0), default=None)
 @click.option("--k", type=click.IntRange(min=0), default=None)
-@click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
+@_r_option
 @click.option("--lambda", "lam", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--list", "list_items", is_flag=True, help="print arrangements one per line")
 @_output_options
@@ -193,12 +198,15 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--m", type=click.IntRange(min=0), default=None, help="truncation order, default n-1")
 @click.option("--delta", "deltas", type=int, multiple=True, required=True)
-@_param_options
+@_weight_options
+@_x_option
+@_r_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, lam, r, fmt, out):
-    """Convergence table (delta, estimate, exact, rel_error) for B[n]/n!."""
-    params = ParamSet.make(alpha, beta, gamma, x, lam, r)
+def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, r, fmt, out):
+    """Convergence table (delta, estimate, exact, rel_error) for B[n]/n!;
+    the exponent is delta, so there is no --lambda."""
+    params = ParamSet.make(alpha, beta, gamma, x, r=r)
     m = n - 1 if m is None else m
     rows = _run(
         lambda: [asymptotics.bell_asymptotic_estimate(n, m, d, params) for d in sorted(set(deltas))]
@@ -243,6 +251,9 @@ def verify_cmd(claims, fmt, out, max_n):
     if not report.all_required_equal:
         failures = report.required_failures()
         click.echo(f"required-equal failures: {len(failures)}", err=True)
+        for row in failures[:10]:
+            point = ",".join(f"{key}={value}" for key, value in row.point)
+            click.echo(f"  {row.claim} {point} lhs={row.lhs} rhs={row.rhs}", err=True)
         sys.exit(1)
 
 

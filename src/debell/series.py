@@ -1,74 +1,99 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series, stored as EGF numerators.
 
-A series is a fixed-length coefficient vector ``c[0..order]``; every operation
-truncates at that order.  Binary operations require equal orders (use
-``truncate`` to align them first).  exp, log, and inverse use the classical
-O(order^2) differential recurrences, which is plenty at the desk-scale orders
-used here; there is deliberately no asymptotically fast multiplication.
+A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N; every
+operation truncates at that order, and binary operations require equal orders
+(use ``truncate`` to align them).  A product is the binomial convolution
+(fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse use the EGF forms of
+the O(N^2) differential recurrences.  Only inverse divides (by its constant
+term), so integer numerators stay ``int`` and no gcd is paid; other entries
+are ``Fraction``s.  There is deliberately no asymptotically fast multiplication.
+Reading a series at t -> S t multiplies a_n by S^n; the family routes in
+``bell`` use this to make rational weights integral.  The constructor,
+``coeffs`` and ``[n]`` speak ordinary coefficients c_n; ``egf_coeff`` gives a_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 from typing import Iterable
 
 from .exact import as_rat
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(value):
+    """``value`` as an ``int`` when it is integral, otherwise unchanged."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _next_row(row: list) -> list:
+    """Row n+1 of Pascal's triangle from row n."""
+    return [1, *map(add, row, row[1:]), 1]
+
+
+def _dot3(xs, ys, zs):
+    """sum_i xs[i] ys[i] zs[i] over the shortest of the three."""
+    return sum(map(mul, map(mul, xs, ys), zs))
 
 
 class TruncatedSeries:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_a",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(as_rat(c) for c in coeffs)
-        if not cs:
+        self._a = tuple(_exact(factorial(n) * as_rat(c)) for n, c in enumerate(coeffs))
+        if not self._a:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = cs
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _from_egf(cls, nums: Iterable) -> "TruncatedSeries":
+        series = object.__new__(cls)
+        series._a = tuple(nums)
+        return series
+
+    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([_ZERO] * (order + 1))
+        return cls._from_egf([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([_ONE] + [_ZERO] * order)
+        return cls._from_egf([1] + [0] * order)
 
     @classmethod
     def monomial(cls, coeff, degree: int, order: int) -> "TruncatedSeries":
         if not 0 <= degree <= order:
             raise ValueError(f"degree {degree} out of range for order {order}")
-        cs = [_ZERO] * (order + 1)
-        cs[degree] = as_rat(coeff)
-        return cls(cs)
+        nums = [0] * (order + 1)
+        nums[degree] = _exact(factorial(degree) * as_rat(coeff))
+        return cls._from_egf(nums)
 
     # -- basic protocol -------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple(self[n] for n in range(len(self._a)))
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._a) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} out of range 0..{self.order}")
-        return self._coeffs[n]
+        return as_rat(self._a[n]) / factorial(n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
+        return isinstance(other, TruncatedSeries) and self._a == other._a
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(self._a)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self._coeffs[:6])
+        head = ", ".join(str(self[n]) for n in range(min(6, len(self._a))))
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
@@ -80,47 +105,42 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self._coeffs, other._coeffs))
+        return self._from_egf(map(add, self._a, other._a))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self._coeffs, other._coeffs))
+        return self._from_egf(a - b for a, b in zip(self._a, other._a))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-a for a in self._coeffs)
+        return self._from_egf(-a for a in self._a)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = as_rat(c)
-        return TruncatedSeries(c * a for a in self._coeffs)
+        c = _exact(as_rat(c))
+        return self._from_egf(_exact(c * a) for a in self._a)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
-        n = self.order
-        a, b = self._coeffs, other._coeffs
-        out = [_ZERO] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out)
+        a, b = self._a, other._a
+        out, row = [], [1]
+        for n in range(len(a)):
+            out.append(_dot3(row, a, b[n::-1]))
+            row = _next_row(row)
+        return self._from_egf(out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return self._from_egf(self._a[: order + 1])
 
     def derivative(self) -> "TruncatedSeries":
         """Formal derivative; the order drops by one."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(k * c for k, c in enumerate(self._coeffs) if k >= 1)
+        return self._from_egf(self._a[1:])
 
     def valuation(self):
         """Index of the lowest nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self._a):
             if c != 0:
                 return i
         return None
@@ -128,50 +148,43 @@ class TruncatedSeries:
     # -- multiplicative transcendentals ---------------------------------------
 
     def inverse(self) -> "TruncatedSeries":
-        """Reciprocal series; requires a nonzero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
+        """Reciprocal series; requires a nonzero constant term.
+        h = 1/f: h_m = -(1/f_0) sum_{k=1}^m C(m,k) f_k h_{m-k}."""
+        f = self._a
+        if f[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        n = self.order
-        inv0 = 1 / a[0]
-        out = [inv0] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for j in range(1, m + 1):
-                if a[j] != 0:
-                    acc += a[j] * out[m - j]
-            out[m] = -inv0 * acc
-        return TruncatedSeries(out)
+        minus_inv0 = _exact(-1 / as_rat(f[0]))
+        tail = f[1:]
+        out, row = [-minus_inv0], [1]
+        for _ in tail:
+            row = _next_row(row)
+            out.append(minus_inv0 * _dot3(row[1:], tail, out[::-1]))
+        return self._from_egf(out)
 
     def exp(self) -> "TruncatedSeries":
-        """Formal exponential; requires constant term 0."""
-        a = self._coeffs
-        if a[0] != 0:
+        """Formal exponential; requires constant term 0.
+        h = exp(g): h_{m+1} = sum_{k=0}^m C(m,k) g_{k+1} h_{m-k}."""
+        g = self._a
+        if g[0] != 0:
             raise ValueError("exp requires constant term 0")
-        n = self.order
-        out = [_ONE] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for j in range(1, m + 1):
-                if a[j] != 0:
-                    acc += j * a[j] * out[m - j]
-            out[m] = acc / m
-        return TruncatedSeries(out)
+        tail = g[1:]
+        out, row = [1], [1]
+        for _ in tail:
+            out.append(_dot3(row, tail, out[::-1]))
+            row = _next_row(row)
+        return self._from_egf(out)
 
     def log(self) -> "TruncatedSeries":
-        """Formal logarithm; requires constant term 1."""
-        a = self._coeffs
-        if a[0] != 1:
+        """Formal logarithm; requires constant term 1.
+        g = log(f) from f' = g'f: g_{m+1} = f_{m+1} - sum_{k<m} C(m,k) g_{k+1} f_{m-k}."""
+        f = self._a
+        if f[0] != 1:
             raise ValueError("log requires constant term 1")
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for j in range(1, m):
-                if a[m - j] != 0 and out[j] != 0:
-                    acc += j * out[j] * a[m - j]
-            out[m] = a[m] - acc / m
-        return TruncatedSeries(out)
+        out, row = [0], [1]
+        for m in range(len(f) - 1):
+            out.append(f[m + 1] - _dot3(row, out[1:], f[m:0:-1]))
+            row = _next_row(row)
+        return self._from_egf(out)
 
     def pow_int(self, m: int) -> "TruncatedSeries":
         """Nonnegative integer power, truncated to the series order."""
@@ -198,22 +211,17 @@ class TruncatedSeries:
         """n! times the t^n coefficient (the value an EGF encodes at index n)."""
         if not 0 <= n <= self.order:
             raise ValueError(f"index {n} outside 0..{self.order}")
-        return factorial(n) * self._coeffs[n]
+        return as_rat(self._a[n])
 
 
 def binpow(alpha, c, order: int) -> TruncatedSeries:
     """The series (1 + alpha t)^(c/alpha); at alpha = 0 the limit exp(c t).
 
-    The alpha = 0 branch is the first-class degenerate case, with coefficients
-    c^n / n!.
+    Its EGF numerators are (c|alpha)_n = c (c - alpha) ... (c - (n-1) alpha),
+    one running product for every alpha, the degenerate alpha = 0 included.
     """
-    alpha = as_rat(alpha)
-    c = as_rat(c)
-    if alpha == 0:
-        return TruncatedSeries(c**n / factorial(n) for n in range(order + 1))
-    coeffs = [_ZERO] * (order + 1)
-    coeffs[0] = _ONE
-    if order >= 1:
-        coeffs[1] = alpha
-    base = TruncatedSeries(coeffs)
-    return base.log().scale(c / alpha).exp()
+    alpha, c = _exact(as_rat(alpha)), _exact(as_rat(c))
+    nums = [1]
+    for n in range(order):
+        nums.append(nums[-1] * (c - n * alpha))
+    return TruncatedSeries._from_egf(nums)

@@ -82,6 +82,6 @@ def stirling_egf(n: int, k: int, alpha, beta, gamma) -> Fraction:
         raise ValueError("the series route divides by beta^k; use stirling_rec at beta = 0")
     work = n + 1  # one spare position past anything read
     u = binpow(alpha, beta, work) - TruncatedSeries.one(work)
-    numer = u.pow_int(k).scale(1 / beta**k) * binpow(alpha, gamma, work)
-    return numer.egf_coeff(n) / factorial(k)
+    numer = u.pow_int(k) * binpow(alpha, gamma, work)
+    return numer.egf_coeff(n) / (beta**k * factorial(k))
 

@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
@@ -255,84 +255,33 @@ def _eval_asymp(point: ClaimPoint, grid: GridSpec) -> ReportRow:
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
     claims = [
-        Claim(
-            "T5",
-            "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-            lambda grid: _default_points(grid, lambdas=(1,)),
-            _eval_t5,
-        ),
-        Claim(
-            "T33",
-            "binomially weighted closed sum vs the series route, all lam",
-            _default_points,
-            _eval_t33,
-        ),
-        Claim(
-            "T3-n",
-            "section convolution over compositions of n vs the series route",
-            lambda grid: _default_points(grid),
-            lambda point, grid: _eval_t3("T3-n", False, point, grid),
-        ),
-        Claim(
-            "T3-nr",
-            "section convolution with the n+r upper index vs the series route",
-            lambda grid: _default_points(grid),
-            lambda point, grid: _eval_t3("T3-nr", True, point, grid),
-        ),
-        Claim(
-            "OMEGA-ID",
-            "fixed-block decomposition of omega[n+r] vs its closed sum",
-            _default_points,
-            _eval_omega_id,
-        ),
-        Claim(
-            "EQ40-literal",
-            "per-section product with index-scaled exponents vs the series route",
-            lambda grid: _default_points(grid),
-            lambda point, grid: _eval_eq40("EQ40-literal", True, point, grid),
-        ),
-        Claim(
-            "EQ40-power",
-            "lam-th power of the single-section factor vs the series route",
-            lambda grid: _default_points(grid),
-            lambda point, grid: _eval_eq40("EQ40-power", False, point, grid),
-        ),
-        Claim(
-            "EX-B1x2",
-            "candidate polynomial for n=2, r=1 evaluated at many points",
-            lambda grid: _ex_points(grid, r=1, n=2),
-            lambda point, grid: _eval_ex("EX-B1x2", _ex_b1x2, point, grid),
-        ),
-        Claim(
-            "EX-B2x4",
-            "candidate polynomial for n=4, r=2 evaluated at many points",
-            lambda grid: _ex_points(grid, r=2, n=4),
-            lambda point, grid: _eval_ex("EX-B2x4", _ex_b2x4, point, grid),
-        ),
-        Claim(
-            "EX-B2x6",
-            "candidate polynomial for n=6, r=2 evaluated at many points",
-            lambda grid: _ex_points(grid, r=2, n=6),
-            lambda point, grid: _eval_ex("EX-B2x6", _ex_b2x6, point, grid),
-        ),
-        Claim(
-            "W4-explicit",
-            "expanded W(n,4) form vs the generic partition sum",
-            lambda grid: _w_points(grid, 4),
-            lambda point, grid: _eval_w("W4-explicit", 4, point, grid),
-        ),
-        Claim(
-            "W5-explicit",
-            "expanded W(n,5) form vs the generic partition sum",
-            lambda grid: _w_points(grid, 5),
-            lambda point, grid: _eval_w("W5-explicit", 5, point, grid),
-        ),
-        Claim(
-            "ASYMP-r0",
-            "r=0 expansion at full order m=n-1 equals the exact scaled value",
-            _asymp_points,
-            lambda point, grid: _eval_asymp(point, grid),
-        ),
+        Claim("T5",
+              "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
+              partial(_default_points, lambdas=(1,)), _eval_t5),
+        Claim("T33", "binomially weighted closed sum vs the series route, all lam",
+              _default_points, _eval_t33),
+        Claim("T3-n", "section convolution over compositions of n vs the series route",
+              _default_points, partial(_eval_t3, "T3-n", False)),
+        Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
+              _default_points, partial(_eval_t3, "T3-nr", True)),
+        Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
+              _default_points, _eval_omega_id),
+        Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
+              _default_points, partial(_eval_eq40, "EQ40-literal", True)),
+        Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
+              _default_points, partial(_eval_eq40, "EQ40-power", False)),
+        Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
+              partial(_ex_points, r=1, n=2), partial(_eval_ex, "EX-B1x2", _ex_b1x2)),
+        Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
+              partial(_ex_points, r=2, n=4), partial(_eval_ex, "EX-B2x4", _ex_b2x4)),
+        Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
+              partial(_ex_points, r=2, n=6), partial(_eval_ex, "EX-B2x6", _ex_b2x6)),
+        Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
+              partial(_w_points, f=4), partial(_eval_w, "W4-explicit", 4)),
+        Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
+              partial(_w_points, f=5), partial(_eval_w, "W5-explicit", 5)),
+        Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
+              _asymp_points, _eval_asymp),
     ]
     return {c.id: c for c in claims}
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from debell.bell import (
+    _rescaled,
     bell_classic,
     bell_convolution,
     bell_convolution_nr,
@@ -20,6 +23,16 @@ from debell.enumeration import (
     r_deranged_partitions_enum,
 )
 from debell.exact import ParamSet, binomial, gen_falling
+
+
+weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def rational_points(draw):
+    alpha, beta = draw(weights), draw(weights.filter(bool))
+    gamma, x = draw(weights), draw(weights)
+    return ParamSet.make(alpha, beta, gamma, x, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
 
 
 def small_grid(lambdas=(1,), rs=(0, 1, 2), gammas=(0, 1, 2, 4), xs=(1, 2)):
@@ -248,3 +261,26 @@ class TestRegimeProperties:
                 current = bell_egf(7, p.replace(lam=lam))
                 assert all(a <= b for a, b in zip(previous, current))
                 previous = current
+
+
+class TestRationalRescaling:
+    """The series routes read t -> S t so that rational weights run on integer
+    numerators; these points reach S > 1, which the default grid never does."""
+
+    @given(rational_points(), st.integers(0, 8))
+    def test_series_routes_match_closed_sums(self, p, n_max):
+        ns = range(n_max + 1)
+        egf = bell_egf(n_max, p)
+        if p.lam == 1:
+            assert egf == [bell_lambda1(n, p) for n in ns]
+        if p.lam >= 1:
+            assert egf == [bell_convolution(n, p) for n in ns]
+            assert [row.power for row in product_form_check(n_max, p)] == egf
+        assert omega_egf(n_max, p) == [omega(n, p) for n in ns]
+
+    @given(rational_points(), st.integers(0, 8))
+    def test_rescaled_inputs_are_integral(self, p, order):
+        s, head, xu = _rescaled(p, order)
+        assert all((w * s).denominator == 1 for w in (p.alpha, p.beta, p.gamma))
+        for series in (head, xu):
+            assert all(series.egf_coeff(n).denominator == 1 for n in range(order + 1))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from debell import verify
 from debell.cli import main
+from debell.exact import ParamSet
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,6 +60,13 @@ class TestScalarCommands:
     def test_rderange_recurrence_route(self):
         result = invoke("rderange", "--k", "5", "--r", "2", "--s", "1")
         assert result.output == invoke("rderange", "--k", "5", "--r", "2").output
+
+    @pytest.mark.parametrize("r, s", [(3, 0), (2, 3), (0, 1)])
+    def test_rderange_pivot_outside_range_is_usage_error(self, r, s):
+        result = invoke("rderange", "--k", "5", "--r", str(r), "--s", str(s))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"1..r = 1..{r}" in result.stderr
 
     def test_bell_example(self):
         result = invoke(
@@ -155,6 +165,26 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "UNEQUAL" in result.output
 
+    def test_required_failures_are_listed_on_stderr(self, monkeypatch):
+        registry = verify.claim_registry()
+        t5 = registry["T5"]
+
+        def evaluate(point, grid):
+            row = t5.evaluate(point, grid)
+            if point.n == 2 and point.params == ParamSet.make(r=1):
+                row = dataclasses.replace(row, rhs="-1", status=verify.UNEQUAL)
+            return row
+
+        monkeypatch.setitem(registry, "T5", dataclasses.replace(t5, evaluate=evaluate))
+        result = invoke("verify", "--claims", "T5", "--max-n", "3")
+        assert result.exit_code == 1
+        report = verify.run_claims(["T5"], verify.GridSpec(max_n=3))
+        assert result.stdout == verify.emit_report(report, "csv").decode()
+        assert result.stderr.splitlines() == [
+            "required-equal failures: 1",
+            "  T5 alpha=0,beta=1,gamma=0,x=1,lam=1,r=1,n=2 lhs=3 rhs=-1",
+        ]
+
     def test_unknown_claim_is_usage_error(self):
         result = invoke("verify", "--claims", "NOPE")
         assert result.exit_code == 2
@@ -206,6 +236,7 @@ class TestRemovedKnobs:
             ("omega", "--n", "3", "--order", "3"),
             ("stirling", "--n", "3", "--k", "1", "--x", "2"),
             ("enumerate", "--family", "ordered", "--n", "2", "--list", "--format", "json"),
+            ("asymp", "--n", "4", "--m", "2", "--delta", "100", "--gamma", "1", "--lambda", "3"),
         ],
     )
     def test_is_usage_error(self, args):

@@ -168,3 +168,25 @@ class TestEgfCoeff:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             TruncatedSeries([1, 2]).egf_coeff(5)
+
+
+
+class TestIntegerNumerators:
+    def test_integer_inputs_keep_int_numerators(self):
+        # With integer data every stored EGF numerator n! c_n stays a plain
+        # int through the kernel; a Fraction here means the gcd-free path is lost.
+        order = 8
+        f = binpow(3, -7, order)
+        g = TruncatedSeries([1, 2, -1, 0, 5, 0, -3, 0, 1])
+        results = {
+            "binpow": f,
+            "binpow at alpha=0": binpow(0, 5, order),
+            "mul": f * g,
+            "exp": (g - TruncatedSeries.one(order)).exp(),
+            "log": g.log(),
+            "pow_int": g.pow_int(5),
+            "inverse": g.inverse(),
+            "inverse of -g": (-g).inverse(),
+        }
+        for name, series in results.items():
+            assert [type(a) for a in series._a] == [int] * (order + 1), name
