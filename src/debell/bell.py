@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, lcm
+from math import comb, lcm
 
 from . import stirling
 from .derangements import r_derangement
-from .exact import ParamSet, binomial, gen_falling, multinomial
+from .exact import ParamSet, binomial, gen_falling
 from .series import TruncatedSeries, binpow
 
 _ZERO = Fraction(0)
@@ -102,52 +101,49 @@ def bell_general_closed(n: int, params: ParamSet) -> Fraction:
     return total
 
 
-def _compositions(n: int, parts: int):
-    """Weak compositions of n into `parts` ordered parts."""
-    if parts == 1:
-        yield (n,)
-        return
-    for bars in combinations(range(n + parts - 1), parts - 1):
-        cuts = (-1,) + bars + (n + parts - 1,)
-        yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
+def _binomial_convolution(a: list, b: list) -> list:
+    """EGF product of two coefficient vectors: c[m] = sum_k C(m, k) a[k] b[m-k]."""
+    return [sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1)) for m in range(len(a))]
 
 
-def _section_sum(n: int, total: int, params: ParamSet) -> Fraction:
-    base = params.replace(lam=1, gamma=Fraction(0))
-    out = _ZERO
-    for comp in _compositions(total, params.lam + 1):
-        tail = gen_falling(params.gamma, params.alpha, comp[-1])
-        if tail == 0:
-            continue
-        prod = multinomial(total, comp) * tail
-        for part in comp[:-1]:
-            prod *= _lambda1(base.alpha, base.beta, base.gamma, base.x, base.r, part)
-            if prod == 0:
-                break
-        out += prod
-    return out
+@lru_cache(maxsize=None)
+def _section_convolution(params: ParamSet, n_max: int) -> tuple:
+    a, b, x, r = params.alpha, params.beta, params.x, params.r
+    acc = [gen_falling(params.gamma, a, i) for i in range(n_max + 1)]
+    base = [_lambda1(a, b, _ZERO, x, r, i) for i in range(n_max + 1)]
+    for _ in range(params.lam):
+        acc = _binomial_convolution(acc, base)
+    return tuple(acc)
+
+
+def section_convolution(n_max: int, params: ParamSet) -> list:
+    """The section convolution at totals 0..n_max: (gamma|alpha)_i convolved
+    lam times with the lam = 1, gamma = 0 closed sums B[i] (binomial
+    convolution, the EGF product).  Built from ``gen_falling`` and the closed
+    sums alone, so it stays independent of the series route."""
+    if params.lam < 1:
+        raise ValueError("the convolution route requires lam >= 1")
+    return list(_section_convolution(params, n_max))
 
 
 def bell_convolution(n: int, params: ParamSet) -> Fraction:
     """Section convolution over compositions of n into lam+1 parts:
 
         sum multinomial(n; i_1..i_{lam+1}) (gamma|alpha)_{i_{lam+1}}
-            prod_s B[i_s] at (lam=1, gamma=0).
+            prod_s B[i_s] at (lam=1, gamma=0),
 
-    With compositions of n this reproduces the generating-function route
-    exactly (the product structure of the EGF).
+    computed as lam binomial convolutions of the vector (gamma|alpha)_i with
+    the vector B[i] at (lam=1, gamma=0) and read at index n.  This reproduces
+    the generating-function route exactly (the product structure of the EGF).
     """
-    if params.lam < 1:
-        raise ValueError("the convolution route requires lam >= 1")
-    return _section_sum(n, n, params)
+    return section_convolution(n, params)[n]
 
 
 def bell_convolution_nr(n: int, params: ParamSet) -> Fraction:
-    """Variant index convention: compositions of n+r with multinomial(n+r; ...).
-    Kept only so the harness can record how this convention compares."""
-    if params.lam < 1:
-        raise ValueError("the convolution route requires lam >= 1")
-    return _section_sum(n, n + params.r, params)
+    """Variant index convention: compositions of n+r with multinomial(n+r; ...),
+    i.e. the same convolution vector read at index n+r.  Kept only so the
+    harness can record how this convention compares."""
+    return section_convolution(n + params.r, params)[n + params.r]
 
 
 def deranged_bell_classic(n: int, r: int) -> int:
@@ -180,12 +176,15 @@ def bell_classic(n: int, params: ParamSet) -> int:
 def omega(n: int, params: ParamSet) -> Fraction:
     """Closed sum sum_k C(k+lam-1, k) x^k k! beta^k S(n,k)."""
     tab = stirling.table(params.alpha, params.beta, params.gamma)
+    xb = params.x * params.beta
     total = _ZERO
+    weight = Fraction(1)  # k! (x beta)^k
     for k in range(n + 1):
+        if k:
+            weight *= k * xb
         w = binomial(k + params.lam - 1, k)
-        if w == 0:
-            continue
-        total += w * params.x**k * factorial(k) * params.beta**k * tab.value(n, k)
+        if w:
+            total += w * weight * tab.value(n, k)
     return total
 
 
@@ -203,6 +202,25 @@ def omega_egf(n_max: int, params: ParamSet) -> list:
     return list(_omega_egf(params, n_max))
 
 
+@lru_cache(maxsize=None)
+def _omega_identity(params: ParamSet, n_max: int) -> tuple:
+    r = params.r
+    top = n_max + r
+    zero_gamma = stirling.table(params.alpha, params.beta, 0)
+    powers = [Fraction(1)]  # (beta x lam)^l
+    for _ in range(top):
+        powers.append(powers[-1] * params.beta * params.x * params.lam)
+    inner = [sum(powers[l] * zero_gamma.value(j, l) for l in range(j + 1)) for j in range(top + 1)]
+    rhs = _binomial_convolution(bell_egf(top, params), inner)
+    return tuple((omega(n + r, params), rhs[n + r]) for n in range(n_max + 1))
+
+
+def omega_identity_rows(n_max: int, params: ParamSet) -> list:
+    """(lhs, rhs) of ``omega_identity_check`` at r = params.r for n = 0..n_max,
+    from one B[0..n_max+r] vector and one binomial convolution."""
+    return list(_omega_identity(params, n_max))
+
+
 def omega_identity_check(n: int, r: int, params: ParamSet) -> tuple:
     """Both sides of the fixed-block decomposition
 
@@ -211,22 +229,7 @@ def omega_identity_check(n: int, r: int, params: ParamSet) -> tuple:
 
     returned without asserting equality; the harness records the comparison.
     """
-    p = params.replace(r=r)
-    m = n + r
-    lhs = omega(m, p)
-    zero_gamma = stirling.table(p.alpha, p.beta, 0)
-    bvals = bell_egf(m, p)
-    rhs = _ZERO
-    for i in range(m + 1):
-        if bvals[i] == 0:
-            continue
-        inner = _ZERO
-        for l in range(m - i + 1):
-            s = zero_gamma.value(m - i, l)
-            if s != 0:
-                inner += p.beta**l * s * p.x**l * Fraction(p.lam) ** l
-        rhs += binomial(m, i) * bvals[i] * inner
-    return lhs, rhs
+    return omega_identity_rows(n, params.replace(r=r))[n]
 
 
 @dataclass(frozen=True)

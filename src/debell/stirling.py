@@ -20,7 +20,7 @@ r-Whitney numbers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .exact import as_rat
 from .series import TruncatedSeries, binpow
@@ -77,11 +77,14 @@ def stirling_rec(n: int, k: int, alpha, beta, gamma) -> Fraction:
 def stirling_egf(n: int, k: int, alpha, beta, gamma) -> Fraction:
     """Series-route value: n!/k! times the t^n coefficient of
     (u/beta)^k (1+alpha t)^(gamma/alpha) with u = (1+alpha t)^(beta/alpha) - 1."""
-    beta = as_rat(beta)
+    alpha, beta, gamma = as_rat(alpha), as_rat(beta), as_rat(gamma)
     if beta == 0:
         raise ValueError("the series route divides by beta^k; use stirling_rec at beta = 0")
+    # Read the series at t -> S t, S = lcm of the weight denominators, so every
+    # EGF numerator is an integer; the t^n numerator then carries S^n.
+    s = lcm(alpha.denominator, beta.denominator, gamma.denominator)
     work = n + 1  # one spare position past anything read
-    u = binpow(alpha, beta, work) - TruncatedSeries.one(work)
-    numer = u.pow_int(k) * binpow(alpha, gamma, work)
-    return numer.egf_coeff(n) / (beta**k * factorial(k))
+    u = binpow(alpha * s, beta * s, work) - TruncatedSeries.one(work)
+    numer = u.pow_int(k) * binpow(alpha * s, gamma * s, work)
+    return numer.egf_coeff(n) / (s**n * beta**k * factorial(k))
 

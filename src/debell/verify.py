@@ -16,7 +16,8 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from json.encoder import encode_basestring_ascii as _js
 from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
@@ -175,16 +176,15 @@ def _eval_t33(point: ClaimPoint, grid: GridSpec) -> ReportRow:
 def _eval_t3(claim_id: str, shifted_index: bool, point: ClaimPoint, grid: GridSpec) -> ReportRow:
     if point.params.lam < 1:
         return _skip(claim_id, point, "needs lam >= 1")
+    r = point.params.r
     lhs = bell.bell_egf(grid.max_n, point.params)[point.n]
-    if shifted_index:
-        rhs = bell.bell_convolution_nr(point.n, point.params)
-    else:
-        rhs = bell.bell_convolution(point.n, point.params)
+    conv = bell.section_convolution(grid.max_n + r, point.params)
+    rhs = conv[point.n + r] if shifted_index else conv[point.n]
     return _row(claim_id, point, lhs, rhs)
 
 
 def _eval_omega_id(point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    lhs, rhs = bell.omega_identity_check(point.n, point.params.r, point.params)
+    lhs, rhs = bell.omega_identity_rows(grid.max_n, point.params)[point.n]
     return _row("OMEGA-ID", point, lhs, rhs)
 
 
@@ -303,10 +303,6 @@ def _row_required_equal(row: ReportRow) -> bool:
     return bool(pred and pred(row.point_dict()))
 
 
-def _row_sort_key(row: ReportRow):
-    return (row.claim, tuple(Fraction(v) for _, v in row.point))
-
-
 def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
     """Evaluate the named claims (all of them by default) over the grid."""
     registry = claim_registry()
@@ -321,29 +317,44 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
         claim = registry[cid]
         for point in claim.points(grid):
             rows.append(claim.evaluate(point, grid))
-    rows.sort(key=_row_sort_key)
+    value = cache(Fraction)  # a few dozen distinct point strings
+    rows.sort(key=lambda row: (row.claim, tuple(value(v) for _, v in row.point)))
     return VerificationReport(tuple(rows))
 
 
 # -- serialization --------------------------------------------------------------
 
 
+# One report row as json.dumps(..., sort_keys=True, indent=2) lays it out.
+_JSON_ROW = (
+    '    {{\n      "claim": {claim},\n      "lhs": {lhs},\n      "note": {note},\n'
+    '      "point": {point},\n      "rhs": {rhs},\n      "status": {status}\n    }}'
+)
+
+
+def _point_json(point: tuple) -> str:
+    if not point:
+        return "[]"
+    pairs = ",\n".join(
+        f"        [\n          {_js(k)},\n          {_js(v)}\n        ]" for k, v in point
+    )
+    return "[\n" + pairs + "\n      ]"
+
+
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
+    """The report as bytes; the JSON form is byte-identical to
+    ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
     if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "claim": row.claim,
-                    "point": [[k, v] for k, v in row.point],
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    "status": row.status,
-                    "note": row.note,
-                }
-                for row in report.rows
-            ]
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        if not report.rows:
+            return b'{\n  "rows": []\n}\n'
+        point_json = cache(_point_json)
+        body = ",\n".join(
+            _JSON_ROW.format(claim=_js(row.claim), lhs=_js(row.lhs), note=_js(row.note),
+                             point=point_json(row.point), rhs=_js(row.rhs),
+                             status=_js(row.status))
+            for row in report.rows
+        )
+        return ('{\n  "rows": [\n' + body + "\n  ]\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from debell.bell import (
+    _lambda1,
     _rescaled,
     bell_classic,
     bell_convolution,
@@ -16,14 +18,17 @@ from debell.bell import (
     omega,
     omega_egf,
     omega_identity_check,
+    omega_identity_rows,
     product_form_check,
+    section_convolution,
 )
 from debell.enumeration import (
     ordered_partitions_count,
     r_deranged_partitions_enum,
 )
-from debell.exact import ParamSet, binomial, gen_falling
+from debell.exact import ParamSet, binomial, gen_falling, multinomial
 
+_ZERO = Fraction(0)
 
 weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -33,6 +38,34 @@ def rational_points(draw):
     alpha, beta = draw(weights), draw(weights.filter(bool))
     gamma, x = draw(weights), draw(weights)
     return ParamSet.make(alpha, beta, gamma, x, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+
+
+def _compositions(n: int, parts: int):
+    """Weak compositions of n into `parts` ordered parts."""
+    if parts == 1:
+        yield (n,)
+        return
+    for bars in combinations(range(n + parts - 1), parts - 1):
+        cuts = (-1,) + bars + (n + parts - 1,)
+        yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
+
+
+def _section_sum(n: int, total: int, params: ParamSet) -> Fraction:
+    """Oracle for the section convolution: the explicit sum over weak
+    compositions of `total` into lam+1 parts."""
+    base = params.replace(lam=1, gamma=Fraction(0))
+    out = _ZERO
+    for comp in _compositions(total, params.lam + 1):
+        tail = gen_falling(params.gamma, params.alpha, comp[-1])
+        if tail == 0:
+            continue
+        prod = multinomial(total, comp) * tail
+        for part in comp[:-1]:
+            prod *= _lambda1(base.alpha, base.beta, base.gamma, base.x, base.r, part)
+            if prod == 0:
+                break
+        out += prod
+    return out
 
 
 def small_grid(lambdas=(1,), rs=(0, 1, 2), gammas=(0, 1, 2, 4), xs=(1, 2)):
@@ -133,6 +166,26 @@ class TestConvolutionRoute:
     def test_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             bell_convolution(3, ParamSet.make(lam=0))
+        with pytest.raises(ValueError):
+            bell_convolution_nr(3, ParamSet.make(lam=0, r=1))
+        with pytest.raises(ValueError):
+            section_convolution(3, ParamSet.make(lam=0))
+
+    def test_vector_matches_composition_oracle_on_integer_grid(self):
+        for p in small_grid(lambdas=(1, 2, 3), rs=(0, 1, 2), gammas=(0, 2), xs=(1, 2)):
+            for n in range(8):
+                assert bell_convolution(n, p) == _section_sum(n, n, p), (p, n)
+                assert bell_convolution_nr(n, p) == _section_sum(n, n + p.r, p), (p, n)
+
+    @given(rational_points().filter(lambda p: p.lam >= 1), st.integers(0, 7))
+    def test_vector_matches_composition_oracle_at_rational_points(self, p, n):
+        assert bell_convolution(n, p) == _section_sum(n, n, p)
+        assert bell_convolution_nr(n, p) == _section_sum(n, n + p.r, p)
+        assert section_convolution(7, p)[n] == _section_sum(n, n, p)
+
+    @given(rational_points().filter(lambda p: p.lam >= 1), st.integers(0, 7))
+    def test_nr_variant_is_the_vector_at_n_plus_r(self, p, n):
+        assert bell_convolution_nr(n, p) == bell_convolution(n + p.r, p)
 
     def test_nr_index_variant_differs_for_positive_r(self):
         p = ParamSet.make(0, 1, 0, 1, 2, 1)
@@ -185,7 +238,7 @@ class TestBellValueDispatch:
 class TestOmega:
     def test_fubini_values(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 0)
-        assert [omega(n, p) for n in range(5)] == [1, 1, 3, 13, 75]
+        assert [omega(n, p) for n in range(7)] == [1, 1, 3, 13, 75, 541, 4683]
         for n in range(7):
             assert omega(n, p) == ordered_partitions_count(n)
 
@@ -214,6 +267,17 @@ class TestOmegaIdentity:
         p = ParamSet.make(1, 2, 2, 1, 0, 0)
         lhs, rhs = omega_identity_check(4, 0, p)
         assert lhs == rhs == gen_falling(2, 1, 4)
+
+    def test_rows_match_scalar_check(self):
+        for p in small_grid(lambdas=(0, 1, 2, 3), rs=(0, 1, 2), gammas=(0, 2)):
+            rows = omega_identity_rows(6, p)
+            assert len(rows) == 7
+            for n, row in enumerate(rows):
+                assert row == omega_identity_check(n, p.r, p), (p, n)
+
+    def test_scalar_check_overrides_r(self):
+        p = ParamSet.make(0, 1, 0, 1, 1, 0)
+        assert omega_identity_check(1, 1, p) == omega_identity_rows(1, p.replace(r=1))[1]
 
     def test_smallest_positive_r_case_is_recorded_not_assumed(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 1)

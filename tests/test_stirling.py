@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from debell.enumeration import r_stirling_count, set_partitions_count
 from debell.exact import gen_falling
@@ -51,6 +53,17 @@ class TestRouteEquality:
                     assert stirling_egf(n, k, alpha, beta, gamma) == stirling_rec(
                         n, k, alpha, beta, gamma
                     ), (alpha, beta, gamma, n, k)
+
+    @given(
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(0, 9),
+        st.data(),
+    )
+    def test_rational_weights_match_triangle(self, alpha, beta, gamma, n, data):
+        k = data.draw(st.integers(0, n))
+        assert stirling_egf(n, k, alpha, beta, gamma) == stirling_rec(n, k, alpha, beta, gamma)
 
     def test_beta_zero_only_on_triangle_route(self):
         assert stirling_rec(3, 1, 1, 0, 2) != 0

@@ -7,6 +7,7 @@ from debell.verify import (
     SKIPPED,
     UNEQUAL,
     GridSpec,
+    ReportRow,
     UnknownClaimError,
     VerificationReport,
     claim_registry,
@@ -115,6 +116,29 @@ class TestSerialization:
             "claim,point,lhs,rhs,status,note"
         ]
         assert emit_report(empty, "markdown").decode().startswith("# Verification report")
+
+    def test_json_matches_json_dumps_byte_for_byte(self):
+        def dumped(report):
+            payload = {
+                "rows": [
+                    {"claim": row.claim, "point": [[k, v] for k, v in row.point],
+                     "lhs": row.lhs, "rhs": row.rhs, "status": row.status, "note": row.note}
+                    for row in report.rows
+                ]
+            }
+            return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+        odd = VerificationReport((
+            ReportRow("T5", (("alpha", "1/2"), ("n", "3")), 'say "hi"\\ \u00e9\u03bb\n2',
+                      "-7/3", EQUAL, "tab\there \u2603 \"q\" \\"),
+            ReportRow("EX-B1x2", (("x", "\u00fc"),), "", "", SKIPPED, "line\nbreak"),
+            ReportRow("W4-explicit", (), "1", "2", UNEQUAL),
+        ))
+        for report in (VerificationReport(()), odd, run_claims(["T5", "OMEGA-ID"], SMALL_GRID)):
+            data = emit_report(report, "json")
+            assert data == dumped(report)
+            assert report_from_json(data) == report
+        assert emit_report(VerificationReport(()), "json") == b'{\n  "rows": []\n}\n'
 
     def test_markdown_has_one_table_per_claim(self):
         report = run_claims(["T5", "EX-B1x2"], SMALL_GRID)
