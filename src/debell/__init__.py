@@ -5,11 +5,8 @@ with brute-force enumeration oracles and an identity-verification harness.
 
 from .asymptotics import (
     AsymptoticComparison,
-    BaseSequence,
-    IntPartition,
     bell_asymptotic_estimate,
-    geometric_base,
-    hsu_expansion,
+    expansion,
     partitions_with_parts,
     w_coefficient,
     w_explicit,
@@ -22,7 +19,6 @@ from .bell import (
     deranged_bell_classic,
     omega,
     omega_egf,
-    omega_identity_check,
     product_form_check,
 )
 from .derangements import (
@@ -32,7 +28,6 @@ from .derangements import (
     r_derangement_rec,
 )
 from .enumeration import (
-    BlockPartition,
     EnumerationCapError,
     barred_count,
     ordered_partitions_count,
@@ -42,7 +37,7 @@ from .enumeration import (
     set_partitions,
     set_partitions_count,
 )
-from .exact import ParamSet, binomial, falling, format_rat, gen_falling, multinomial
+from .exact import ParamSet, binomial, falling, format_rat, gen_falling
 from .series import TruncatedSeries, binpow
 from .stirling import StirlingTable, stirling_egf, stirling_rec
 from .verify import GridSpec, VerificationReport, emit_report, run_claims
@@ -51,11 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticComparison",
-    "BaseSequence",
-    "BlockPartition",
     "EnumerationCapError",
     "GridSpec",
-    "IntPartition",
     "ParamSet",
     "StirlingTable",
     "TruncatedSeries",
@@ -71,15 +63,12 @@ __all__ = [
     "deranged_bell_classic",
     "derangement",
     "emit_report",
+    "expansion",
     "falling",
     "format_rat",
     "gen_falling",
-    "geometric_base",
-    "hsu_expansion",
-    "multinomial",
     "omega",
     "omega_egf",
-    "omega_identity_check",
     "ordered_partitions_count",
     "partitions_with_parts",
     "product_form_check",

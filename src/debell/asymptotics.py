@@ -9,7 +9,9 @@ where W(n, f) sums, over the integer partitions of n with n-f parts,
 prod_i b_i^{k_i} / k_i!.  The f-th term is O(delta^-f), so for fixed n the
 remainder after order m is O(delta^-(m+1)).  At the full order m = n-1 the
 remainder is zero: expanding (1 + sum_i b_i t^i)^delta gives
-[t^n] = sum_{f=0}^{n-1} (delta)_{n-f} W(n, f) exactly.
+[t^n] = sum_{f=0}^{n-1} (delta)_{n-f} W(n, f) exactly.  ``expansion``
+computes this weighted-sum form, (delta)_n times the partial sum above,
+since (delta)_n / (delta-n+f)_f = (delta)_{n-f}.
 
 Applied to the deranged-Bell family the base is b_i = B[i at lam=1] / i!,
 the exact side is B[n] at lam = delta with gamma scaled by delta, and
@@ -26,51 +28,16 @@ from functools import lru_cache
 from math import factorial
 
 from .bell import _lambda1, bell_egf
-from .exact import ParamSet, as_rat, falling
+from .exact import ParamSet, falling
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class IntPartition:
-    """An integer partition stored as multiplicities: mult[i-1] copies of i."""
-
-    mult: tuple
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.mult):
-            raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum((i + 1) * m for i, m in enumerate(self.mult))
-
-    @property
-    def parts(self) -> int:
-        return sum(self.mult)
-
-
-@dataclass(frozen=True)
-class BaseSequence:
-    """Coefficients of a base series Omega(t); the expansion needs b_0 = 1."""
-
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(as_rat(c) for c in self.b))
-        if not self.b or self.b[0] != 1:
-            raise ValueError("a base sequence must start with b_0 = 1")
-
-
-def geometric_base(order: int) -> BaseSequence:
-    """The base 1/(1-t): all coefficients 1."""
-    return BaseSequence((_ONE,) * (order + 1))
-
-
 @lru_cache(maxsize=None)
 def partitions_with_parts(n: int, k: int) -> tuple:
-    """All partitions of n with exactly k parts, each exactly once."""
+    """All partitions of n with exactly k parts, each exactly once, as
+    multiplicity tuples: mult[i-1] copies of the part i."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
 
@@ -82,7 +49,7 @@ def partitions_with_parts(n: int, k: int) -> tuple:
                 mult = [0] * n
                 for p in acc:
                     mult[p - 1] += 1
-                results.append(IntPartition(tuple(mult)))
+                results.append(tuple(mult))
             return
         # each remaining part is at least 1 and at most max_part
         lo = -(-remaining // parts_left)  # ceil: parts are nonincreasing
@@ -91,7 +58,7 @@ def partitions_with_parts(n: int, k: int) -> tuple:
             rec(remaining - p, parts_left - 1, p, acc + [p])
 
     if n == 0 and k == 0:
-        return (IntPartition(()),)
+        return ((),)
     rec(n, k, n, [])
     return tuple(results)
 
@@ -99,11 +66,11 @@ def partitions_with_parts(n: int, k: int) -> tuple:
 def w_from_base(b, n: int, f: int) -> Fraction:
     """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!."""
     total = _ZERO
-    for part in partitions_with_parts(n, n - f):
+    for mult in partitions_with_parts(n, n - f):
         prod = _ONE
-        for i, k in enumerate(part.mult):
+        for i, k in enumerate(mult):
             if k:
-                prod *= b[i + 1] ** k / factorial(k)
+                prod *= Fraction(b[i + 1] ** k, factorial(k))
         total += prod
     return total
 
@@ -174,24 +141,17 @@ def w_explicit(n: int, f: int, params: ParamSet) -> Fraction:
     )
 
 
-def hsu_expansion(base: BaseSequence, delta, n: int, m: int) -> Fraction:
-    """Partial sum sum_{f=0}^{m} W(n, f) / (delta-n+f)_f for the given base.
+def expansion(b, delta, n: int, m: int) -> Fraction:
+    """sum_{f=0}^{m} (delta)_{n-f} W(n, f) over the base b_0, b_1, ..., b_n.
 
-    Valid asymptotically for n = o(sqrt(|delta|)); that regime is the
-    caller's concern, the sum itself is exact.  For fixed n it differs from
-    a(delta, n) / (delta)_n by O(delta^-(m+1)), and by nothing at m = n-1.
+    For fixed n it differs from a(delta, n) = [t^n] Omega^delta by a relative
+    O(delta^-(m+1)), and by nothing at m = n-1.  The sum itself is exact.
     """
-    delta = as_rat(delta)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not 0 <= m <= n - 1:
         raise ValueError(f"m must satisfy 0 <= m <= n-1, got m={m}, n={n}")
-    if len(base.b) <= n:
+    if len(b) <= n:
         raise ValueError(f"base sequence too short for n={n}")
-    total = _ZERO
-    for f in range(m + 1):
-        total += w_from_base(base.b, n, f) / falling(delta - n + f, f)
-    return total
+    return sum((falling(delta, n - f) * w_from_base(b, n, f) for f in range(m + 1)), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -219,12 +179,7 @@ def bell_asymptotic_estimate(n: int, m: int, delta: int, params: ParamSet) -> As
     """
     if not isinstance(delta, int) or delta < n:
         raise ValueError("delta must be an integer >= n")
-    if not 0 <= m <= n - 1:
-        raise ValueError(f"m must satisfy 0 <= m <= n-1, got m={m}, n={n}")
-    b = bell_base(params, n)
-    estimate = _ZERO
-    for f in range(m + 1):
-        estimate += falling(delta, n - f) * w_from_base(b, n, f)
+    estimate = expansion(bell_base(params, n), delta, n, m)
     scaled = params.replace(lam=delta, gamma=params.gamma * delta)
     exact = bell_egf(n, scaled)[n] / factorial(n)
     if exact == 0:

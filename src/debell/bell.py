@@ -139,13 +139,6 @@ def bell_convolution(n: int, params: ParamSet) -> Fraction:
     return section_convolution(n, params)[n]
 
 
-def bell_convolution_nr(n: int, params: ParamSet) -> Fraction:
-    """Variant index convention: compositions of n+r with multinomial(n+r; ...),
-    i.e. the same convolution vector read at index n+r.  Kept only so the
-    harness can record how this convention compares."""
-    return section_convolution(n + params.r, params)[n + params.r]
-
-
 def deranged_bell_classic(n: int, r: int) -> int:
     """Classical r-deranged Bell number: sum_i d_{i,r} times the r-Stirling
     count of partitions of [n+r] into i+r blocks with 1..r separated."""
@@ -216,20 +209,14 @@ def _omega_identity(params: ParamSet, n_max: int) -> tuple:
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:
-    """(lhs, rhs) of ``omega_identity_check`` at r = params.r for n = 0..n_max,
-    from one B[0..n_max+r] vector and one binomial convolution."""
-    return list(_omega_identity(params, n_max))
-
-
-def omega_identity_check(n: int, r: int, params: ParamSet) -> tuple:
-    """Both sides of the fixed-block decomposition
+    """Both sides of the fixed-block decomposition at r = params.r,
 
         omega[n+r] =? sum_i C(n+r, i) B[i]
-                      * sum_l beta^l S(n+r-i, l; alpha, beta, 0) x^l lam^l
+                      * sum_l beta^l S(n+r-i, l; alpha, beta, 0) x^l lam^l,
 
-    returned without asserting equality; the harness records the comparison.
-    """
-    return omega_identity_rows(n, params.replace(r=r))[n]
+    for n = 0..n_max, from one B[0..n_max+r] vector and one binomial
+    convolution.  Equality is not asserted; the harness records it."""
+    return list(_omega_identity(params, n_max))
 
 
 @dataclass(frozen=True)

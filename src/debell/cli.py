@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import asymptotics, bell, enumeration, stirling, verify
 from .derangements import r_derangement_egf, r_derangement_rec
@@ -49,13 +50,10 @@ _weight_options = _options(
 
 _x_option = click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1")
 _r_option = click.option("--r", type=click.IntRange(min=0), default=0, show_default=True)
+_lambda_option = click.option("--lambda", "lam", type=click.IntRange(min=0), default=1,
+                              show_default=True)
 
-_param_options = _options(
-    _weight_options,
-    _x_option,
-    click.option("--lambda", "lam", type=click.IntRange(min=0), default=1, show_default=True),
-    _r_option,
-)
+_param_options = _options(_weight_options, _x_option, _lambda_option, _r_option)
 
 _output_options = _options(
     click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"),
@@ -155,11 +153,14 @@ def bell_cmd(n, route, alpha, beta, gamma, x, lam, r, fmt, out):
 
 @main.command("omega")
 @click.option("--n", type=click.IntRange(min=0), required=True)
-@_param_options
+@_weight_options
+@_x_option
+@_lambda_option
 @_output_options
-def omega_cmd(n, alpha, beta, gamma, x, lam, r, fmt, out):
-    """Barred-arrangement polynomial value omega[n]."""
-    params = ParamSet.make(alpha, beta, gamma, x, lam, r)
+def omega_cmd(n, alpha, beta, gamma, x, lam, fmt, out):
+    """Barred-arrangement polynomial value omega[n]; it does not depend on r,
+    so there is no --r."""
+    params = ParamSet.make(alpha, beta, gamma, x, lam)
     _emit_scalar("omega", params, fmt, out, {"n": n}, _run(bell.omega, n, params))
 
 
@@ -175,9 +176,13 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     """Brute-force counts (and listings) of the combinatorial families."""
     fields, counter = enumeration.FAMILIES[family]
     given = {"n": n, "k": k, "r": r, "lam": lam}
-    for name in fields:
-        if given[name] is None:
-            raise click.UsageError(f"--{'lambda' if name == 'lam' else name} is required for {family}")
+    source = click.get_current_context().get_parameter_source
+    for name, value in given.items():
+        flag = "--lambda" if name == "lam" else f"--{name}"
+        if name in fields and value is None:
+            raise click.UsageError(f"{flag} is required for {family}")
+        if name not in fields and source(name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{flag} does not apply to {family}")
     point = {name: given[name] for name in fields}
     if list_items:
         if fmt != "plain":

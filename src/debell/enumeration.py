@@ -10,7 +10,6 @@ environment variable, when set to a nonnegative integer, replaces every cap.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -41,42 +40,6 @@ def _check_cap(family: str, size: int) -> None:
         cap = int(override)
     if size > cap:
         raise EnumerationCapError(f"{family}: size {size} exceeds cap {cap}")
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """A set partition of [n] in standard form.
-
-    Blocks are tuples of increasing elements, listed in increasing order of
-    their minima; together they must cover 1..n without overlap.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        seen = set()
-        last_min = 0
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError("block elements must be ascending")
-            if block[0] <= last_min:
-                raise ValueError("blocks must be sorted by strictly increasing minima")
-            last_min = block[0]
-            for e in block:
-                if e in seen:
-                    raise ValueError(f"element {e} appears twice")
-                seen.add(e)
-        if seen and seen != set(range(1, max(seen) + 1)):
-            raise ValueError("blocks must cover 1..n exactly")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def text(self) -> str:
-        return format_blocks(self.blocks)
 
 
 def format_blocks(blocks) -> str:

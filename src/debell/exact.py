@@ -12,7 +12,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 
 def as_rat(value) -> Fraction:
@@ -38,35 +37,14 @@ def binomial(n: int, k: int) -> int:
     """Extended binomial coefficient.
 
     Zero for k < 0; the usual value for n >= 0 (zero when k > n); for n < 0
-    the product formula prod_{i=0}^{k-1}(n-i)/k!, so binomial(-1, 0) == 1 and
-    binomial(-1, k) == (-1)**k.
+    the product formula prod_{i=0}^{k-1}(n-i)/k!, which by upper negation is
+    (-1)^k C(k-n-1, k), so binomial(-1, 0) == 1 and binomial(-1, k) == (-1)**k.
     """
     if k < 0:
         return 0
     if n >= 0:
         return math.comb(n, k)
-    num = 1
-    for i in range(k):
-        num *= n - i
-    # k consecutive integers are divisible by k!, so the quotient is exact
-    value = Fraction(num, math.factorial(k))
-    if value.denominator != 1:
-        raise ArithmeticError(f"binomial({n}, {k}) is not an integer")
-    return value.numerator
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / prod(parts_i!) for nonnegative parts summing to n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {list(parts)} do not sum to {n}")
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
+    return (-1) ** k * math.comb(k - n - 1, k)
 
 
 def gen_falling(t, alpha, n: int) -> Fraction:

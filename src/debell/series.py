@@ -1,15 +1,16 @@
 """Truncated formal power series, stored as EGF numerators.
 
-A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N; every
-operation truncates at that order, and binary operations require equal orders
-(use ``truncate`` to align them).  A product is the binomial convolution
-(fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse use the EGF forms of
-the O(N^2) differential recurrences.  Only inverse divides (by its constant
-term), so integer numerators stay ``int`` and no gcd is paid; other entries
-are ``Fraction``s.  There is deliberately no asymptotically fast multiplication.
-Reading a series at t -> S t multiplies a_n by S^n; the family routes in
-``bell`` use this to make rational weights integral.  The constructor,
-``coeffs`` and ``[n]`` speak ordinary coefficients c_n; ``egf_coeff`` gives a_n.
+A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N, and the
+constructor takes these numerators a_0..a_N.  Every operation truncates at
+that order, and binary operations require equal orders.  A product is the
+binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse
+use the EGF forms of the O(N^2) differential recurrences.  Only inverse
+divides (by its constant term), so integer numerators stay ``int`` and no gcd
+is paid; other entries are ``Fraction``s.  There is deliberately no
+asymptotically fast multiplication.  Reading a series at t -> S t multiplies
+a_n by S^n; the family routes in ``bell`` use this to make rational weights
+integral.  ``egf_coeff(n)`` reads a_n back, and ``coeffs`` gives the ordinary
+coefficients c_n as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -42,26 +43,21 @@ def _dot3(xs, ys, zs):
 class TruncatedSeries:
     __slots__ = ("_a",)
 
-    def __init__(self, coeffs: Iterable):
-        self._a = tuple(_exact(factorial(n) * as_rat(c)) for n, c in enumerate(coeffs))
+    def __init__(self, nums: Iterable):
+        """The series with EGF numerators ``nums``: a_n = n! c_n, n = 0..order."""
+        self._a = tuple(nums)
         if not self._a:
             raise ValueError("a series needs at least the constant coefficient")
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _from_egf(cls, nums: Iterable) -> "TruncatedSeries":
-        series = object.__new__(cls)
-        series._a = tuple(nums)
-        return series
-
-    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls._from_egf([0] * (order + 1))
+        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls._from_egf([1] + [0] * order)
+        return cls([1] + [0] * order)
 
     @classmethod
     def monomial(cls, coeff, degree: int, order: int) -> "TruncatedSeries":
@@ -69,22 +65,18 @@ class TruncatedSeries:
             raise ValueError(f"degree {degree} out of range for order {order}")
         nums = [0] * (order + 1)
         nums[degree] = _exact(factorial(degree) * as_rat(coeff))
-        return cls._from_egf(nums)
+        return cls(nums)
 
     # -- basic protocol -------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self[n] for n in range(len(self._a)))
+        """The ordinary coefficients c_n = a_n / n!."""
+        return tuple(as_rat(a) / factorial(n) for n, a in enumerate(self._a))
 
     @property
     def order(self) -> int:
         return len(self._a) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} out of range 0..{self.order}")
-        return as_rat(self._a[n]) / factorial(n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self._a == other._a
@@ -93,7 +85,7 @@ class TruncatedSeries:
         return hash(self._a)
 
     def __repr__(self):
-        head = ", ".join(str(self[n]) for n in range(min(6, len(self._a))))
+        head = ", ".join(map(str, self._a[:6]))
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
@@ -105,18 +97,18 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
-        return self._from_egf(map(add, self._a, other._a))
+        return TruncatedSeries(map(add, self._a, other._a))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
-        return self._from_egf(a - b for a, b in zip(self._a, other._a))
+        return TruncatedSeries(a - b for a, b in zip(self._a, other._a))
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._from_egf(-a for a in self._a)
+        return TruncatedSeries(-a for a in self._a)
 
     def scale(self, c) -> "TruncatedSeries":
         c = _exact(as_rat(c))
-        return self._from_egf(_exact(c * a) for a in self._a)
+        return TruncatedSeries(_exact(c * a) for a in self._a)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
@@ -125,18 +117,7 @@ class TruncatedSeries:
         for n in range(len(a)):
             out.append(_dot3(row, a, b[n::-1]))
             row = _next_row(row)
-        return self._from_egf(out)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return self._from_egf(self._a[: order + 1])
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal derivative; the order drops by one."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        return self._from_egf(self._a[1:])
+        return TruncatedSeries(out)
 
     def valuation(self):
         """Index of the lowest nonzero coefficient, or None for the zero series."""
@@ -159,7 +140,7 @@ class TruncatedSeries:
         for _ in tail:
             row = _next_row(row)
             out.append(minus_inv0 * _dot3(row[1:], tail, out[::-1]))
-        return self._from_egf(out)
+        return TruncatedSeries(out)
 
     def exp(self) -> "TruncatedSeries":
         """Formal exponential; requires constant term 0.
@@ -172,7 +153,7 @@ class TruncatedSeries:
         for _ in tail:
             out.append(_dot3(row, tail, out[::-1]))
             row = _next_row(row)
-        return self._from_egf(out)
+        return TruncatedSeries(out)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant term 1.
@@ -184,7 +165,7 @@ class TruncatedSeries:
         for m in range(len(f) - 1):
             out.append(f[m + 1] - _dot3(row, out[1:], f[m:0:-1]))
             row = _next_row(row)
-        return self._from_egf(out)
+        return TruncatedSeries(out)
 
     def pow_int(self, m: int) -> "TruncatedSeries":
         """Nonnegative integer power, truncated to the series order."""
@@ -224,4 +205,4 @@ def binpow(alpha, c, order: int) -> TruncatedSeries:
     nums = [1]
     for n in range(order):
         nums.append(nums[-1] * (c - n * alpha))
-    return TruncatedSeries._from_egf(nums)
+    return TruncatedSeries(nums)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii as _js
@@ -111,10 +110,10 @@ class GridSpec:
     def default(cls) -> "GridSpec":
         return cls()
 
-    def triples(self, betas=None) -> Iterator[tuple]:
+    def triples(self) -> Iterator[tuple]:
         for a in self.alphas:
             a = as_rat(a)
-            for b in self.betas if betas is None else betas:
+            for b in self.betas:
                 b = as_rat(b)
                 if a != 0 and b % a != 0:
                     continue
@@ -124,14 +123,11 @@ class GridSpec:
                         continue
                     yield (a, b, g)
 
-    def param_sets(self, lambdas=None, rs=None, betas=None) -> Iterator[ParamSet]:
-        """The grid's points; ``lambdas``, ``rs`` and ``betas`` replace its own axes."""
-        lams = self.lambdas if lambdas is None else lambdas
-        rvals = self.rs if rs is None else rs
-        for a, b, g in self.triples(betas):
+    def param_sets(self) -> Iterator[ParamSet]:
+        for a, b, g in self.triples():
             for x in self.xs:
-                for lam in lams:
-                    for r in rvals:
+                for lam in self.lambdas:
+                    for r in self.rs:
                         yield ParamSet.make(a, b, g, x, lam, r)
 
 
@@ -152,8 +148,9 @@ def _skip(claim_id: str, point: ClaimPoint, note: str) -> ReportRow:
     return ReportRow(claim_id, point.as_pairs(), "", "", SKIPPED, note)
 
 
-def _default_points(grid: GridSpec, lambdas=None, rs=None) -> Iterator[ClaimPoint]:
-    for ps in grid.param_sets(lambdas=lambdas, rs=rs):
+def _default_points(grid: GridSpec, **axes) -> Iterator[ClaimPoint]:
+    """Every point at n = 0..max_n of the grid with ``axes`` replacing its own."""
+    for ps in replace(grid, **axes).param_sets():
         for n in range(grid.max_n + 1):
             yield ClaimPoint(params=ps, n=n)
 
@@ -198,7 +195,7 @@ def _eval_eq40(claim_id: str, literal: bool, point: ClaimPoint, grid: GridSpec) 
 
 
 def _ex_points(grid: GridSpec, r: int, n: int) -> Iterator[ClaimPoint]:
-    for ps in grid.param_sets(lambdas=grid.ex_lambdas, rs=(r,), betas=grid.ex_betas):
+    for ps in replace(grid, lambdas=grid.ex_lambdas, rs=(r,), betas=grid.ex_betas).param_sets():
         yield ClaimPoint(params=ps, n=n)
 
 
@@ -229,7 +226,7 @@ def _eval_ex(claim_id: str, poly, point: ClaimPoint, grid: GridSpec) -> ReportRo
 
 
 def _w_points(grid: GridSpec, f: int) -> Iterator[ClaimPoint]:
-    for ps in grid.param_sets(lambdas=(1,)):
+    for ps in replace(grid, lambdas=(1,)).param_sets():
         for n in range(f + 1, grid.w_max_n + 1):
             yield ClaimPoint(params=ps, n=n)
 
@@ -241,7 +238,7 @@ def _eval_w(claim_id: str, f: int, point: ClaimPoint, grid: GridSpec) -> ReportR
 
 
 def _asymp_points(grid: GridSpec) -> Iterator[ClaimPoint]:
-    for ps in grid.param_sets(lambdas=(1,), rs=(0,)):
+    for ps in replace(grid, lambdas=(1,), rs=(0,)).param_sets():
         for n in grid.asymp_n:
             for delta in grid.deltas:
                 yield ClaimPoint(params=ps, n=n, delta=delta, m=n - 1)
@@ -376,22 +373,6 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
         lines.append("")
         return "\n".join(lines).encode()
     raise ValueError(f"unknown report format: {fmt}")
-
-
-def report_from_json(data: bytes) -> VerificationReport:
-    payload = json.loads(data.decode())
-    rows = tuple(
-        ReportRow(
-            claim=item["claim"],
-            point=tuple((k, v) for k, v in item["point"]),
-            lhs=item["lhs"],
-            rhs=item["rhs"],
-            status=item["status"],
-            note=item["note"],
-        )
-        for item in payload["rows"]
-    )
-    return VerificationReport(rows)
 
 
 def fixture_summary(report: VerificationReport) -> dict:

@@ -237,12 +237,23 @@ class TestRemovedKnobs:
             ("stirling", "--n", "3", "--k", "1", "--x", "2"),
             ("enumerate", "--family", "ordered", "--n", "2", "--list", "--format", "json"),
             ("asymp", "--n", "4", "--m", "2", "--delta", "100", "--gamma", "1", "--lambda", "3"),
+            ("omega", "--n", "3", "--r", "2"),
+            ("enumerate", "--family", "set-partitions", "--n", "3", "--k", "2", "--r", "5"),
+            ("enumerate", "--family", "ordered", "--n", "3", "--k", "7", "--lambda", "4"),
+            ("enumerate", "--family", "ordered", "--n", "3", "--lambda", "4"),
+            ("enumerate", "--family", "barred", "--n", "2", "--r", "0"),
         ],
     )
     def test_is_usage_error(self, args):
         result = invoke(*args)
         assert result.exit_code == 2
         assert result.stdout == ""
+
+    def test_flag_defaults_still_apply(self):
+        # r and lambda keep their defaults for the families that read them
+        assert invoke("enumerate", "--family", "r-stirling", "--n", "4", "--k", "2").stdout == "7\n"
+        assert invoke("enumerate", "--family", "barred", "--n", "2").stdout == "3\n"
+        assert json.loads(invoke("omega", "--n", "3", "--format", "json").stdout)["point"]["r"] == "0"
 
 
 def _reads(fn) -> set:

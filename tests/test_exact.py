@@ -11,7 +11,6 @@ from debell.exact import (
     falling,
     format_rat,
     gen_falling,
-    multinomial,
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -42,32 +41,19 @@ class TestBinomial:
                     prod *= n - i
                 assert binomial(n, k) == prod / factorial(k)
 
+    @given(st.integers(min_value=-40, max_value=-1), st.integers(min_value=0, max_value=25))
+    def test_negative_upper_index_matches_product(self, n, k):
+        prod = 1
+        for i in range(k):
+            prod *= n - i
+        value = binomial(n, k)
+        assert type(value) is int
+        assert value == Fraction(prod, factorial(k))
+
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
     def test_factorial_identity(self, n, k):
         if k <= n:
             assert binomial(n, k) * factorial(k) * factorial(n - k) == factorial(n)
-
-
-class TestMultinomial:
-    def test_hand_values(self):
-        assert multinomial(4, [2, 1, 1]) == 12
-        assert multinomial(3, [1, 1, 1]) == 6
-        assert multinomial(5, [5]) == 1
-        assert multinomial(0, []) == 1
-
-    def test_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            multinomial(4, [2, 1])
-        with pytest.raises(ValueError):
-            multinomial(4, [5, -1])
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
-    def test_matches_factorial_quotient(self, parts):
-        n = sum(parts)
-        expected = Fraction(factorial(n))
-        for p in parts:
-            expected /= factorial(p)
-        assert multinomial(n, parts) == expected
 
 
 class TestGenFalling:

@@ -13,9 +13,19 @@ from debell.verify import (
     claim_registry,
     emit_report,
     fixture_summary,
-    report_from_json,
     run_claims,
 )
+
+
+def report_from_json(data: bytes) -> VerificationReport:
+    """Parse the JSON form of a report back into rows."""
+    rows = tuple(
+        ReportRow(item["claim"], tuple(map(tuple, item["point"])), item["lhs"], item["rhs"],
+                  item["status"], item["note"])
+        for item in json.loads(data.decode())["rows"]
+    )
+    return VerificationReport(rows)
+
 
 ALL_CLAIM_IDS = [
     "T5",
