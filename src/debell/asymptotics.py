@@ -78,11 +78,8 @@ def w_from_base(b, n: int, f: int) -> Fraction:
 @lru_cache(maxsize=None)
 def bell_base(params: ParamSet, n_max: int) -> tuple:
     """Base coefficients b_i = B[i at lam=1] / i! for the family's expansion."""
-    return tuple(
-        _lambda1(params.alpha, params.beta, params.gamma, params.x, params.r, i)
-        / factorial(i)
-        for i in range(n_max + 1)
-    )
+    a, b, g, x, _, r = params.key
+    return tuple(Fraction(_lambda1(a, b, g, x, r, i), factorial(i)) for i in range(n_max + 1))
 
 
 def w_coefficient(n: int, f: int, params: ParamSet) -> Fraction:

@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import repeat
+from math import comb, factorial, lcm
 
 from . import stirling
 from .derangements import r_derangement
-from .exact import ParamSet, binomial, gen_falling
+from .exact import ParamSet, binomial, narrow
 from .series import TruncatedSeries, binpow
-
-_ZERO = Fraction(0)
 
 
 def _rescaled(params: ParamSet, order: int) -> tuple:
@@ -64,21 +63,18 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
 
 
 @lru_cache(maxsize=None)
-def _lambda1(alpha, beta, gamma, x, r: int, n: int) -> Fraction:
-    tab = stirling.table(alpha, beta, gamma)
-    total = _ZERO
-    for k in range(n + 1):
-        d = r_derangement(k, r)
-        if d:
-            total += d * x**k * beta**k * tab.value(n, k)
-    return total
+def _lambda1(alpha, beta, gamma, x, r: int, n: int) -> int | Fraction:
+    """sum_k d_{k,r} (x beta)^k S(n,k); an int where the weights are integral."""
+    d = (r_derangement(k, r) for k in range(n + 1))
+    return stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d)
 
 
 def bell_lambda1(n: int, params: ParamSet) -> Fraction:
     """Closed sum sum_k d_{k,r} x^k beta^k S(n,k); only defined at lam = 1."""
     if params.lam != 1:
         raise ValueError("the lambda-1 route requires lam == 1")
-    return _lambda1(params.alpha, params.beta, params.gamma, params.x, params.r, n)
+    a, b, g, x, _, r = params.key
+    return Fraction(_lambda1(a, b, g, x, r, n))
 
 
 def bell_general_closed(n: int, params: ParamSet) -> Fraction:
@@ -89,16 +85,9 @@ def bell_general_closed(n: int, params: ParamSet) -> Fraction:
     Its agreement with the generating-function route is a recorded claim, not
     a postcondition, except at lam = 1 where the weight is 1.
     """
-    tab = stirling.table(params.alpha, params.beta, params.gamma)
-    total = _ZERO
-    for k in range(n + 1):
-        w = binomial(k + params.r + params.lam - 1, k + params.r)
-        if w == 0:
-            continue
-        d = r_derangement(k, params.r)
-        if d:
-            total += w * d * params.x**k * params.beta**k * tab.value(n, k)
-    return total
+    a, b, g, x, lam, r = params.key
+    weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n + 1))
+    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, weights))
 
 
 def _binomial_convolution(a: list, b: list) -> list:
@@ -108,10 +97,12 @@ def _binomial_convolution(a: list, b: list) -> list:
 
 @lru_cache(maxsize=None)
 def _section_convolution(params: ParamSet, n_max: int) -> tuple:
-    a, b, x, r = params.alpha, params.beta, params.x, params.r
-    acc = [gen_falling(params.gamma, a, i) for i in range(n_max + 1)]
-    base = [_lambda1(a, b, _ZERO, x, r, i) for i in range(n_max + 1)]
-    for _ in range(params.lam):
+    a, b, g, x, lam, r = params.key
+    acc = [1]  # (gamma|alpha)_i
+    for i in range(n_max):
+        acc.append(acc[-1] * (g - i * a))
+    base = [_lambda1(a, b, 0, x, r, i) for i in range(n_max + 1)]
+    for _ in range(lam):
         acc = _binomial_convolution(acc, base)
     return tuple(acc)
 
@@ -119,8 +110,9 @@ def _section_convolution(params: ParamSet, n_max: int) -> tuple:
 def section_convolution(n_max: int, params: ParamSet) -> list:
     """The section convolution at totals 0..n_max: (gamma|alpha)_i convolved
     lam times with the lam = 1, gamma = 0 closed sums B[i] (binomial
-    convolution, the EGF product).  Built from ``gen_falling`` and the closed
-    sums alone, so it stays independent of the series route."""
+    convolution, the EGF product).  Built from the falling factorials and the
+    closed sums alone, so it stays independent of the series route.  Entries
+    are exact rationals, held as ints where the weights are integral."""
     if params.lam < 1:
         raise ValueError("the convolution route requires lam >= 1")
     return list(_section_convolution(params, n_max))
@@ -144,14 +136,8 @@ def deranged_bell_classic(n: int, r: int) -> int:
     count of partitions of [n+r] into i+r blocks with 1..r separated."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    total = _ZERO
-    for i in range(n + 1):
-        d = r_derangement(i, r)
-        if d:
-            total += d * stirling.stirling_rec(n, i, 0, 1, r)
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"classic deranged Bell value not integral: {total}")
-    return int(total)
+    row = stirling.table(0, 1, r).row(n)  # integer weights: S(n, i; 0, 1, r) itself
+    return sum(r_derangement(i, r) * row[i] for i in range(n + 1))
 
 
 def bell_classic(n: int, params: ParamSet) -> int:
@@ -166,19 +152,15 @@ def bell_classic(n: int, params: ParamSet) -> int:
 # -- barred-arrangement polynomials --------------------------------------------
 
 
+def _omega(n: int, params: ParamSet) -> int | Fraction:
+    a, b, g, x, lam, _ = params.key
+    weights = (binomial(k + lam - 1, k) * factorial(k) for k in range(n + 1))
+    return stirling.table(a, b, g).weighted_sum(n, x * b, weights)
+
+
 def omega(n: int, params: ParamSet) -> Fraction:
     """Closed sum sum_k C(k+lam-1, k) x^k k! beta^k S(n,k)."""
-    tab = stirling.table(params.alpha, params.beta, params.gamma)
-    xb = params.x * params.beta
-    total = _ZERO
-    weight = Fraction(1)  # k! (x beta)^k
-    for k in range(n + 1):
-        if k:
-            weight *= k * xb
-        w = binomial(k + params.lam - 1, k)
-        if w:
-            total += w * weight * tab.value(n, k)
-    return total
+    return Fraction(_omega(n, params))
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +179,12 @@ def omega_egf(n_max: int, params: ParamSet) -> list:
 
 @lru_cache(maxsize=None)
 def _omega_identity(params: ParamSet, n_max: int) -> tuple:
-    r = params.r
+    a, b, _, x, lam, r = params.key
     top = n_max + r
-    zero_gamma = stirling.table(params.alpha, params.beta, 0)
-    powers = [Fraction(1)]  # (beta x lam)^l
-    for _ in range(top):
-        powers.append(powers[-1] * params.beta * params.x * params.lam)
-    inner = [sum(powers[l] * zero_gamma.value(j, l) for l in range(j + 1)) for j in range(top + 1)]
-    rhs = _binomial_convolution(bell_egf(top, params), inner)
-    return tuple((omega(n + r, params), rhs[n + r]) for n in range(n_max + 1))
+    zero_gamma = stirling.table(a, b, 0)
+    inner = [zero_gamma.weighted_sum(j, b * x * lam, repeat(1)) for j in range(top + 1)]
+    rhs = _binomial_convolution([narrow(v) for v in bell_egf(top, params)], inner)
+    return tuple((_omega(n + r, params), rhs[n + r]) for n in range(n_max + 1))
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:
@@ -215,7 +194,8 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
                       * sum_l beta^l S(n+r-i, l; alpha, beta, 0) x^l lam^l,
 
     for n = 0..n_max, from one B[0..n_max+r] vector and one binomial
-    convolution.  Equality is not asserted; the harness records it."""
+    convolution.  Equality is not asserted; the harness records it.  Both
+    sides are exact rationals, held as ints where the weights are integral."""
     return list(_omega_identity(params, n_max))
 
 

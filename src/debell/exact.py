@@ -4,6 +4,12 @@ Every quantity in this package is a Python ``int`` (arbitrary precision) or a
 ``fractions.Fraction``; nothing here ever touches floating point.  Rationals
 serialize as the canonical string ``"p/q"`` (just ``"p"`` when the denominator
 is 1), with the sign carried by the numerator.
+
+Convention: ``int`` inside, ``Fraction`` at the public boundary.  Inner sums
+and cached vectors hold an integral value as an ``int`` (``narrow``), which
+multiplies, adds and hashes far faster than a ``Fraction``; the public scalar
+routes return ``Fraction``.  Mixing the two is exact except for ``/``: an
+``int / int`` is a float, so inner code divides with ``Fraction(p, q)``.
 """
 
 from __future__ import annotations
@@ -25,8 +31,18 @@ def as_rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def narrow(value):
+    """An exact rational as an ``int`` when it is integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    q = as_rat(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def format_rat(value) -> str:
     """Canonical text form: "p/q", or "p" when the denominator is 1."""
+    if type(value) is int:
+        return str(value)
     q = as_rat(value)
     if q.denominator == 1:
         return str(q.numerator)
@@ -72,7 +88,9 @@ class ParamSet:
 
     ``alpha``, ``beta``, ``gamma`` are the factorial-polynomial weights,
     ``x`` the number of block colors, ``lam`` the section/bar exponent, and
-    ``r`` the number of distinguished singletons.
+    ``r`` the number of distinguished singletons.  ``key`` is the six values
+    with integral weights narrowed to ``int``; the hash and the text form
+    ``as_pairs()`` are computed from it once per instance.
     """
 
     alpha: Fraction
@@ -89,6 +107,15 @@ class ParamSet:
             raise ValueError("lam must be a nonnegative integer")
         if not isinstance(self.r, int) or self.r < 0:
             raise ValueError("r must be a nonnegative integer")
+        key = tuple(narrow(getattr(self, name)) for name in ("alpha", "beta", "gamma", "x"))
+        key += (self.lam, self.r)
+        pairs = tuple(zip(("alpha", "beta", "gamma", "x", "lam", "r"), map(format_rat, key)))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_pairs", pairs)
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(cls, alpha=0, beta=1, gamma=0, x=1, lam=1, r=0) -> "ParamSet":
@@ -114,11 +141,4 @@ class ParamSet:
         return True
 
     def as_pairs(self) -> tuple:
-        return (
-            ("alpha", format_rat(self.alpha)),
-            ("beta", format_rat(self.beta)),
-            ("gamma", format_rat(self.gamma)),
-            ("x", format_rat(self.x)),
-            ("lam", str(self.lam)),
-            ("r", str(self.r)),
-        )
+        return self._pairs

@@ -15,6 +15,12 @@ two routes are cross-checked by the test suite rather than assumed equal.
 Specializations: (0,1,0) gives the classical second-kind numbers, (0,1,r)
 the r-Stirling numbers S(n+r, k+r) with 1..r separated, (0,beta,r) the
 r-Whitney numbers.
+
+The triangle is stored as ``int``s, with ``Fraction`` only at the public
+boundary (``value``, ``stirling_rec``).  With S the lcm of the weight
+denominators, the same recurrence at the integer weights (S alpha, S beta,
+S gamma) yields T(n, k) = S^(n-k) S(n, k); row n of the table holds those
+scaled values, which are S(n, k) itself when S = 1.
 """
 
 from __future__ import annotations
@@ -22,39 +28,53 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .exact import as_rat
+from .exact import as_rat, narrow
 from .series import TruncatedSeries, binpow
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class StirlingTable:
-    """Memoized triangle of S(n, k) for one weight triple, grown on demand."""
+    """Memoized triangle of S(n, k) for one weight triple, grown on demand
+    and stored scaled: row n holds the ints T(n, k) = S^(n-k) S(n, k)."""
 
     def __init__(self, alpha, beta, gamma):
-        self.alpha = as_rat(alpha)
-        self.beta = as_rat(beta)
-        self.gamma = as_rat(gamma)
-        self._rows = [(_ONE,)]
+        weights = (as_rat(alpha), as_rat(beta), as_rat(gamma))
+        self.scale = lcm(*(w.denominator for w in weights))
+        self._weights = tuple(int(w * self.scale) for w in weights)
+        self._rows = [(1,)]
+
+    def row(self, n: int) -> tuple:
+        """T(n, k) = S^(n-k) S(n, k) for k = 0..n, as ints."""
+        while len(self._rows) <= n:
+            self._grow()
+        return self._rows[n]
 
     def value(self, n: int, k: int) -> Fraction:
         if n < 0 or k < 0 or k > n:
             return _ZERO
-        while len(self._rows) <= n:
-            self._grow()
-        return self._rows[n][k]
+        return Fraction(self.row(n)[k], self.scale ** (n - k))
+
+    def weighted_sum(self, n: int, c, weights) -> int | Fraction:
+        """sum_k weights[k] c^k S(n, k), read off the scaled row as
+        S^-n sum_k weights[k] (c S)^k T(n, k); an int when S = 1 and c is
+        integral.  ``weights`` yields the k-th weight at k = 0, 1, ..."""
+        cs = narrow(c * self.scale)
+        total, power = 0, 1
+        for w, t in zip(weights, self.row(n)):
+            if w:
+                total += w * power * t
+            power *= cs
+        return total if self.scale == 1 else Fraction(total, self.scale**n)
 
     def _grow(self):
         n = len(self._rows) - 1
         prev = self._rows[-1]
-        a, b, g = self.alpha, self.beta, self.gamma
-        nxt = []
-        for k in range(n + 2):
-            term = prev[k - 1] if 1 <= k <= n + 1 else _ZERO
-            if k <= n:
-                term += (k * b - n * a + g) * prev[k]
-            nxt.append(term)
+        a, b, g = self._weights
+        nxt = [0] * (n + 2)
+        for k, t in enumerate(prev):
+            nxt[k] += (k * b - n * a + g) * t
+            nxt[k + 1] += t
         self._rows.append(tuple(nxt))
 
 
@@ -62,7 +82,7 @@ _TABLES: dict = {}
 
 
 def table(alpha, beta, gamma) -> StirlingTable:
-    key = (as_rat(alpha), as_rat(beta), as_rat(gamma))
+    key = (narrow(alpha), narrow(beta), narrow(gamma))  # ints hash fast
     tab = _TABLES.get(key)
     if tab is None:
         tab = _TABLES[key] = StirlingTable(*key)

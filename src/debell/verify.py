@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _js
 from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
-from .exact import ParamSet, as_rat, binomial, falling, format_rat
+from .exact import ParamSet, as_rat, binomial, falling, format_rat, narrow
 
 EQUAL = "EQUAL"
 UNEQUAL = "UNEQUAL"
@@ -314,7 +314,7 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
         claim = registry[cid]
         for point in claim.points(grid):
             rows.append(claim.evaluate(point, grid))
-    value = cache(Fraction)  # a few dozen distinct point strings
+    value = cache(lambda text: narrow(Fraction(text)))  # a few dozen distinct point strings
     rows.sort(key=lambda row: (row.claim, tuple(value(v) for _, v in row.point)))
     return VerificationReport(tuple(rows))
 

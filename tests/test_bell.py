@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from debell.asymptotics import bell_base
 from debell.bell import (
     _lambda1,
     _rescaled,
@@ -26,7 +27,7 @@ from debell.enumeration import (
     r_deranged_partitions_enum,
 )
 from debell.exact import ParamSet, binomial, gen_falling
-from debell.stirling import stirling_rec
+from debell.stirling import StirlingTable, stirling_rec
 
 _ZERO = Fraction(0)
 
@@ -250,6 +251,31 @@ class TestBellValueDispatch:
     def test_classic_route_guards_its_specialization(self):
         with pytest.raises(ValueError):
             bell_classic(3, ParamSet.make(0, 2, 0, 1, 1, 0))
+
+
+class TestPublicTypes:
+    """The closed sums run on ints inside, but the public scalar routes keep
+    returning Fraction: an int reaching a caller that divides (as bell_base
+    does, by i!) would silently become a float."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [ParamSet.make(1, 2, 2, 2, 1, 1), ParamSet.make("1/2", "3/4", "-2/3", "3/2", 1, 2)],
+        ids=["integer", "rational"],
+    )
+    def test_scalar_routes_return_fraction(self, p):
+        tab = StirlingTable(p.alpha, p.beta, p.gamma)
+        for n in range(6):
+            values = [
+                bell_lambda1(n, p),
+                bell_general_closed(n, p),
+                omega(n, p),
+                gen_falling(p.gamma, p.alpha, n),
+                *bell_base(p, n),
+            ]
+            for k in range(n + 1):
+                values += [stirling_rec(n, k, p.alpha, p.beta, p.gamma), tab.value(n, k)]
+            assert all(type(v) is Fraction for v in values), (n, values)
 
 
 class TestOmega:

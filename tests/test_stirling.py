@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,47 @@ class TestTriangle:
             for k in range(n + 2):
                 expected = tab.value(n, k - 1) + (k * beta - n * alpha + gamma) * tab.value(n, k)
                 assert tab.value(n + 1, k) == expected
+
+
+def _fraction_triangle_row(alpha, beta, gamma, n):
+    """Row n of S(n, k; alpha, beta, gamma) by the recurrence, all in Fraction."""
+    row = [Fraction(1)]
+    for m in range(n):
+        row = [
+            (row[k - 1] if k else 0) + ((k * beta - m * alpha + gamma) * row[k] if k <= m else 0)
+            for k in range(m + 2)
+        ]
+    return row
+
+
+class TestScaledTriangle:
+    """The table stores T(n, k) = S^(n-k) S(n, k) as ints, S the lcm of the
+    weight denominators, and divides the scale out only in ``value``."""
+
+    @given(
+        st.fractions(max_denominator=6),
+        st.fractions(max_denominator=6),
+        st.fractions(max_denominator=6),
+        st.integers(0, 14),
+    )
+    def test_matches_fraction_recurrence(self, alpha, beta, gamma, n):
+        expected = _fraction_triangle_row(alpha, beta, gamma, n)
+        tab = StirlingTable(alpha, beta, gamma)
+        assert [tab.value(n, k) for k in range(n + 1)] == expected
+        s = lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        row = tab.row(n)
+        assert all(type(t) is int for t in row)
+        assert list(row) == [s ** (n - k) * v for k, v in enumerate(expected)]
+
+    def test_worked_rational_scale(self):
+        # S = lcm(2, 4, 3) = 12: T(n, k) = 12^(n-k) S(n, k)
+        tab = StirlingTable(Fraction(1, 2), Fraction(3, 4), Fraction(-2, 3))
+        assert tab.scale == 12
+        assert tab.row(1) == (-8, 1)  # 12 * gamma, 1
+        assert tab.value(1, 0) == Fraction(-2, 3)
+        # S(2, 1) = S(1, 0) + (beta - alpha + gamma) S(1, 1) = 2 gamma + beta - alpha
+        assert tab.value(2, 1) == Fraction(-13, 12)
+        assert tab.row(2)[1] == -13
 
 
 class TestRouteEquality:
