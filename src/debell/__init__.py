@@ -8,7 +8,6 @@ from .asymptotics import (
     bell_asymptotic_estimate,
     expansion,
     partitions_with_parts,
-    w_coefficient,
     w_explicit,
 )
 from .bell import (
@@ -19,7 +18,6 @@ from .bell import (
     deranged_bell_classic,
     omega,
     omega_egf,
-    product_form_check,
 )
 from .derangements import (
     derangement,
@@ -71,7 +69,6 @@ __all__ = [
     "omega_egf",
     "ordered_partitions_count",
     "partitions_with_parts",
-    "product_form_check",
     "r_derangement",
     "r_derangement_egf",
     "r_derangement_rec",
@@ -83,6 +80,5 @@ __all__ = [
     "set_partitions_count",
     "stirling_egf",
     "stirling_rec",
-    "w_coefficient",
     "w_explicit",
 ]

@@ -65,6 +65,8 @@ def partitions_with_parts(n: int, k: int) -> tuple:
 
 def w_from_base(b, n: int, f: int) -> Fraction:
     """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!."""
+    if not 0 <= f <= n - 1:
+        raise ValueError(f"f must satisfy 0 <= f <= n-1, got f={f}, n={n}")
     total = _ZERO
     for mult in partitions_with_parts(n, n - f):
         prod = _ONE
@@ -75,22 +77,15 @@ def w_from_base(b, n: int, f: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def bell_base(params: ParamSet, n_max: int) -> tuple:
     """Base coefficients b_i = B[i at lam=1] / i! for the family's expansion."""
     a, b, g, x, _, r = params.key
     return tuple(Fraction(_lambda1(a, b, g, x, r, i), factorial(i)) for i in range(n_max + 1))
 
 
-def w_coefficient(n: int, f: int, params: ParamSet) -> Fraction:
-    """Generic partition-sum W(n, f) over the family's base."""
-    if not 0 <= f <= n - 1:
-        raise ValueError(f"f must satisfy 0 <= f <= n-1, got f={f}, n={n}")
-    return w_from_base(bell_base(params, n), n, f)
-
-
-def w_explicit(n: int, f: int, params: ParamSet) -> Fraction:
-    """Fixed expanded forms of W(n, f) for f <= 5, evaluated literally.
+def w_explicit(b, n: int, f: int) -> Fraction:
+    """Fixed expanded forms of W(n, f) for f <= 5 over the base b_0..b_6 (at
+    least), evaluated literally.
 
     The f = 4 and f = 5 forms deviate from the generic partition sum in
     specific terms (marked below); they exist so the harness can record
@@ -99,7 +94,6 @@ def w_explicit(n: int, f: int, params: ParamSet) -> Fraction:
         raise ValueError("expanded forms exist only for f <= 5")
     if f < 0 or n < 0:
         raise ValueError("n and f must be nonnegative")
-    b = bell_base(params, max(n, 6))
 
     def term(head: int, excess: int, *factors) -> Fraction:
         # 1/(head! * (n-excess)!) * b1^(n-excess) * factors, dropped when n < excess

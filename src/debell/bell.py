@@ -17,7 +17,6 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -41,8 +40,8 @@ def _rescaled(params: ParamSet, order: int) -> tuple:
     return s, head, u.scale(x)
 
 
-def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> tuple:
-    return tuple(Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1))
+def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
+    return [Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +53,7 @@ def _bell_egf(params: ParamSet, n_max: int) -> tuple:
     ser = ser * xu.scale(-lam).exp()
     one = TruncatedSeries.one(order)
     ser = ser * (one - xu).log().scale(-(r + 1) * lam).exp()
-    return _unscale(ser, s, n_max)
+    return tuple(_unscale(ser, s, n_max))
 
 
 def bell_egf(n_max: int, params: ParamSet) -> list:
@@ -95,18 +94,6 @@ def _binomial_convolution(a: list, b: list) -> list:
     return [sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1)) for m in range(len(a))]
 
 
-@lru_cache(maxsize=None)
-def _section_convolution(params: ParamSet, n_max: int) -> tuple:
-    a, b, g, x, lam, r = params.key
-    acc = [1]  # (gamma|alpha)_i
-    for i in range(n_max):
-        acc.append(acc[-1] * (g - i * a))
-    base = [_lambda1(a, b, 0, x, r, i) for i in range(n_max + 1)]
-    for _ in range(lam):
-        acc = _binomial_convolution(acc, base)
-    return tuple(acc)
-
-
 def section_convolution(n_max: int, params: ParamSet) -> list:
     """The section convolution at totals 0..n_max: (gamma|alpha)_i convolved
     lam times with the lam = 1, gamma = 0 closed sums B[i] (binomial
@@ -115,7 +102,14 @@ def section_convolution(n_max: int, params: ParamSet) -> list:
     are exact rationals, held as ints where the weights are integral."""
     if params.lam < 1:
         raise ValueError("the convolution route requires lam >= 1")
-    return list(_section_convolution(params, n_max))
+    a, b, g, x, lam, r = params.key
+    acc = [1]  # (gamma|alpha)_i
+    for i in range(n_max):
+        acc.append(acc[-1] * (g - i * a))
+    base = [_lambda1(a, b, 0, x, r, i) for i in range(n_max + 1)]
+    for _ in range(lam):
+        acc = _binomial_convolution(acc, base)
+    return acc
 
 
 def bell_convolution(n: int, params: ParamSet) -> Fraction:
@@ -163,28 +157,12 @@ def omega(n: int, params: ParamSet) -> Fraction:
     return Fraction(_omega(n, params))
 
 
-@lru_cache(maxsize=None)
-def _omega_egf(params: ParamSet, n_max: int) -> tuple:
+def omega_egf(n_max: int, params: ParamSet) -> list:
+    """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam."""
     order = n_max + 1
     s, head, xu = _rescaled(params, order)
     one = TruncatedSeries.one(order)
-    ser = head * (one - xu).log().scale(-params.lam).exp()
-    return _unscale(ser, s, n_max)
-
-
-def omega_egf(n_max: int, params: ParamSet) -> list:
-    """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam."""
-    return list(_omega_egf(params, n_max))
-
-
-@lru_cache(maxsize=None)
-def _omega_identity(params: ParamSet, n_max: int) -> tuple:
-    a, b, _, x, lam, r = params.key
-    top = n_max + r
-    zero_gamma = stirling.table(a, b, 0)
-    inner = [zero_gamma.weighted_sum(j, b * x * lam, repeat(1)) for j in range(top + 1)]
-    rhs = _binomial_convolution([narrow(v) for v in bell_egf(top, params)], inner)
-    return tuple((_omega(n + r, params), rhs[n + r]) for n in range(n_max + 1))
+    return _unscale(head * (one - xu).log().scale(-params.lam).exp(), s, n_max)
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:
@@ -196,47 +174,42 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
     for n = 0..n_max, from one B[0..n_max+r] vector and one binomial
     convolution.  Equality is not asserted; the harness records it.  Both
     sides are exact rationals, held as ints where the weights are integral."""
-    return list(_omega_identity(params, n_max))
+    a, b, _, x, lam, r = params.key
+    top = n_max + r
+    zero_gamma = stirling.table(a, b, 0)
+    inner = [zero_gamma.weighted_sum(j, b * x * lam, repeat(1)) for j in range(top + 1)]
+    rhs = _binomial_convolution([narrow(v) for v in bell_egf(top, params)], inner)
+    return [(_omega(n + r, params), rhs[n + r]) for n in range(n_max + 1)]
 
 
-@dataclass(frozen=True)
-class ProductFormRow:
-    n: int
-    egf: Fraction
-    literal: Fraction
-    power: Fraction
+# -- the per-section product, read two ways ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _product_forms(params: ParamSet, n_max: int) -> tuple:
-    order = n_max + 1
-    s, head, xu = _rescaled(params, order)
-    one = TruncatedSeries.one(order)
-    log_one_minus = (one - xu).log()
-    r, lam = params.r, params.lam
-
-    single = xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
-
-    literal = head
-    for i in range(1, lam + 1):
-        factor = xu.pow_int(r * i) * xu.scale(-i).exp() * log_one_minus.scale(-(r + 1) * i).exp()
-        literal = literal * factor
-    power = head * single.pow_int(lam)
-    return _unscale(literal, s, n_max), _unscale(power, s, n_max)
-
-
-def product_form_check(n_max: int, params: ParamSet) -> list:
-    """Coefficients of the per-section product read two ways.
-
-    ``literal`` multiplies factors whose exponents grow with the factor index
-    i (r*i, -i, (r+1)*i); ``power`` raises the single lam = 1 factor to the
-    lam-th power.  Both are compared against the defining route per index.
-    """
+def _product(n_max: int, params: ParamSet, literal: bool) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
-    literal, power = _product_forms(params, n_max)
-    egf = bell_egf(n_max, params)
-    return [
-        ProductFormRow(n=n, egf=egf[n], literal=literal[n], power=power[n])
-        for n in range(n_max + 1)
-    ]
+    order = n_max + 1
+    s, ser, xu = _rescaled(params, order)
+    log_one_minus = (TruncatedSeries.one(order) - xu).log()
+    r, lam = params.r, params.lam
+
+    def factor(i: int) -> TruncatedSeries:
+        return xu.pow_int(r * i) * xu.scale(-i).exp() * log_one_minus.scale(-(r + 1) * i).exp()
+
+    if literal:
+        for i in range(1, lam + 1):
+            ser = ser * factor(i)
+    else:
+        ser = ser * factor(1).pow_int(lam)
+    return _unscale(ser, s, n_max)
+
+
+def product_literal(n_max: int, params: ParamSet) -> list:
+    """B[0..n_max] read off the product of lam factors whose exponents grow
+    with the factor index i: (x u)^(r i) exp(-i x u) / (1 - x u)^((r+1) i)."""
+    return _product(n_max, params, literal=True)
+
+
+def product_power(n_max: int, params: ParamSet) -> list:
+    """B[0..n_max] read off the single lam = 1 factor raised to the lam-th power."""
+    return _product(n_max, params, literal=False)

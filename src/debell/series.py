@@ -20,14 +20,7 @@ from math import factorial
 from operator import add, mul
 from typing import Iterable
 
-from .exact import as_rat
-
-
-def _exact(value):
-    """``value`` as an ``int`` when it is integral, otherwise unchanged."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
+from .exact import as_rat, narrow
 
 
 def _next_row(row: list) -> list:
@@ -64,7 +57,7 @@ class TruncatedSeries:
         if not 0 <= degree <= order:
             raise ValueError(f"degree {degree} out of range for order {order}")
         nums = [0] * (order + 1)
-        nums[degree] = _exact(factorial(degree) * as_rat(coeff))
+        nums[degree] = narrow(factorial(degree) * as_rat(coeff))
         return cls(nums)
 
     # -- basic protocol -------------------------------------------------------
@@ -107,8 +100,8 @@ class TruncatedSeries:
         return TruncatedSeries(-a for a in self._a)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = _exact(as_rat(c))
-        return TruncatedSeries(_exact(c * a) for a in self._a)
+        c = narrow(c)
+        return TruncatedSeries(narrow(c * a) for a in self._a)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
@@ -134,7 +127,7 @@ class TruncatedSeries:
         f = self._a
         if f[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        minus_inv0 = _exact(-1 / as_rat(f[0]))
+        minus_inv0 = narrow(-1 / as_rat(f[0]))
         tail = f[1:]
         out, row = [-minus_inv0], [1]
         for _ in tail:
@@ -201,7 +194,7 @@ def binpow(alpha, c, order: int) -> TruncatedSeries:
     Its EGF numerators are (c|alpha)_n = c (c - alpha) ... (c - (n-1) alpha),
     one running product for every alpha, the degenerate alpha = 0 included.
     """
-    alpha, c = _exact(as_rat(alpha)), _exact(as_rat(c))
+    alpha, c = narrow(alpha), narrow(c)
     nums = [1]
     for n in range(order):
         nums.append(nums[-1] * (c - n * alpha))

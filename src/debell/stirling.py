@@ -46,6 +46,8 @@ class StirlingTable:
 
     def row(self, n: int) -> tuple:
         """T(n, k) = S^(n-k) S(n, k) for k = 0..n, as ints."""
+        if n < 0:
+            raise ValueError(f"row index must be nonnegative, got {n}")
         while len(self._rows) <= n:
             self._grow()
         return self._rows[n]

@@ -32,22 +32,6 @@ class UnknownClaimError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClaimPoint:
-    params: ParamSet
-    n: int
-    delta: int | None = None
-    m: int | None = None
-
-    def as_pairs(self) -> tuple:
-        pairs = self.params.as_pairs() + (("n", str(self.n)),)
-        if self.delta is not None:
-            pairs += (("delta", str(self.delta)),)
-        if self.m is not None:
-            pairs += (("m", str(self.m)),)
-        return pairs
-
-
-@dataclass(frozen=True)
 class ReportRow:
     claim: str
     point: tuple
@@ -133,70 +117,73 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Claim:
+    """A named identity: ``points(grid)`` yields the parameter points and
+    ``evaluate(params, grid)`` returns every report row of one point."""
+
     id: str
     description: str
-    points: Callable[[GridSpec], Iterable[ClaimPoint]]
-    evaluate: Callable[[ClaimPoint, GridSpec], ReportRow]
+    points: Callable[[GridSpec], Iterable[ParamSet]]
+    evaluate: Callable[[ParamSet, GridSpec], list]
 
 
-def _row(claim_id: str, point: ClaimPoint, lhs: Fraction, rhs: Fraction, note: str = "") -> ReportRow:
+def _points(grid: GridSpec, **axes) -> Iterator[ParamSet]:
+    """The grid's points with ``axes`` replacing its own; an axis given as a
+    string names another field of the grid (``lambdas="ex_lambdas"``)."""
+    axes = {k: getattr(grid, v) if isinstance(v, str) else v for k, v in axes.items()}
+    return replace(grid, **axes).param_sets()
+
+
+def _at(params: ParamSet, n: int, **extra) -> tuple:
+    """A row's point: the parameters, n, then ``extra`` in the order given."""
+    return params.as_pairs() + (("n", str(n)),) + tuple((k, str(v)) for k, v in extra.items())
+
+
+def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = "") -> ReportRow:
     status = EQUAL if lhs == rhs else UNEQUAL
-    return ReportRow(claim_id, point.as_pairs(), format_rat(lhs), format_rat(rhs), status, note)
+    return ReportRow(claim_id, point, format_rat(lhs), format_rat(rhs), status, note)
 
 
-def _skip(claim_id: str, point: ClaimPoint, note: str) -> ReportRow:
-    return ReportRow(claim_id, point.as_pairs(), "", "", SKIPPED, note)
+def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, rhs) -> list:
+    """Rows n = 0..max_n comparing the series route B[n] with ``rhs[n]``."""
+    lhs = bell.bell_egf(grid.max_n, params)
+    return [_row(claim_id, _at(params, n), lhs[n], rhs[n]) for n in range(grid.max_n + 1)]
 
 
-def _default_points(grid: GridSpec, **axes) -> Iterator[ClaimPoint]:
-    """Every point at n = 0..max_n of the grid with ``axes`` replacing its own."""
-    for ps in replace(grid, **axes).param_sets():
-        for n in range(grid.max_n + 1):
-            yield ClaimPoint(params=ps, n=n)
+def _skips(claim_id: str, params: ParamSet, grid: GridSpec, note: str) -> list:
+    return [ReportRow(claim_id, _at(params, n), "", "", SKIPPED, note) for n in range(grid.max_n + 1)]
 
 
 # -- individual claims ---------------------------------------------------------
 
 
-def _eval_t5(point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    lhs = bell.bell_egf(grid.max_n, point.params)[point.n]
-    rhs = bell.bell_lambda1(point.n, point.params)
-    return _row("T5", point, lhs, rhs)
+def _eval_t5(params: ParamSet, grid: GridSpec) -> list:
+    rhs = [bell.bell_lambda1(n, params) for n in range(grid.max_n + 1)]
+    return _vs_egf("T5", params, grid, rhs)
 
 
-def _eval_t33(point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    lhs = bell.bell_egf(grid.max_n, point.params)[point.n]
-    rhs = bell.bell_general_closed(point.n, point.params)
-    return _row("T33", point, lhs, rhs)
+def _eval_t33(params: ParamSet, grid: GridSpec) -> list:
+    rhs = [bell.bell_general_closed(n, params) for n in range(grid.max_n + 1)]
+    return _vs_egf("T33", params, grid, rhs)
 
 
-def _eval_t3(claim_id: str, shifted_index: bool, point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    if point.params.lam < 1:
-        return _skip(claim_id, point, "needs lam >= 1")
-    r = point.params.r
-    lhs = bell.bell_egf(grid.max_n, point.params)[point.n]
-    conv = bell.section_convolution(grid.max_n + r, point.params)
-    rhs = conv[point.n + r] if shifted_index else conv[point.n]
-    return _row(claim_id, point, lhs, rhs)
+def _eval_t3(claim_id: str, shifted_index: bool, params: ParamSet, grid: GridSpec) -> list:
+    if params.lam < 1:
+        return _skips(claim_id, params, grid, "needs lam >= 1")
+    r = params.r
+    conv = bell.section_convolution(grid.max_n + r, params)
+    return _vs_egf(claim_id, params, grid, conv[r:] if shifted_index else conv)
 
 
-def _eval_omega_id(point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    lhs, rhs = bell.omega_identity_rows(grid.max_n, point.params)[point.n]
-    return _row("OMEGA-ID", point, lhs, rhs)
+def _eval_omega_id(params: ParamSet, grid: GridSpec) -> list:
+    rows = bell.omega_identity_rows(grid.max_n, params)
+    return [_row("OMEGA-ID", _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
 
 
-def _eval_eq40(claim_id: str, literal: bool, point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    if point.params.lam < 1:
-        return _skip(claim_id, point, "needs lam >= 1")
-    rows = bell.product_form_check(grid.max_n, point.params)
-    row = rows[point.n]
-    rhs = row.literal if literal else row.power
-    return _row(claim_id, point, row.egf, rhs)
-
-
-def _ex_points(grid: GridSpec, r: int, n: int) -> Iterator[ClaimPoint]:
-    for ps in replace(grid, lambdas=grid.ex_lambdas, rs=(r,), betas=grid.ex_betas).param_sets():
-        yield ClaimPoint(params=ps, n=n)
+def _eval_eq40(claim_id: str, literal: bool, params: ParamSet, grid: GridSpec) -> list:
+    if params.lam < 1:
+        return _skips(claim_id, params, grid, "needs lam >= 1")
+    route = bell.product_literal if literal else bell.product_power
+    return _vs_egf(claim_id, params, grid, route(grid.max_n, params))
 
 
 def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -218,67 +205,62 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
     return binomial(lam + 5, 6) * falling(6, 3) * x**6 * beta**6
 
 
-def _eval_ex(claim_id: str, poly, point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    p = point.params
-    lhs = bell.bell_egf(point.n, p)[point.n]
-    rhs = poly(p.lam, p.x, p.beta)
-    return _row(claim_id, point, lhs, rhs, "candidate polynomial")
+def _eval_ex(claim_id: str, poly, n: int, params: ParamSet, grid: GridSpec) -> list:
+    lhs = bell.bell_egf(n, params)[n]
+    rhs = poly(params.lam, params.x, params.beta)
+    return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
 
 
-def _w_points(grid: GridSpec, f: int) -> Iterator[ClaimPoint]:
-    for ps in replace(grid, lambdas=(1,)).param_sets():
-        for n in range(f + 1, grid.w_max_n + 1):
-            yield ClaimPoint(params=ps, n=n)
+def _eval_w(claim_id: str, f: int, params: ParamSet, grid: GridSpec) -> list:
+    b = asymptotics.bell_base(params, max(grid.w_max_n, 6))
+    return [
+        _row(claim_id, _at(params, n), asymptotics.w_from_base(b, n, f),
+             asymptotics.w_explicit(b, n, f), "generic sum vs expanded form")
+        for n in range(f + 1, grid.w_max_n + 1)
+    ]
 
 
-def _eval_w(claim_id: str, f: int, point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    lhs = asymptotics.w_coefficient(point.n, f, point.params)
-    rhs = asymptotics.w_explicit(point.n, f, point.params)
-    return _row(claim_id, point, lhs, rhs, "generic sum vs expanded form")
-
-
-def _asymp_points(grid: GridSpec) -> Iterator[ClaimPoint]:
-    for ps in replace(grid, lambdas=(1,), rs=(0,)).param_sets():
-        for n in grid.asymp_n:
-            for delta in grid.deltas:
-                yield ClaimPoint(params=ps, n=n, delta=delta, m=n - 1)
-
-
-def _eval_asymp(point: ClaimPoint, grid: GridSpec) -> ReportRow:
-    cmp = asymptotics.bell_asymptotic_estimate(point.n, point.m, point.delta, point.params)
-    return _row("ASYMP-r0", point, cmp.estimate, cmp.exact, "full-order expansion vs exact")
+def _eval_asymp(params: ParamSet, grid: GridSpec) -> list:
+    rows = []
+    for n in grid.asymp_n:
+        for delta in grid.deltas:
+            cmp = asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
+            rows.append(_row("ASYMP-r0", _at(params, n, delta=delta, m=n - 1), cmp.estimate,
+                             cmp.exact, "full-order expansion vs exact"))
+    return rows
 
 
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
+    ex_points = partial(_points, lambdas="ex_lambdas", betas="ex_betas")
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              partial(_default_points, lambdas=(1,)), _eval_t5),
+              partial(_points, lambdas=(1,)), _eval_t5),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam",
-              _default_points, _eval_t33),
+              _points, _eval_t33),
         Claim("T3-n", "section convolution over compositions of n vs the series route",
-              _default_points, partial(_eval_t3, "T3-n", False)),
+              _points, partial(_eval_t3, "T3-n", False)),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
-              _default_points, partial(_eval_t3, "T3-nr", True)),
+              _points, partial(_eval_t3, "T3-nr", True)),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
-              _default_points, _eval_omega_id),
+              _points, _eval_omega_id),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              _default_points, partial(_eval_eq40, "EQ40-literal", True)),
+              _points, partial(_eval_eq40, "EQ40-literal", True)),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
-              _default_points, partial(_eval_eq40, "EQ40-power", False)),
+              _points, partial(_eval_eq40, "EQ40-power", False)),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
-              partial(_ex_points, r=1, n=2), partial(_eval_ex, "EX-B1x2", _ex_b1x2)),
+              partial(ex_points, rs=(1,)), partial(_eval_ex, "EX-B1x2", _ex_b1x2, 2)),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
-              partial(_ex_points, r=2, n=4), partial(_eval_ex, "EX-B2x4", _ex_b2x4)),
+              partial(ex_points, rs=(2,)), partial(_eval_ex, "EX-B2x4", _ex_b2x4, 4)),
         Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
-              partial(_ex_points, r=2, n=6), partial(_eval_ex, "EX-B2x6", _ex_b2x6)),
+              partial(ex_points, rs=(2,)), partial(_eval_ex, "EX-B2x6", _ex_b2x6, 6)),
         Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
-              partial(_w_points, f=4), partial(_eval_w, "W4-explicit", 4)),
+              partial(_points, lambdas=(1,)), partial(_eval_w, "W4-explicit", 4)),
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
-              partial(_w_points, f=5), partial(_eval_w, "W5-explicit", 5)),
+              partial(_points, lambdas=(1,)), partial(_eval_w, "W5-explicit", 5)),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              _asymp_points, _eval_asymp),
+              partial(_points, lambdas=(1,), rs=(0,)), _eval_asymp),
     ]
     return {c.id: c for c in claims}
 
@@ -312,8 +294,8 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
     rows = []
     for cid in sorted(set(ids)):
         claim = registry[cid]
-        for point in claim.points(grid):
-            rows.append(claim.evaluate(point, grid))
+        for params in claim.points(grid):
+            rows.extend(claim.evaluate(params, grid))
     value = cache(lambda text: narrow(Fraction(text)))  # a few dozen distinct point strings
     rows.sort(key=lambda row: (row.claim, tuple(value(v) for _, v in row.point)))
     return VerificationReport(tuple(rows))

@@ -150,10 +150,11 @@ def test_c08_w_coefficients(grid, full_report):
             for x in grid.xs:
                 for r in grid.rs:
                     params = ParamSet.make(alpha, beta, gamma, x, 1, r)
+                    b = asymptotics.bell_base(params, 12)
                     for f in range(4):
                         for n in range(f + 1, 13):
-                            assert asymptotics.w_coefficient(n, f, params) == (
-                                asymptotics.w_explicit(n, f, params)
+                            assert asymptotics.w_from_base(b, n, f) == (
+                                asymptotics.w_explicit(b, n, f)
                             ), (params, f, n)
         counts = full_report.counts()
         assert counts["W4-explicit"]["EQUAL"] + counts["W4-explicit"]["UNEQUAL"] > 0

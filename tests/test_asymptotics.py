@@ -10,8 +10,8 @@ from debell.asymptotics import (
     bell_base,
     expansion,
     partitions_with_parts,
-    w_coefficient,
     w_explicit,
+    w_from_base,
 )
 from debell.bell import bell_lambda1
 from debell.exact import ParamSet, binomial, falling
@@ -55,12 +55,13 @@ class TestWCoefficients:
     def test_all_ones_base_formula(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 0)
         b1 = bell_lambda1(1, p)
+        b = bell_base(p, 7)
         for n in range(1, 8):
-            assert w_coefficient(n, 0, p) == b1**n / factorial(n)
+            assert w_from_base(b, n, 0) == b1**n / factorial(n)
 
     def test_derivative_kills_first_coefficient(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 0)
-        assert w_coefficient(1, 0, p) == 0  # the base has b_1 = gamma = 0 here
+        assert w_from_base(bell_base(p, 1), 1, 0) == 0  # the base has b_1 = gamma = 0 here
 
     def test_explicit_matches_generic_up_to_f3(self):
         for p in [
@@ -69,25 +70,26 @@ class TestWCoefficients:
             ParamSet.make(1, 2, 2, 1, 1, 2),
             ParamSet.make(2, 4, 0, 2, 1, 0),
         ]:
+            b = bell_base(p, 12)
             for f in range(4):
                 for n in range(f + 1, 13):
-                    assert w_coefficient(n, f, p) == w_explicit(n, f, p), (p, f, n)
+                    assert w_from_base(b, n, f) == w_explicit(b, n, f), (p, f, n)
 
     def test_expanded_f4_f5_divergence_is_stable(self):
         # frozen from the first oracle run: where the expanded f=4 and f=5
         # forms stop matching the generic partition sum
-        p = ParamSet.make(0, 1, 1, 1, 1, 0)
-        agree4 = [n for n in range(5, 13) if w_coefficient(n, 4, p) == w_explicit(n, 4, p)]
-        agree5 = [n for n in range(6, 13) if w_coefficient(n, 5, p) == w_explicit(n, 5, p)]
+        b = bell_base(ParamSet.make(0, 1, 1, 1, 1, 0), 12)
+        agree4 = [n for n in range(5, 13) if w_from_base(b, n, 4) == w_explicit(b, n, 4)]
+        agree5 = [n for n in range(6, 13) if w_from_base(b, n, 5) == w_explicit(b, n, 5)]
         assert agree4 == [5]
         assert agree5 == [6, 7]
 
     def test_bounds(self):
-        p = ParamSet.make(0, 1, 1, 1, 1, 0)
+        b = bell_base(ParamSet.make(0, 1, 1, 1, 1, 0), 6)
         with pytest.raises(ValueError):
-            w_coefficient(3, 3, p)
+            w_from_base(b, 3, 3)
         with pytest.raises(ValueError):
-            w_explicit(4, 6, p)
+            w_explicit(b, 4, 6)
 
 
 class TestBaseSequence:

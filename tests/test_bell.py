@@ -19,7 +19,8 @@ from debell.bell import (
     omega,
     omega_egf,
     omega_identity_rows,
-    product_form_check,
+    product_literal,
+    product_power,
     section_convolution,
 )
 from debell.enumeration import (
@@ -131,6 +132,14 @@ class TestLambdaOneRoute:
     def test_requires_lam_one(self):
         with pytest.raises(ValueError):
             bell_lambda1(3, ParamSet.make(lam=2))
+
+    @pytest.mark.parametrize(
+        "p", [ParamSet.make(lam=1), ParamSet.make(alpha="1/2", lam=1)], ids=["integer", "rational"]
+    )
+    def test_rejects_negative_n(self, p):
+        bell_lambda1(5, p)  # grow the triangle past the rows a wrapped index would reach
+        with pytest.raises(ValueError):
+            bell_lambda1(-1, p)
 
 
 class TestGeneralClosedRoute:
@@ -327,23 +336,21 @@ class TestOmegaIdentity:
 class TestProductForms:
     def test_single_factor_collapses(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 1)
-        for row in product_form_check(6, p):
-            assert row.literal == row.power == row.egf
+        assert product_literal(6, p) == product_power(6, p) == bell_egf(6, p)
 
     def test_power_reading_matches_egf(self):
         for lam in (1, 2, 3):
             p = ParamSet.make(0, 2, 2, 1, lam, 1)
-            for row in product_form_check(6, p):
-                assert row.power == row.egf
+            assert product_power(6, p) == bell_egf(6, p)
 
     def test_literal_reading_recorded_at_lam_two(self):
         p = ParamSet.make(0, 1, 0, 1, 2, 1)
-        rows = product_form_check(6, p)
-        assert [r.literal for r in rows] != [r.egf for r in rows]
+        assert product_literal(6, p) != bell_egf(6, p)
 
     def test_requires_positive_lambda(self):
-        with pytest.raises(ValueError):
-            product_form_check(4, ParamSet.make(lam=0))
+        for route in (product_literal, product_power):
+            with pytest.raises(ValueError):
+                route(4, ParamSet.make(lam=0))
 
 
 class TestRegimeProperties:
@@ -377,7 +384,7 @@ class TestRationalRescaling:
             assert egf == [bell_lambda1(n, p) for n in ns]
         if p.lam >= 1:
             assert egf == [bell_convolution(n, p) for n in ns]
-            assert [row.power for row in product_form_check(n_max, p)] == egf
+            assert product_power(n_max, p) == egf
         assert omega_egf(n_max, p) == [omega(n, p) for n in ns]
 
     @given(rational_points(), st.integers(0, 8))

@@ -169,11 +169,11 @@ class TestVerifyCommand:
         registry = verify.claim_registry()
         t5 = registry["T5"]
 
-        def evaluate(point, grid):
-            row = t5.evaluate(point, grid)
-            if point.n == 2 and point.params == ParamSet.make(r=1):
-                row = dataclasses.replace(row, rhs="-1", status=verify.UNEQUAL)
-            return row
+        def evaluate(params, grid):
+            rows = t5.evaluate(params, grid)
+            if params == ParamSet.make(r=1):
+                rows[2] = dataclasses.replace(rows[2], rhs="-1", status=verify.UNEQUAL)
+            return rows
 
         monkeypatch.setitem(registry, "T5", dataclasses.replace(t5, evaluate=evaluate))
         result = invoke("verify", "--claims", "T5", "--max-n", "3")

@@ -32,6 +32,14 @@ class TestTriangle:
             for n in range(8):
                 assert stirling_rec(n, 0, alpha, beta, gamma) == gen_falling(gamma, alpha, n)
 
+    def test_negative_row_rejected(self):
+        tab = StirlingTable(0, 1, 0)
+        assert tab.row(5) == (0, 1, 15, 25, 10, 1)
+        with pytest.raises(ValueError):
+            tab.row(-1)
+        with pytest.raises(ValueError):
+            tab.weighted_sum(-2, 1, [1, 1, 1])
+
     def test_unrolled_example(self):
         # S(2, 0; 1, beta, 3) = (3|1)_2, whatever beta is
         for beta in (1, 2, Fraction(5, 7)):

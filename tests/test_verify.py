@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from debell import bell
 from debell.verify import (
     EQUAL,
     SKIPPED,
@@ -70,6 +71,24 @@ class TestRegistry:
     def test_descriptions_present(self):
         for claim in claim_registry().values():
             assert claim.description
+
+
+class TestPerPointEvaluation:
+    def test_vectors_built_once_per_point(self, monkeypatch):
+        calls = {"omega_identity_rows": 0, "section_convolution": 0}
+        for name in calls:
+            def counted(*args, _name=name, _route=getattr(bell, name)):
+                calls[_name] += 1
+                return _route(*args)
+
+            monkeypatch.setattr(bell, name, counted)
+        report = run_claims(["OMEGA-ID", "T3-n"], SMALL_GRID)
+        points = list(SMALL_GRID.param_sets())
+        assert len(report.rows) == 2 * len(points) * (SMALL_GRID.max_n + 1)
+        assert calls == {
+            "omega_identity_rows": len(points),
+            "section_convolution": sum(1 for p in points if p.lam >= 1),
+        }
 
 
 class TestOutcomes:
