@@ -28,10 +28,9 @@ from functools import lru_cache
 from math import factorial
 
 from .bell import _lambda1, bell_egf
-from .exact import ParamSet, falling
+from .exact import ParamSet, falling, narrow
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -64,17 +63,22 @@ def partitions_with_parts(n: int, k: int) -> tuple:
 
 
 def w_from_base(b, n: int, f: int) -> Fraction:
-    """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!."""
+    """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!,
+    summed as n! W(n, f) = sum n!/prod(i!^{k_i} k_i!) prod (i! b_i)^{k_i}: each
+    coefficient counts the set partitions of that type, and i! b_i is an int
+    wherever B[i] is."""
     if not 0 <= f <= n - 1:
         raise ValueError(f"f must satisfy 0 <= f <= n-1, got f={f}, n={n}")
-    total = _ZERO
+    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]  # parts are <= f+1
+    total = 0
     for mult in partitions_with_parts(n, n - f):
-        prod = _ONE
-        for i, k in enumerate(mult):
+        count, prod = factorial(n), 1
+        for i, k in enumerate(mult[: f + 1], 1):
             if k:
-                prod *= Fraction(b[i + 1] ** k, factorial(k))
-        total += prod
-    return total
+                count //= factorial(i) ** k * factorial(k)
+                prod *= c[i] ** k
+        total += count * prod
+    return Fraction(total, factorial(n))
 
 
 def bell_base(params: ParamSet, n_max: int) -> tuple:
@@ -172,7 +176,7 @@ def bell_asymptotic_estimate(n: int, m: int, delta: int, params: ParamSet) -> As
         raise ValueError("delta must be an integer >= n")
     estimate = expansion(bell_base(params, n), delta, n, m)
     scaled = params.replace(lam=delta, gamma=params.gamma * delta)
-    exact = bell_egf(n, scaled)[n] / factorial(n)
+    exact = Fraction(bell_egf(n, scaled)[n], factorial(n))
     if exact == 0:
         return AsymptoticComparison(delta, estimate, exact, None, "exact-zero")
     return AsymptoticComparison(delta, estimate, exact, abs(estimate / exact - 1), "ok")

@@ -41,7 +41,10 @@ def _rescaled(params: ParamSet, order: int) -> tuple:
 
 
 def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
-    return [Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1)]
+    """a_n / S^n for n = 0..n_max, held as an int where integral (a_n itself at S = 1)."""
+    if s == 1:
+        return [ser.egf_coeff(n) for n in range(n_max + 1)]
+    return [narrow(Fraction(ser.egf_coeff(n), s**n)) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +181,7 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
     top = n_max + r
     zero_gamma = stirling.table(a, b, 0)
     inner = [zero_gamma.weighted_sum(j, b * x * lam, repeat(1)) for j in range(top + 1)]
-    rhs = _binomial_convolution([narrow(v) for v in bell_egf(top, params)], inner)
+    rhs = _binomial_convolution(bell_egf(top, params), inner)
     return [(_omega(n + r, params), rhs[n + r]) for n in range(n_max + 1)]
 
 
@@ -189,19 +192,13 @@ def _product(n_max: int, params: ParamSet, literal: bool) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
     order = n_max + 1
-    s, ser, xu = _rescaled(params, order)
-    log_one_minus = (TruncatedSeries.one(order) - xu).log()
+    s, head, xu = _rescaled(params, order)
     r, lam = params.r, params.lam
-
-    def factor(i: int) -> TruncatedSeries:
-        return xu.pow_int(r * i) * xu.scale(-i).exp() * log_one_minus.scale(-(r + 1) * i).exp()
-
-    if literal:
-        for i in range(1, lam + 1):
-            ser = ser * factor(i)
-    else:
-        ser = ser * factor(1).pow_int(lam)
-    return _unscale(ser, s, n_max)
+    log_one_minus = (TruncatedSeries.one(order) - xu).log()
+    factor = xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
+    # factor i is factor 1 to the i-th power, so the literal product of
+    # factors 1..lam is factor 1 to the power 1 + 2 + ... + lam
+    return _unscale(head * factor.pow_int(lam * (lam + 1) // 2 if literal else lam), s, n_max)
 
 
 def product_literal(n_max: int, params: ParamSet) -> list:

@@ -5,11 +5,14 @@ Every quantity in this package is a Python ``int`` (arbitrary precision) or a
 serialize as the canonical string ``"p/q"`` (just ``"p"`` when the denominator
 is 1), with the sign carried by the numerator.
 
-Convention: ``int`` inside, ``Fraction`` at the public boundary.  Inner sums
-and cached vectors hold an integral value as an ``int`` (``narrow``), which
-multiplies, adds and hashes far faster than a ``Fraction``; the public scalar
-routes return ``Fraction``.  Mixing the two is exact except for ``/``: an
-``int / int`` is a float, so inner code divides with ``Fraction(p, q)``.
+Convention: ``int`` inside; ``Fraction`` only from the scalar routes.  Inner
+sums, series numerators and every vector route (``bell_egf``, ``omega_egf``,
+the product forms, the section convolution, the omega-identity rows) hold an
+integral value as an ``int`` (``narrow``), which multiplies, adds and hashes
+far faster than a ``Fraction``; the public scalar routes (the closed sums,
+``omega``, ``w_from_base``, ``bell_base``, ...) return ``Fraction``.  Mixing the
+two is exact except for ``/``: an ``int / int`` is a float, so code that
+divides a vector entry writes ``Fraction(p, q)``.
 """
 
 from __future__ import annotations

@@ -9,13 +9,12 @@ divides (by its constant term), so integer numerators stay ``int`` and no gcd
 is paid; other entries are ``Fraction``s.  There is deliberately no
 asymptotically fast multiplication.  Reading a series at t -> S t multiplies
 a_n by S^n; the family routes in ``bell`` use this to make rational weights
-integral.  ``egf_coeff(n)`` reads a_n back, and ``coeffs`` gives the ordinary
-coefficients c_n as ``Fraction``s.
+integral.  ``egf_coeff(n)`` reads a_n back (an ``int`` where integral), and
+``coeffs`` gives the ordinary coefficients c_n as ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from operator import add, mul
 from typing import Iterable
@@ -181,11 +180,12 @@ class TruncatedSeries:
 
     # -- coefficient extraction -----------------------------------------------
 
-    def egf_coeff(self, n: int) -> Fraction:
-        """n! times the t^n coefficient (the value an EGF encodes at index n)."""
+    def egf_coeff(self, n: int):
+        """n! times the t^n coefficient (the value an EGF encodes at index n),
+        an ``int`` where integral."""
         if not 0 <= n <= self.order:
             raise ValueError(f"index {n} outside 0..{self.order}")
-        return as_rat(self._a[n])
+        return narrow(self._a[n])
 
 
 def binpow(alpha, c, order: int) -> TruncatedSeries:

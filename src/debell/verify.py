@@ -297,7 +297,8 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
         for params in claim.points(grid):
             rows.extend(claim.evaluate(params, grid))
     value = cache(lambda text: narrow(Fraction(text)))  # a few dozen distinct point strings
-    rows.sort(key=lambda row: (row.claim, tuple(value(v) for _, v in row.point)))
+    point_key = cache(lambda point: tuple(value(v) for _, v in point))  # shared across claims
+    rows.sort(key=lambda row: (row.claim, point_key(row.point)))
     return VerificationReport(tuple(rows))
 
 

@@ -51,7 +51,34 @@ class TestPartitions:
                 assert len(partitions_with_parts(n, k)) == partition_count(n, k)
 
 
+def _w_oracle(b, n: int, f: int) -> Fraction:
+    """W(n, f) summed factor by factor in Fractions: prod b_i^{k_i} / k_i! over
+    the partitions of n with n-f parts."""
+    total = Fraction(0)
+    for mult in partitions_with_parts(n, n - f):
+        term = Fraction(1)
+        for i, k in enumerate(mult):
+            if k:
+                term *= Fraction(b[i + 1] ** k, factorial(k))
+        total += term
+    return total
+
+
+@st.composite
+def w_cases(draw):
+    n = draw(st.integers(1, 10))
+    rest = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=n, max_size=n))
+    return [Fraction(draw(st.sampled_from((0, 1))))] + rest, n, draw(st.integers(0, n - 1))
+
+
 class TestWCoefficients:
+    @given(w_cases())
+    def test_matches_factor_by_factor_oracle(self, case):
+        b, n, f = case  # b_0 is 1 or 0; W(n, f) never reads it
+        w = w_from_base(b, n, f)
+        assert type(w) is Fraction
+        assert w == _w_oracle(b, n, f)
+
     def test_all_ones_base_formula(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 0)
         b1 = bell_lambda1(1, p)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from debell.asymptotics import bell_base
+from debell.asymptotics import bell_asymptotic_estimate, bell_base
 from debell.bell import (
     _lambda1,
     _rescaled,
@@ -28,6 +28,7 @@ from debell.enumeration import (
     r_deranged_partitions_enum,
 )
 from debell.exact import ParamSet, binomial, gen_falling
+from debell.series import TruncatedSeries
 from debell.stirling import StirlingTable, stirling_rec
 
 _ZERO = Fraction(0)
@@ -286,6 +287,21 @@ class TestPublicTypes:
                 values += [stirling_rec(n, k, p.alpha, p.beta, p.gamma), tab.value(n, k)]
             assert all(type(v) is Fraction for v in values), (n, values)
 
+    @pytest.mark.parametrize(
+        "p",
+        [ParamSet.make(1, 2, 2, 2, 2, 1), ParamSet.make("1/2", "3/4", "-2/3", "3/2", 2, 2)],
+        ids=["integer", "rational"],
+    )
+    def test_vector_routes_hold_exact_values(self, p):
+        """Vector entries are ints where integral and Fractions otherwise, never
+        floats; a caller dividing one by n! must write Fraction(v, n!)."""
+        for route in (bell_egf, omega_egf, product_literal, product_power):
+            values = route(7, p)
+            assert all(
+                type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
+            ), (route.__name__, values)
+        assert type(bell_asymptotic_estimate(3, 1, 10, p.replace(lam=1)).exact) is Fraction
+
 
 class TestOmega:
     def test_fubini_values(self):
@@ -333,7 +349,25 @@ class TestOmegaIdentity:
         assert (lhs, rhs) == (3, 5)
 
 
+def _literal_product_oracle(n_max: int, params: ParamSet) -> list:
+    """The product of the lam literal factors, each built from its own powers
+    and exponentials: (x u)^(r i) exp(-i x u) / (1 - x u)^((r+1) i), i = 1..lam."""
+    order = n_max + 1
+    s, ser, xu = _rescaled(params, order)
+    log_one_minus = (TruncatedSeries.one(order) - xu).log()
+    r = params.r
+    for i in range(1, params.lam + 1):
+        ser = ser * xu.pow_int(r * i) * xu.scale(-i).exp()
+        ser = ser * log_one_minus.scale(-(r + 1) * i).exp()
+    return [Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1)]
+
+
 class TestProductForms:
+    @given(rational_points(), st.integers(1, 4), st.integers(0, 6))
+    def test_literal_matches_factor_by_factor_oracle(self, p, lam, n_max):
+        p = p.replace(lam=lam)
+        assert product_literal(n_max, p) == _literal_product_oracle(n_max, p)
+
     def test_single_factor_collapses(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 1)
         assert product_literal(6, p) == product_power(6, p) == bell_egf(6, p)

@@ -9,12 +9,12 @@ from debell.verify import EQUAL
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Every expression statement of the tour, as (source, trailing comment), and
-# the value its comment states.
+# the value its comment states, of the type the call returns.
 TOUR_VALUES = {
-    ("bell_egf(3, p)[3]", "Fraction(5, 1): deranged partitions of a 3-set"): Fraction(5, 1),
-    ("bell_lambda1(3, p)", "the same value by the closed sum"): 5,
+    ("bell_egf(3, p)[3]", "5: deranged partitions of a 3-set"): 5,
+    ("bell_lambda1(3, p)", "the same value by the closed sum"): Fraction(5),
     ("r_deranged_partitions_enum(3, 0)", "5 again, by explicit generation"): 5,
-    ("stirling_rec(5, 3, 0, 1, 0)", "25"): 25,
+    ("stirling_rec(5, 3, 0, 1, 0)", "25"): Fraction(25),
     ("r_derangement_egf(2, 2)", "2"): 2,
     ("report.all_required_equal", "True"): True,
 }
@@ -38,3 +38,4 @@ def test_every_commented_value_holds():
                 rows = namespace["report"].rows
                 assert rows and all(row.status == EQUAL for row in rows)
     assert values == TOUR_VALUES
+    assert {k: type(v) for k, v in values.items()} == {k: type(v) for k, v in TOUR_VALUES.items()}

@@ -1,8 +1,12 @@
 import json
+import random
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
 from debell import bell
+from debell.exact import narrow
 from debell.verify import (
     EQUAL,
     SKIPPED,
@@ -130,6 +134,30 @@ class TestDeterminism:
         report = run_claims(["T5", "EX-B1x2"], SMALL_GRID)
         claims = [row.claim for row in report.rows]
         assert claims == sorted(claims)
+
+
+def _rows_sorted_per_row(grid: GridSpec) -> VerificationReport:
+    """Every claim's rows sorted by the per-row key: the claim, then each point
+    value parsed on its own."""
+    rows = []
+    for claim in sorted(claim_registry().values(), key=lambda c: c.id):
+        for params in claim.points(grid):
+            rows.extend(claim.evaluate(params, grid))
+    rows.sort(key=lambda row: (row.claim, tuple(narrow(Fraction(v)) for _, v in row.point)))
+    return VerificationReport(tuple(rows))
+
+
+class TestRowOrder:
+    def _grids(self):
+        rng = random.Random(9)
+        axes = {f.name: getattr(SMALL_GRID, f.name) for f in fields(GridSpec)}
+        shuffled = {k: tuple(rng.sample(v, len(v))) for k, v in axes.items() if type(v) is tuple}
+        return [replace(SMALL_GRID, **shuffled), replace(SMALL_GRID, xs=(2, 1, 1), rs=(1, 0, 1))]
+
+    def test_matches_per_row_sort_key(self):
+        for grid in self._grids():
+            expected = emit_report(_rows_sorted_per_row(grid), "csv")
+            assert emit_report(run_claims(grid=grid), "csv") == expected, grid
 
 
 class TestSerialization:
