@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .bell import _lambda1, bell_egf
 from .exact import ParamSet, falling, narrow
@@ -91,6 +91,11 @@ def w_explicit(b, n: int, f: int) -> Fraction:
     """Fixed expanded forms of W(n, f) for f <= 5 over the base b_0..b_6 (at
     least), evaluated literally.
 
+    Each term b1^(n-excess) prod b_i / (head! (n-excess)!) is summed as an
+    integer multiple of c1^(n-excess) prod c_i over c_i = i! b_i, as in
+    ``w_from_base``, and the sum is divided once by the lcm of the term
+    denominators.
+
     The f = 4 and f = 5 forms deviate from the generic partition sum in
     specific terms (marked below); they exist so the harness can record
     exactly where, and must not be "corrected"."""
@@ -98,42 +103,47 @@ def w_explicit(b, n: int, f: int) -> Fraction:
         raise ValueError("expanded forms exist only for f <= 5")
     if f < 0 or n < 0:
         raise ValueError("n and f must be nonnegative")
+    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]
+    terms = []  # (denominator, numerator)
 
-    def term(head: int, excess: int, *factors) -> Fraction:
-        # 1/(head! * (n-excess)!) * b1^(n-excess) * factors, dropped when n < excess
+    def term(head: int, excess: int, parts=(), over: int = 1) -> None:
+        # b1^(n-excess) * prod(b_i for i in parts) / (head! * (n-excess)! * over),
+        # dropped when n < excess
         if n - excess < 0:
-            return _ZERO
-        out = Fraction(1, factorial(head) * factorial(n - excess))
-        out *= b[1] ** (n - excess)
-        for fac in factors:
-            out *= fac
-        return out
+            return
+        den, num = factorial(head) * factorial(n - excess) * over, c[1] ** (n - excess)
+        for i in parts:
+            den *= factorial(i)
+            num *= c[i]
+        terms.append((den, num))
 
     if f == 0:
-        return term(0, 0)
-    if f == 1:
-        return term(0, 2, b[2])
-    if f == 2:
-        return term(0, 3, b[3]) + term(2, 4, b[2] ** 2)
-    if f == 3:
-        return term(0, 4, b[4]) + term(0, 5, b[2] * b[3]) + term(3, 6, b[2] ** 3)
-    if f == 4:
-        return (
-            term(0, 5, b[5])
-            + term(2, 6, b[3] ** 2)
-            + term(2, 7, b[2] ** 2 * (b[1] / 6))  # variant term: b1, not b3, over 3!
-            + term(4, 8, b[2] ** 4)
-            + term(2, 6, b[2] * b[4])  # variant term: carries an extra 1/2!
-        )
-    return (
-        term(0, 6, b[6])
-        + term(0, 7, b[2] * b[5])
-        + term(0, 7, b[4] * b[3])
-        + term(2, 8, b[2] ** 2)  # variant term: the b4 factor is absent
-        + term(2, 8, b[2] * b[3] ** 2)
-        + term(3, 9, b[2] ** 3 * b[3])
-        + term(5, 10, b[2] ** 5)
-    )
+        term(0, 0)
+    elif f == 1:
+        term(0, 2, (2,))
+    elif f == 2:
+        term(0, 3, (3,))
+        term(2, 4, (2, 2))
+    elif f == 3:
+        term(0, 4, (4,))
+        term(0, 5, (2, 3))
+        term(3, 6, (2, 2, 2))
+    elif f == 4:
+        term(0, 5, (5,))
+        term(2, 6, (3, 3))
+        term(2, 7, (2, 2, 1), over=6)  # variant term: b1, not b3, over 3!
+        term(4, 8, (2, 2, 2, 2))
+        term(2, 6, (2, 4))  # variant term: carries an extra 1/2!
+    else:
+        term(0, 6, (6,))
+        term(0, 7, (2, 5))
+        term(0, 7, (4, 3))
+        term(2, 8, (2, 2))  # variant term: the b4 factor is absent
+        term(2, 8, (2, 3, 3))
+        term(3, 9, (2, 2, 2, 3))
+        term(5, 10, (2, 2, 2, 2, 2))
+    common = lcm(*(den for den, _ in terms))
+    return Fraction(sum(common // den * num for den, num in terms), common)
 
 
 def expansion(b, delta, n: int, m: int) -> Fraction:

@@ -2,9 +2,24 @@
 
 Everything here is deliberately brute force: these are the oracles the
 formula routes are judged against, so they share no machinery with the
-series or closed-sum modules.  Each family has a hard size cap; exceeding a
-cap raises rather than silently truncating.  The ``DEBELL_MAX_ENUM``
-environment variable, when set to a nonnegative integer, replaces every cap.
+series or closed-sum modules.  Every structure is generated explicitly and
+visited once; no count comes from a recurrence or a closed form.
+
+Set partitions come from two independent generators.  ``_partitions_raw``
+builds the blocks recursively and feeds the listings and the direct route
+of ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
+growth strings iteratively, one list updated in place, and feeds the count
+tallies; there a partition's block count is its running maximum plus one,
+and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
+r-1.  So the direct and factored deranged-partition routes reach their
+partitions by different code.  Derangements are the permutations of
+``itertools.permutations`` with any fixed point filtered out in C; the
+direct route counts them once per block count within each call.
+
+Each family has a hard size cap; exceeding a cap raises rather than
+silently truncating.  The ``DEBELL_MAX_ENUM`` environment variable, when set
+to a nonnegative integer, replaces every cap.  A negative size raises
+``ValueError`` before the cap is checked.
 """
 
 from __future__ import annotations
@@ -13,6 +28,7 @@ import os
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial
+from operator import eq
 
 from .exact import binomial
 
@@ -29,6 +45,12 @@ _DEFAULT_CAPS = {
     "r_derangements": 9,
     "r_deranged_partitions": 8,
 }
+
+
+def _check_sizes(**sizes) -> None:
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _check_cap(family: str, size: int) -> None:
@@ -101,24 +123,47 @@ def _partitions_raw(n: int):
 
 def set_partitions(n: int):
     """Yield every set partition of [n] in standard form."""
+    _check_sizes(n=n)
     _check_cap("set_partitions", n)
     yield from _partitions_raw(n)
 
 
-@lru_cache(maxsize=None)
-def _partition_tally(n: int) -> dict:
-    counts: dict = {}
-    for p in _partitions_raw(n):
-        counts[len(p)] = counts.get(len(p), 0) + 1
-    return counts
+def _growth_strings(n: int):
+    """Every restricted growth string of length n, in lexicographic order.
+
+    a[i] is the block of element i+1 (blocks numbered by their minima) and
+    top[i] = max(a[:i+1]).  Yields the same (a, top) pair each time, updated
+    in place; read it before advancing.
+    """
+    a = [0] * n
+    top = [0] * n
+    state = (a, top)
+    if n < 2:
+        yield state
+        return
+    last = n - 1
+    while True:
+        yield state
+        # the rightmost position that can still grow: a[i] <= top[i-1]
+        i = last
+        while a[i] > top[i - 1]:
+            i -= 1
+            if i == 0:
+                return
+        a[i] += 1
+        t = top[i] = max(top[i - 1], a[i])
+        for j in range(i + 1, n):
+            a[j] = 0
+            top[j] = t
 
 
 def set_partitions_count(n: int, k: int) -> int:
     """Number of partitions of [n] into exactly k nonempty blocks, by generation."""
+    _check_sizes(n=n)
     _check_cap("set_partitions", n)
     if k < 0:
         return 0
-    return _partition_tally(n).get(k, 0)
+    return _r_stirling_tally(n, 0).get(k, 0)
 
 
 def _block_index(p, e: int) -> int:
@@ -138,17 +183,27 @@ def _first_r_separated(p, r: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _r_stirling_tally(total: int, r: int) -> dict:
+    """Block-count tally of the partitions of [total] with 1..r in distinct
+    blocks, one growth string at a time."""
+    if r > total:
+        return {}
+    if total == 0:
+        return {0: 1}
     counts: dict = {}
-    for p in _partitions_raw(total):
-        if _first_r_separated(p, r):
-            counts[len(p)] = counts.get(len(p), 0) + 1
+    head = list(range(r))
+    last = total - 1
+    for a, top in _growth_strings(total):
+        if a[:r] == head:
+            k = top[last] + 1
+            counts[k] = counts.get(k, 0) + 1
     return counts
 
 
 def r_stirling_count(n: int, k: int, r: int) -> int:
     """Partitions of [n+r] into k+r blocks with 1..r in pairwise distinct blocks."""
+    _check_sizes(n=n, r=r)
     _check_cap("r_stirling", n + r)
-    if k + r < 0:
+    if k < 0:
         return 0
     return _r_stirling_tally(n + r, r).get(k + r, 0)
 
@@ -159,8 +214,9 @@ def r_stirling_count(n: int, k: int, r: int) -> int:
 def ordered_partitions_count(n: int) -> int:
     """Number of ordered set partitions of [n]: each generated partition
     contributes one arrangement per permutation of its blocks."""
+    _check_sizes(n=n)
     _check_cap("ordered", n)
-    return sum(factorial(k) * c for k, c in sorted(_partition_tally(n).items()))
+    return sum(factorial(k) * c for k, c in sorted(_r_stirling_tally(n, 0).items()))
 
 
 def barred_count(n: int, lam: int) -> int:
@@ -168,14 +224,16 @@ def barred_count(n: int, lam: int) -> int:
     blocks (lam sections); the bar placements contribute C(k+lam-1, lam-1)."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
+    _check_sizes(n=n)
     _check_cap("barred", n)
     return sum(
         binomial(k + lam - 1, lam - 1) * factorial(k) * c
-        for k, c in sorted(_partition_tally(n).items())
+        for k, c in sorted(_r_stirling_tally(n, 0).items())
     )
 
 
 def iter_ordered_partitions(n: int):
+    _check_sizes(n=n)
     _check_cap("ordered", n)
     for p in _partitions_raw(n):
         yield from permutations(p)
@@ -185,6 +243,7 @@ def iter_barred(n: int, lam: int):
     """Yield barred arrangements as tuples of sections (each a tuple of blocks)."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
+    _check_sizes(n=n)
     _check_cap("barred", n)
     for p in _partitions_raw(n):
         k = len(p)
@@ -199,35 +258,40 @@ def iter_barred(n: int, lam: int):
 
 
 def _derangements(m: int, r: int):
-    """Derangements of 0..m-1 (tuples of images) with 0..r-1 in distinct cycles."""
-    for sigma in permutations(range(m)):
-        if any(sigma[i] == i for i in range(m)):
+    """Derangements of 0..m-1 (tuples of images) with 0..r-1 in distinct
+    cycles, in the lexicographic order of ``permutations``."""
+    points = range(m)
+    for sigma in permutations(points):
+        if any(map(eq, sigma, points)):
             continue
-        if r >= 2:
-            labels = [-1] * m
-            cid = 0
-            for start in range(m):
-                if labels[start] >= 0:
-                    continue
-                e = start
-                while labels[e] < 0:
-                    labels[e] = cid
-                    e = sigma[e]
-                cid += 1
-            if len({labels[i] for i in range(r)}) != r:
-                continue
+        if r >= 2 and not _cycles_apart(sigma, r):
+            continue
         yield sigma
+
+
+def _cycles_apart(sigma, r: int) -> bool:
+    """Whether 0..r-1 lie in pairwise distinct cycles of sigma: the walk
+    round the cycle of each s < r-1 meets no other element below r."""
+    for s in range(r - 1):
+        e = sigma[s]
+        while e >= r:
+            e = sigma[e]
+        if e != s:
+            return False
+    return True
 
 
 def r_derangements_enum(k: int, r: int) -> int:
     """Permutations of [k+r] with no fixed point and 1..r in pairwise
     distinct cycles, counted by explicit generation."""
+    _check_sizes(k=k, r=r)
     _check_cap("r_derangements", k + r)
     return sum(1 for _ in _derangements(k + r, r))
 
 
 def iter_r_derangements(k: int, r: int):
     """Yield each r-derangement of [k+r] as a tuple of 1-indexed images."""
+    _check_sizes(k=k, r=r)
     _check_cap("r_derangements", k + r)
     for sigma in _derangements(k + r, r):
         yield tuple(e + 1 for e in sigma)
@@ -242,15 +306,22 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
     the r distinguished blocks in distinct cycles.
 
     Computed twice, directly and in the factored form (separated-partition
-    tallies times derangement counts); the two totals must agree.
+    tallies times derangement counts); the two totals must agree.  The direct
+    route generates the derangements of k blocks once per block count k seen
+    in this call, since their number depends on k and r alone.
     """
+    _check_sizes(n=n, r=r)
     _check_cap("r_deranged_partitions", n + r)
     total = n + r
     direct = 0
+    per_blocks: dict = {}
     for p in _partitions_raw(total):
         if not _first_r_separated(p, r):
             continue
-        direct += sum(1 for _ in _derangements(len(p), r))
+        k = len(p)
+        if k not in per_blocks:
+            per_blocks[k] = sum(1 for _ in _derangements(k, r))
+        direct += per_blocks[k]
     factored = sum(
         r_stirling_count(n, i, r) * r_derangements_enum(i, r) for i in range(n + 1)
     )
@@ -264,6 +335,7 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
 
 def iter_r_deranged_partitions(n: int, r: int):
     """Yield each deranged arrangement as the permuted block sequence."""
+    _check_sizes(n=n, r=r)
     _check_cap("r_deranged_partitions", n + r)
     for p in _partitions_raw(n + r):
         if not _first_r_separated(p, r):
@@ -306,6 +378,7 @@ def list_arrangements(family: str, **point):
             yield format_blocks(arranged)
     elif family == "r-stirling":
         k, r = point["k"], point["r"]
+        _check_sizes(n=point["n"], r=r)
         for p in set_partitions(point["n"] + r):
             if len(p) == k + r and _first_r_separated(p, r):
                 yield format_blocks(p)

@@ -1,0 +1,65 @@
+"""Every brute-force enumerator at its full default cap against its formula route.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/oracle_sweep.py
+
+It checks 372 points (set partitions for n <= 10; r-Stirling for n+r <= 10
+with r <= 3; ordered and barred arrangements, lam 1..3, for n <= 9;
+r-derangements for k+r <= 9 with r <= 3; deranged partitions for n+r <= 8
+with r <= 3), prints every mismatch and exits 1 if there is any.  pytest
+does not collect this file: the full sweep is too slow for tier-1.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+from debell import bell, derangements, enumeration, stirling
+from debell.exact import ParamSet
+
+
+def sweep():
+    """Yield (label, enumerated count, formula value) for every point."""
+    for n in range(11):
+        for k in range(n + 1):
+            yield (f"set_partitions_count({n}, {k})", enumeration.set_partitions_count(n, k),
+                   stirling.stirling_rec(n, k, 0, 1, 0))
+    for r in range(4):
+        for n in range(11 - r):
+            for k in range(n + 1):
+                yield (f"r_stirling_count({n}, {k}, {r})", enumeration.r_stirling_count(n, k, r),
+                       stirling.stirling_rec(n, k, 0, 1, r))
+    for n in range(10):
+        yield (f"ordered_partitions_count({n})", enumeration.ordered_partitions_count(n),
+               bell.omega(n, ParamSet.make(lam=1)))
+        for lam in (1, 2, 3):
+            yield (f"barred_count({n}, {lam})", enumeration.barred_count(n, lam),
+                   bell.omega(n, ParamSet.make(lam=lam)))
+    for r in range(4):
+        for k in range(10 - r):
+            yield (f"r_derangements_enum({k}, {r})", enumeration.r_derangements_enum(k, r),
+                   derangements.r_derangement(k, r))
+    for r in range(4):
+        for n in range(9 - r):
+            yield (f"r_deranged_partitions_enum({n}, {r})",
+                   enumeration.r_deranged_partitions_enum(n, r),
+                   bell.deranged_bell_classic(n, r))
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    checked = mismatched = 0
+    for label, count, formula in sweep():
+        checked += 1
+        if count != formula:
+            mismatched += 1
+            print(f"MISMATCH {label}: enumerated {count}, formula {formula}")
+    elapsed = time.perf_counter() - t0
+    print(f"{checked} checks, {mismatched} mismatches, {elapsed:.1f} s")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,7 +71,59 @@ def w_cases(draw):
     return [Fraction(draw(st.sampled_from((0, 1))))] + rest, n, draw(st.integers(0, n - 1))
 
 
+def _w_explicit_oracle(b, n, f):
+    # the expanded forms term by term in Fractions, as written before the
+    # integer sum: 1/(head! (n-excess)!) * b1^(n-excess) * factors
+    def term(head, excess, *factors):
+        if n - excess < 0:
+            return Fraction(0)
+        out = Fraction(1, factorial(head) * factorial(n - excess))
+        out *= b[1] ** (n - excess)
+        for fac in factors:
+            out *= fac
+        return out
+
+    if f == 0:
+        return term(0, 0)
+    if f == 1:
+        return term(0, 2, b[2])
+    if f == 2:
+        return term(0, 3, b[3]) + term(2, 4, b[2] ** 2)
+    if f == 3:
+        return term(0, 4, b[4]) + term(0, 5, b[2] * b[3]) + term(3, 6, b[2] ** 3)
+    if f == 4:
+        return (
+            term(0, 5, b[5])
+            + term(2, 6, b[3] ** 2)
+            + term(2, 7, b[2] ** 2 * (b[1] / 6))
+            + term(4, 8, b[2] ** 4)
+            + term(2, 6, b[2] * b[4])
+        )
+    return (
+        term(0, 6, b[6])
+        + term(0, 7, b[2] * b[5])
+        + term(0, 7, b[4] * b[3])
+        + term(2, 8, b[2] ** 2)
+        + term(2, 8, b[2] * b[3] ** 2)
+        + term(3, 9, b[2] ** 3 * b[3])
+        + term(5, 10, b[2] ** 5)
+    )
+
+
+@st.composite
+def w_explicit_cases(draw):
+    base = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=7, max_size=7))
+    return base, draw(st.integers(0, 10)), draw(st.integers(0, 5))
+
+
 class TestWCoefficients:
+    @given(w_explicit_cases())
+    def test_explicit_matches_term_by_term_oracle(self, case):
+        b, n, f = case
+        w = w_explicit(b, n, f)
+        assert type(w) is Fraction
+        assert w == _w_explicit_oracle(b, n, f)
+
     @given(w_cases())
     def test_matches_factor_by_factor_oracle(self, case):
         b, n, f = case  # b_0 is 1 or 0; W(n, f) never reads it

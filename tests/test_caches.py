@@ -9,7 +9,6 @@ import debell
 ALLOWED = [
     "_bell_egf",
     "_lambda1",
-    "_partition_tally",
     "_r_stirling_tally",
     "claim_registry",
     "derangement",

@@ -1,8 +1,15 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 
 from debell.enumeration import (
     FAMILIES,
     EnumerationCapError,
+    _derangements,
+    _first_r_separated,
+    _partitions_raw,
+    _r_stirling_tally,
     barred_count,
     format_blocks,
     format_cycles,
@@ -197,3 +204,101 @@ class TestTypesAndFormatting:
         assert len(list(list_arrangements("barred", n=2, lam=2))) == 8
         with pytest.raises(ValueError):
             list(list_arrangements("unknown-family", n=1))
+
+
+class TestGenerators:
+    def test_listing_bytes_are_pinned(self):
+        # sha256 of every listed line plus "\n", in a fixed family order, as
+        # generated before the tallies moved to growth strings
+        digest, lines = hashlib.sha256(), 0
+
+        def feed(family, **point):
+            nonlocal lines
+            for line in list_arrangements(family, **point):
+                digest.update((line + "\n").encode())
+                lines += 1
+
+        for n in range(6):
+            for k in range(n + 1):
+                feed("set-partitions", n=n, k=k)
+            feed("ordered", n=n)
+            for lam in (1, 2, 3):
+                feed("barred", n=n, lam=lam)
+            for r in range(3):
+                feed("r-derangements", k=n, r=r)
+                feed("r-deranged-partitions", n=n, r=r)
+                for k in range(n + 1):
+                    feed("r-stirling", n=n, k=k, r=r)
+        assert lines == 22365
+        assert digest.hexdigest() == "58aa7eeb9f4555a0f35c233c0f5834be1743043cdd294ebcfa19bbb87ae4cbf4"
+
+    def test_growth_string_tallies_match_block_generation(self):
+        # the tallies walk growth strings; the recursive block generator with
+        # the block-membership test is an independent route to the same counts
+        for total in range(10):
+            partitions = list(_partitions_raw(total))
+            for r in range(4):
+                expected = {}
+                for p in partitions:
+                    if r <= total and _first_r_separated(p, r):
+                        expected[len(p)] = expected.get(len(p), 0) + 1
+                assert _r_stirling_tally(total, r) == expected, (total, r)
+
+    def test_derangements_match_cycle_labelling(self):
+        def labelled(m, r):
+            # every cycle labelled, then 0..r-1 checked for distinct labels
+            for sigma in permutations(range(m)):
+                if any(sigma[i] == i for i in range(m)):
+                    continue
+                labels = [-1] * m
+                cid = 0
+                for start in range(m):
+                    if labels[start] >= 0:
+                        continue
+                    e = start
+                    while labels[e] < 0:
+                        labels[e] = cid
+                        e = sigma[e]
+                    cid += 1
+                if len({labels[i] for i in range(r)}) == r:
+                    yield sigma
+
+        for m in range(9):
+            for r in range(min(3, m) + 1):
+                assert list(_derangements(m, r)) == list(labelled(m, r)), (m, r)
+
+
+NEGATIVE_SIZES = [
+    (set_partitions_count, (-1, 0), "n"),
+    (r_stirling_count, (-1, 0, 0), "n"),
+    (r_stirling_count, (2, 0, -1), "r"),
+    (ordered_partitions_count, (-1,), "n"),
+    (barred_count, (-3, 2), "n"),
+    (r_derangements_enum, (-1, 0), "k"),
+    (r_derangements_enum, (0, -2), "r"),
+    (r_deranged_partitions_enum, (-1, 0), "n"),
+    (r_deranged_partitions_enum, (2, -1), "r"),
+    (lambda n: list(set_partitions(n)), (-1,), "n"),
+    (lambda n: list(iter_ordered_partitions(n)), (-1,), "n"),
+    (lambda n, lam: list(iter_barred(n, lam)), (-1, 2), "n"),
+    (lambda k, r: list(iter_r_derangements(k, r)), (-1, 0), "k"),
+    (lambda k, r: list(iter_r_derangements(k, r)), (2, -1), "r"),
+    (lambda n, r: list(iter_r_deranged_partitions(n, r)), (-1, 0), "n"),
+    (lambda n, r: list(iter_r_deranged_partitions(n, r)), (2, -1), "r"),
+    (lambda n, k, r: list(list_arrangements("r-stirling", n=n, k=k, r=r)), (-1, 0, 2), "n"),
+    (lambda n, k, r: list(list_arrangements("r-stirling", n=n, k=k, r=r)), (2, 0, -1), "r"),
+]
+
+
+class TestNegativeSizes:
+    @pytest.mark.parametrize("fn, args, name", NEGATIVE_SIZES)
+    def test_rejected_before_the_cap(self, monkeypatch, fn, args, name):
+        monkeypatch.setenv("DEBELL_MAX_ENUM", "0")  # a cap check first would raise the cap error
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative") as info:
+            fn(*args)
+        assert not isinstance(info.value, EnumerationCapError)
+
+    def test_negative_block_count_is_zero(self):
+        assert set_partitions_count(4, -1) == 0
+        assert r_stirling_count(3, -1, 2) == 0
+        assert r_stirling_count(0, -3, 3) == 0
