@@ -32,7 +32,6 @@ from .enumeration import (
     r_derangements_enum,
     r_deranged_partitions_enum,
     r_stirling_count,
-    set_partitions,
     set_partitions_count,
 )
 from .exact import ParamSet, binomial, falling, format_rat, gen_falling
@@ -76,7 +75,6 @@ __all__ = [
     "r_deranged_partitions_enum",
     "r_stirling_count",
     "run_claims",
-    "set_partitions",
     "set_partitions_count",
     "stirling_egf",
     "stirling_rec",

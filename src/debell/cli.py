@@ -174,22 +174,22 @@ def omega_cmd(n, alpha, beta, gamma, x, lam, fmt, out):
 @_output_options
 def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     """Brute-force counts (and listings) of the combinatorial families."""
-    fields, counter = enumeration.FAMILIES[family]
+    spec = enumeration.FAMILIES[family]
     given = {"n": n, "k": k, "r": r, "lam": lam}
     source = click.get_current_context().get_parameter_source
     for name, value in given.items():
         flag = "--lambda" if name == "lam" else f"--{name}"
-        if name in fields and value is None:
+        if name in spec.fields and value is None:
             raise click.UsageError(f"{flag} is required for {family}")
-        if name not in fields and source(name) is ParameterSource.COMMANDLINE:
+        if name not in spec.fields and source(name) is ParameterSource.COMMANDLINE:
             raise click.UsageError(f"{flag} does not apply to {family}")
-    point = {name: given[name] for name in fields}
+    point = {name: given[name] for name in spec.fields}
     if list_items:
         if fmt != "plain":
             raise click.UsageError("--list prints plain lines only; drop --format")
-        _emit(fmt, out, None, _run(lambda: list(enumeration.list_arrangements(family, **point))))
+        _emit(fmt, out, None, _run(lambda: list(spec.lines(**point))))
         return
-    count = _run(counter, *point.values())
+    count = _run(spec.count, *point.values())
     doc = {"command": "enumerate", "family": family, "point": point, "count": count}
     keys = sorted(point)
     csv_lines = [
@@ -246,6 +246,8 @@ def verify_cmd(claims, fmt, out, max_n):
     its points, 1 otherwise.
     """
     ids = None if claims is None else [c.strip() for c in claims.split(",") if c.strip()]
+    if ids == []:
+        raise click.UsageError("--claims names no claim id")
     grid = verify.GridSpec.default() if max_n is None else verify.GridSpec(max_n=max_n)
     try:
         report = verify.run_claims(ids, grid)

@@ -6,20 +6,22 @@ series or closed-sum modules.  Every structure is generated explicitly and
 visited once; no count comes from a recurrence or a closed form.
 
 Set partitions come from two independent generators.  ``_partitions_raw``
-builds the blocks recursively and feeds the listings and the direct route
-of ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
+builds the blocks recursively, only those with a given block count when
+asked, and feeds the listings and the direct route of
+``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
 growth strings iteratively, one list updated in place, and feeds the count
 tallies; there a partition's block count is its running maximum plus one,
 and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
 r-1.  So the direct and factored deranged-partition routes reach their
 partitions by different code.  Derangements are the permutations of
 ``itertools.permutations`` with any fixed point filtered out in C; the
-direct route counts them once per block count within each call.
+direct route counts them once per block count.
 
-Each family has a hard size cap; exceeding a cap raises rather than
-silently truncating.  The ``DEBELL_MAX_ENUM`` environment variable, when set
-to a nonnegative integer, replaces every cap.  A negative size raises
-``ValueError`` before the cap is checked.
+``FAMILIES`` states each family's point fields, hard size cap, counter and
+text lister; exceeding a cap raises rather than silently truncating.  The
+``DEBELL_MAX_ENUM`` environment variable, when set to a nonnegative integer,
+replaces every cap.  A negative size raises ``ValueError`` before the cap is
+checked.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 from operator import eq
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import binomial
 
@@ -37,24 +40,12 @@ class EnumerationCapError(ValueError):
     """The requested size exceeds the family's enumeration cap."""
 
 
-_DEFAULT_CAPS = {
-    "set_partitions": 10,
-    "r_stirling": 10,
-    "ordered": 9,
-    "barred": 9,
-    "r_derangements": 9,
-    "r_deranged_partitions": 8,
-}
-
-
-def _check_sizes(**sizes) -> None:
+def _check(family: str, size: int, **sizes) -> None:
+    """Reject a negative entry of ``sizes``, then a ``size`` past the family's cap."""
     for name, value in sizes.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-def _check_cap(family: str, size: int) -> None:
-    cap = _DEFAULT_CAPS[family]
+    cap = FAMILIES[family].cap
     override = os.environ.get("DEBELL_MAX_ENUM")
     if override is not None:
         if not override.isdecimal():
@@ -93,39 +84,37 @@ def format_cycles(perm) -> str:
 # -- set partitions -----------------------------------------------------------
 
 
-def _partitions_raw(n: int):
-    """All partitions of [n] as tuples of tuples, in standard form.
+def _partitions_raw(n: int, k: int | None = None):
+    """All partitions of [n] as tuples of tuples, in standard form; only
+    those with exactly k blocks when k is given.
 
     Elements are inserted in increasing order, so blocks are born sorted and
     the block list is automatically ordered by minima; no arrangement is ever
-    produced twice.
+    produced twice.  With k, no block is opened past the k-th, and an element
+    joins an existing block only if the elements after it can still open the
+    blocks missing; so every branch walked ends in a k-block partition, and
+    they come in the order of the unbounded walk.
     """
-    if n == 0:
-        yield ()
+    if k is not None and not 0 <= k <= n:
         return
-
+    most, least = (n, 0) if k is None else (k, k)
     blocks: list = []
 
     def rec(i):
         if i > n:
             yield tuple(tuple(b) for b in blocks)
             return
-        for b in blocks:
-            b.append(i)
+        if n - i >= least - len(blocks):
+            for b in blocks:
+                b.append(i)
+                yield from rec(i + 1)
+                b.pop()
+        if len(blocks) < most:
+            blocks.append([i])
             yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
+            blocks.pop()
 
     yield from rec(1)
-
-
-def set_partitions(n: int):
-    """Yield every set partition of [n] in standard form."""
-    _check_sizes(n=n)
-    _check_cap("set_partitions", n)
-    yield from _partitions_raw(n)
 
 
 def _growth_strings(n: int):
@@ -159,8 +148,7 @@ def _growth_strings(n: int):
 
 def set_partitions_count(n: int, k: int) -> int:
     """Number of partitions of [n] into exactly k nonempty blocks, by generation."""
-    _check_sizes(n=n)
-    _check_cap("set_partitions", n)
+    _check("set-partitions", n, n=n)
     if k < 0:
         return 0
     return _r_stirling_tally(n, 0).get(k, 0)
@@ -201,8 +189,7 @@ def _r_stirling_tally(total: int, r: int) -> dict:
 
 def r_stirling_count(n: int, k: int, r: int) -> int:
     """Partitions of [n+r] into k+r blocks with 1..r in pairwise distinct blocks."""
-    _check_sizes(n=n, r=r)
-    _check_cap("r_stirling", n + r)
+    _check("r-stirling", n + r, n=n, r=r)
     if k < 0:
         return 0
     return _r_stirling_tally(n + r, r).get(k + r, 0)
@@ -214,8 +201,7 @@ def r_stirling_count(n: int, k: int, r: int) -> int:
 def ordered_partitions_count(n: int) -> int:
     """Number of ordered set partitions of [n]: each generated partition
     contributes one arrangement per permutation of its blocks."""
-    _check_sizes(n=n)
-    _check_cap("ordered", n)
+    _check("ordered", n, n=n)
     return sum(factorial(k) * c for k, c in sorted(_r_stirling_tally(n, 0).items()))
 
 
@@ -224,8 +210,7 @@ def barred_count(n: int, lam: int) -> int:
     blocks (lam sections); the bar placements contribute C(k+lam-1, lam-1)."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    _check_sizes(n=n)
-    _check_cap("barred", n)
+    _check("barred", n, n=n)
     return sum(
         binomial(k + lam - 1, lam - 1) * factorial(k) * c
         for k, c in sorted(_r_stirling_tally(n, 0).items())
@@ -233,8 +218,7 @@ def barred_count(n: int, lam: int) -> int:
 
 
 def iter_ordered_partitions(n: int):
-    _check_sizes(n=n)
-    _check_cap("ordered", n)
+    _check("ordered", n, n=n)
     for p in _partitions_raw(n):
         yield from permutations(p)
 
@@ -243,8 +227,7 @@ def iter_barred(n: int, lam: int):
     """Yield barred arrangements as tuples of sections (each a tuple of blocks)."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    _check_sizes(n=n)
-    _check_cap("barred", n)
+    _check("barred", n, n=n)
     for p in _partitions_raw(n):
         k = len(p)
         for arranged in permutations(p):
@@ -284,15 +267,13 @@ def _cycles_apart(sigma, r: int) -> bool:
 def r_derangements_enum(k: int, r: int) -> int:
     """Permutations of [k+r] with no fixed point and 1..r in pairwise
     distinct cycles, counted by explicit generation."""
-    _check_sizes(k=k, r=r)
-    _check_cap("r_derangements", k + r)
+    _check("r-derangements", k + r, k=k, r=r)
     return sum(1 for _ in _derangements(k + r, r))
 
 
 def iter_r_derangements(k: int, r: int):
     """Yield each r-derangement of [k+r] as a tuple of 1-indexed images."""
-    _check_sizes(k=k, r=r)
-    _check_cap("r_derangements", k + r)
+    _check("r-derangements", k + r, k=k, r=r)
     for sigma in _derangements(k + r, r):
         yield tuple(e + 1 for e in sigma)
 
@@ -307,21 +288,17 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
 
     Computed twice, directly and in the factored form (separated-partition
     tallies times derangement counts); the two totals must agree.  The direct
-    route generates the derangements of k blocks once per block count k seen
-    in this call, since their number depends on k and r alone.
+    route walks the k-block partitions once per block count k and generates
+    the derangements of k blocks once, since their number depends on k and r
+    alone.
     """
-    _check_sizes(n=n, r=r)
-    _check_cap("r_deranged_partitions", n + r)
+    _check("r-deranged-partitions", n + r, n=n, r=r)
     total = n + r
-    direct = 0
-    per_blocks: dict = {}
-    for p in _partitions_raw(total):
-        if not _first_r_separated(p, r):
-            continue
-        k = len(p)
-        if k not in per_blocks:
-            per_blocks[k] = sum(1 for _ in _derangements(k, r))
-        direct += per_blocks[k]
+    direct = sum(
+        sum(1 for p in _partitions_raw(total, k) if _first_r_separated(p, r))
+        * sum(1 for _ in _derangements(k, r))
+        for k in range(r, total + 1)
+    )
     factored = sum(
         r_stirling_count(n, i, r) * r_derangements_enum(i, r) for i in range(n + 1)
     )
@@ -335,8 +312,7 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
 
 def iter_r_deranged_partitions(n: int, r: int):
     """Yield each deranged arrangement as the permuted block sequence."""
-    _check_sizes(n=n, r=r)
-    _check_cap("r_deranged_partitions", n + r)
+    _check("r-deranged-partitions", n + r, n=n, r=r)
     for p in _partitions_raw(n + r):
         if not _first_r_separated(p, r):
             continue
@@ -346,41 +322,51 @@ def iter_r_deranged_partitions(n: int, r: int):
 
 # -- the family table ---------------------------------------------------------
 
-# family -> (point fields, counter); the counter takes the fields in this order.
+
+def _set_partition_lines(n: int, k: int):
+    _check("set-partitions", n, n=n)
+    return map(format_blocks, _partitions_raw(n, k))
+
+
+def _r_stirling_lines(n: int, k: int, r: int):
+    _check("r-stirling", n + r, n=n, r=r)
+    return (format_blocks(p) for p in _partitions_raw(n + r, k + r) if _first_r_separated(p, r))
+
+
+class Family(NamedTuple):
+    """A counted family.  ``count`` and ``lines`` take the point ``fields``
+    in this order; ``cap`` bounds the family's size (n, n+r or k+r)."""
+
+    fields: tuple
+    cap: int
+    count: Callable[..., int]
+    lines: Callable[..., Iterator[str]]
+
+
 FAMILIES = {
-    "set-partitions": (("n", "k"), set_partitions_count),
-    "r-stirling": (("n", "k", "r"), r_stirling_count),
-    "ordered": (("n",), ordered_partitions_count),
-    "barred": (("n", "lam"), barred_count),
-    "r-derangements": (("k", "r"), r_derangements_enum),
-    "r-deranged-partitions": (("n", "r"), r_deranged_partitions_enum),
+    "set-partitions": Family(("n", "k"), 10, set_partitions_count, _set_partition_lines),
+    "r-stirling": Family(("n", "k", "r"), 10, r_stirling_count, _r_stirling_lines),
+    "ordered": Family(
+        ("n",), 9, ordered_partitions_count,
+        lambda n: map(format_blocks, iter_ordered_partitions(n)),
+    ),
+    "barred": Family(
+        ("n", "lam"), 9, barred_count,
+        lambda n, lam: map(format_sections, iter_barred(n, lam)),
+    ),
+    "r-derangements": Family(
+        ("k", "r"), 9, r_derangements_enum,
+        lambda k, r: map(format_cycles, iter_r_derangements(k, r)),
+    ),
+    "r-deranged-partitions": Family(
+        ("n", "r"), 8, r_deranged_partitions_enum,
+        lambda n, r: map(format_blocks, iter_r_deranged_partitions(n, r)),
+    ),
 }
 
 
-def list_arrangements(family: str, **point):
-    """Yield canonical text lines for a family's arrangements."""
-    if family == "set-partitions":
-        k = point["k"]
-        for p in set_partitions(point["n"]):
-            if len(p) == k:
-                yield format_blocks(p)
-    elif family == "ordered":
-        for arranged in iter_ordered_partitions(point["n"]):
-            yield format_blocks(arranged)
-    elif family == "barred":
-        for sections in iter_barred(point["n"], point["lam"]):
-            yield format_sections(sections)
-    elif family == "r-derangements":
-        for perm in iter_r_derangements(point["k"], point["r"]):
-            yield format_cycles(perm)
-    elif family == "r-deranged-partitions":
-        for arranged in iter_r_deranged_partitions(point["n"], point["r"]):
-            yield format_blocks(arranged)
-    elif family == "r-stirling":
-        k, r = point["k"], point["r"]
-        _check_sizes(n=point["n"], r=r)
-        for p in set_partitions(point["n"] + r):
-            if len(p) == k + r and _first_r_separated(p, r):
-                yield format_blocks(p)
-    else:
+def list_arrangements(family: str, **point) -> Iterator[str]:
+    """Canonical text lines for a family's arrangements, one per arrangement."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
+    return FAMILIES[family].lines(**point)

@@ -4,11 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-It checks 372 points (set partitions for n <= 10; r-Stirling for n+r <= 10
+It checks 410 points (set partitions for n <= 10; r-Stirling for n+r <= 10
 with r <= 3; ordered and barred arrangements, lam 1..3, for n <= 9;
 r-derangements for k+r <= 9 with r <= 3; deranged partitions for n+r <= 8
-with r <= 3), prints every mismatch and exits 1 if there is any.  pytest
-does not collect this file: the full sweep is too slow for tier-1.
+with r <= 3; then the listing lengths against the counters, for set
+partitions at n = 10 and every k, and r-Stirling at n+r = 9 with r <= 2),
+prints every mismatch and exits 1 if there is any.  pytest does not collect
+this file: the full sweep is too slow for tier-1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from debell.exact import ParamSet
 
 
 def sweep():
-    """Yield (label, enumerated count, formula value) for every point."""
+    """Yield (label, enumerated count, reference value) for every point: the
+    formula value for a count, the count for a listing's length."""
     for n in range(11):
         for k in range(n + 1):
             yield (f"set_partitions_count({n}, {k})", enumeration.set_partitions_count(n, k),
@@ -46,6 +49,16 @@ def sweep():
             yield (f"r_deranged_partitions_enum({n}, {r})",
                    enumeration.r_deranged_partitions_enum(n, r),
                    bell.deranged_bell_classic(n, r))
+    for k in range(11):
+        yield (f"len(set-partitions listing, n=10, k={k})",
+               sum(1 for _ in enumeration.list_arrangements("set-partitions", n=10, k=k)),
+               enumeration.set_partitions_count(10, k))
+    for r in range(3):
+        n = 9 - r
+        for k in range(n + 1):
+            yield (f"len(r-stirling listing, n={n}, k={k}, r={r})",
+                   sum(1 for _ in enumeration.list_arrangements("r-stirling", n=n, k=k, r=r)),
+                   enumeration.r_stirling_count(n, k, r))
 
 
 def main() -> int:
@@ -55,7 +68,7 @@ def main() -> int:
         checked += 1
         if count != formula:
             mismatched += 1
-            print(f"MISMATCH {label}: enumerated {count}, formula {formula}")
+            print(f"MISMATCH {label}: enumerated {count}, reference {formula}")
     elapsed = time.perf_counter() - t0
     print(f"{checked} checks, {mismatched} mismatches, {elapsed:.1f} s")
     return 1 if mismatched else 0

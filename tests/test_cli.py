@@ -189,6 +189,12 @@ class TestVerifyCommand:
         result = invoke("verify", "--claims", "NOPE")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("claims", [",", ""])
+    def test_empty_claim_list_is_usage_error(self, claims):
+        result = invoke("verify", "--claims", claims)
+        assert result.exit_code == 2
+        assert "--claims names no claim id" in result.stderr
+
     def test_markdown_format(self):
         result = invoke("verify", "--claims", "T5", "--max-n", "2", "--format", "markdown")
         assert "## T5" in result.output

@@ -23,7 +23,6 @@ from debell.enumeration import (
     r_derangements_enum,
     r_deranged_partitions_enum,
     r_stirling_count,
-    set_partitions,
     set_partitions_count,
 )
 
@@ -61,7 +60,7 @@ class TestSetPartitions:
 
     def test_generation_is_canonical(self):
         for n in range(7):
-            produced = list(set_partitions(n))
+            produced = list(_partitions_raw(n))
             assert len(set(produced)) == len(produced)
             for p in produced:
                 check_standard_form(p)
@@ -69,11 +68,18 @@ class TestSetPartitions:
     def test_totals_are_bell_numbers(self):
         bells = [1, 1, 2, 5, 15, 52, 203, 877]
         for n, expected in enumerate(bells):
-            assert sum(1 for _ in set_partitions(n)) == expected
+            assert sum(1 for _ in _partitions_raw(n)) == expected
 
     def test_cap(self):
-        with pytest.raises(EnumerationCapError):
+        # the error names the family as the CLI spells it
+        with pytest.raises(EnumerationCapError, match="^set-partitions: size 11 exceeds cap 10$"):
             set_partitions_count(11, 3)
+
+    def test_block_bounded_walk_is_the_filtered_walk(self):
+        for n in range(9):
+            partitions = list(_partitions_raw(n))
+            for k in range(-1, n + 2):
+                assert list(_partitions_raw(n, k)) == [p for p in partitions if len(p) == k], (n, k)
 
 
 class TestRStirling:
@@ -196,8 +202,8 @@ class TestTypesAndFormatting:
         assert format_cycles((2, 1, 4, 3)) == "(1 2)(3 4)"
 
     def test_tally_and_listing(self):
-        fields, counter = FAMILIES["set-partitions"]
-        assert fields == ("n", "k") and counter(4, 2) == 7
+        family = FAMILIES["set-partitions"]
+        assert family.fields == ("n", "k") and family.cap == 10 and family.count(4, 2) == 7
         listed = list(list_arrangements("set-partitions", n=3, k=2))
         assert sorted(listed) == ["{1,2}{3}", "{1,3}{2}", "{1}{2,3}"]
         assert len(set(listed)) == 3
@@ -278,7 +284,7 @@ NEGATIVE_SIZES = [
     (r_derangements_enum, (0, -2), "r"),
     (r_deranged_partitions_enum, (-1, 0), "n"),
     (r_deranged_partitions_enum, (2, -1), "r"),
-    (lambda n: list(set_partitions(n)), (-1,), "n"),
+    (lambda n: list(list_arrangements("set-partitions", n=n, k=0)), (-1,), "n"),
     (lambda n: list(iter_ordered_partitions(n)), (-1,), "n"),
     (lambda n, lam: list(iter_barred(n, lam)), (-1, 2), "n"),
     (lambda k, r: list(iter_r_derangements(k, r)), (-1, 0), "k"),

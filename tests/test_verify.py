@@ -9,6 +9,7 @@ from debell import bell
 from debell.exact import narrow
 from debell.verify import (
     EQUAL,
+    REQUIRED_EQUAL,
     SKIPPED,
     UNEQUAL,
     GridSpec,
@@ -75,6 +76,10 @@ class TestRegistry:
     def test_descriptions_present(self):
         for claim in claim_registry().values():
             assert claim.description
+
+    def test_required_equal_names_only_registered_claims(self):
+        # a renamed or misspelled key would silently drop out of the exit-code gate
+        assert set(REQUIRED_EQUAL) <= set(claim_registry())
 
 
 class TestPerPointEvaluation:
