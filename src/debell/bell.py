@@ -47,15 +47,21 @@ def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
     return [narrow(Fraction(ser.egf_coeff(n), s**n)) for n in range(n_max + 1)]
 
 
+def _section(xu: TruncatedSeries, e, c) -> TruncatedSeries:
+    """exp(-e X) / (1 - X)^c at X = x u, built as the single exponential
+    exp(-c log(1 - X) - e X); integer numerators stay ints."""
+    one = TruncatedSeries.one(xu.order)
+    return ((one - xu).log().scale(-c) - xu.scale(e)).exp()
+
+
 @lru_cache(maxsize=None)
 def _bell_egf(params: ParamSet, n_max: int) -> tuple:
-    order = n_max + 1  # spare position past anything read
+    """B[0..n_max] as head * (x u)^(r lam) * _section(x u, lam, (r+1) lam), read
+    at order n_max + 1 (a spare position past anything read)."""
+    order = n_max + 1
     s, head, xu = _rescaled(params, order)
     lam, r = params.lam, params.r
-    ser = head * xu.pow_int(r * lam)
-    ser = ser * xu.scale(-lam).exp()
-    one = TruncatedSeries.one(order)
-    ser = ser * (one - xu).log().scale(-(r + 1) * lam).exp()
+    ser = head * xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam)
     return tuple(_unscale(ser, s, n_max))
 
 
@@ -161,11 +167,10 @@ def omega(n: int, params: ParamSet) -> Fraction:
 
 
 def omega_egf(n_max: int, params: ParamSet) -> list:
-    """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam."""
-    order = n_max + 1
-    s, head, xu = _rescaled(params, order)
-    one = TruncatedSeries.one(order)
-    return _unscale(head * (one - xu).log().scale(-params.lam).exp(), s, n_max)
+    """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam: the
+    head times _section(x u, 0, lam), with no exponential term."""
+    s, head, xu = _rescaled(params, n_max + 1)
+    return _unscale(head * _section(xu, 0, params.lam), s, n_max)
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:

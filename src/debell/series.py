@@ -4,13 +4,17 @@ A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N, and the
 constructor takes these numerators a_0..a_N.  Every operation truncates at
 that order, and binary operations require equal orders.  A product is the
 binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse
-use the EGF forms of the O(N^2) differential recurrences.  Only inverse
-divides (by its constant term), so integer numerators stay ``int`` and no gcd
-is paid; other entries are ``Fraction``s.  There is deliberately no
-asymptotically fast multiplication.  Reading a series at t -> S t multiplies
-a_n by S^n; the family routes in ``bell`` use this to make rational weights
-integral.  ``egf_coeff(n)`` reads a_n back (an ``int`` where integral), and
-``coeffs`` gives the ordinary coefficients c_n as ``Fraction``s.
+use the EGF forms of the O(N^2) differential recurrences.  A product sums
+only up to the degree d (the last nonzero numerator) of its lower-degree
+operand, and log only up to the degree of its argument, so with a degree-d
+polynomial, the unit series included, each costs O(N d) coefficient products
+rather than O(N^2).  Only inverse divides (by its constant term), so
+integer numerators stay ``int`` and no gcd is paid; other entries are
+``Fraction``s.  There is deliberately no asymptotically fast multiplication.
+Reading a series at t -> S t multiplies a_n by S^n; the family routes in
+``bell`` use this to make rational weights integral.  ``egf_coeff(n)``
+reads a_n back (an ``int`` where integral), and ``coeffs`` gives the
+ordinary coefficients c_n as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ from .exact import as_rat, narrow
 def _next_row(row: list) -> list:
     """Row n+1 of Pascal's triangle from row n."""
     return [1, *map(add, row, row[1:]), 1]
+
+
+def _degree(nums) -> int:
+    """Index of the last nonzero entry of ``nums``, or -1 if there is none."""
+    d = len(nums) - 1
+    while d >= 0 and nums[d] == 0:
+        d -= 1
+    return d
 
 
 def _dot3(xs, ys, zs):
@@ -103,12 +115,19 @@ class TruncatedSeries:
         return TruncatedSeries(narrow(c * a) for a in self._a)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Binomial convolution.  The sum stops at the degree d (the last
+        nonzero numerator) of the lower-degree operand: O(N d) products."""
         self._same_order(other)
         a, b = self._a, other._a
+        if _degree(a) > _degree(b):
+            a, b = b, a
+        a = a[: _degree(a) + 1]
+        width = len(a)
         out, row = [], [1]
-        for n in range(len(a)):
-            out.append(_dot3(row, a, b[n::-1]))
-            row = _next_row(row)
+        for n in range(len(b)):
+            window = b[n::-1] if n < width else b[n : n - width : -1]  # b_n down to b_(n-d)
+            out.append(_dot3(row, a, window))
+            row = _next_row(row)[:width]
         return TruncatedSeries(out)
 
     def valuation(self):
@@ -149,14 +168,17 @@ class TruncatedSeries:
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant term 1.
-        g = log(f) from f' = g'f: g_{m+1} = f_{m+1} - sum_{k<m} C(m,k) g_{k+1} f_{m-k}."""
+        g = log(f) from f' = g'f: g_{m+1} = f_{m+1} - sum_{j=1}^{min(m,d)} C(m,j) f_j g_{m+1-j},
+        d the degree of f, so a polynomial f costs O(N d) products."""
         f = self._a
         if f[0] != 1:
             raise ValueError("log requires constant term 1")
+        d = _degree(f)
+        tail = f[1 : d + 1]
         out, row = [0], [1]
         for m in range(len(f) - 1):
-            out.append(f[m + 1] - _dot3(row, out[1:], f[m:0:-1]))
-            row = _next_row(row)
+            out.append(f[m + 1] - _dot3(row[1:], tail, out[m : max(m - d, 0) : -1]))
+            row = _next_row(row)[: d + 1]
         return TruncatedSeries(out)
 
     def pow_int(self, m: int) -> "TruncatedSeries":

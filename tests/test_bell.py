@@ -10,6 +10,8 @@ from debell.asymptotics import bell_asymptotic_estimate, bell_base
 from debell.bell import (
     _lambda1,
     _rescaled,
+    _section,
+    _unscale,
     bell_classic,
     bell_convolution,
     bell_egf,
@@ -427,3 +429,68 @@ class TestRationalRescaling:
         assert all((w * s).denominator == 1 for w in (p.alpha, p.beta, p.gamma))
         for series in (head, xu):
             assert all(series.egf_coeff(n).denominator == 1 for n in range(order + 1))
+
+
+def _chain_section(xu, e, c):
+    """exp(-e X) / (1 - X)^c at X = xu as two exponentials and a product: the
+    oracle for ``_section``, which takes one exponential of the summed logarithm."""
+    one = TruncatedSeries.one(xu.order)
+    return xu.scale(-e).exp() * (one - xu).log().scale(-c).exp()
+
+
+def _chain_vectors(n_max, p):
+    """B[0..n_max] and omega[0..n_max] read off the chained section factors."""
+    s, head, xu = _rescaled(p, n_max + 1)
+    lam, r = p.lam, p.r
+    b = head * xu.pow_int(r * lam) * _chain_section(xu, lam, (r + 1) * lam)
+    w = head * _chain_section(xu, 0, lam)
+    return _unscale(b, s, n_max), _unscale(w, s, n_max)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+_F = Fraction
+SECTION_EDGE_POINTS = [
+    ParamSet.make(0, 1, 0, 1, 0, 1),  # lam = 0
+    ParamSet.make(1, 2, 2, 0, 2, 1),  # x = 0
+    ParamSet.make(1, 1, 0, _F(-3, 2), 2, 1),  # negative x
+    ParamSet.make(1, 0, 1, 2, 1, 0),  # beta = 0
+    ParamSet.make(0, 1, _F(-2, 5), 1, 2, 2),  # gamma != 0
+    ParamSet.make(_F(1, 3), 1, 1, 1, 1, 1),  # fractional alpha
+    ParamSet.make(_F(-1, 2), _F(2, 3), _F(-2, 5), _F(-3, 2), 3, 2),
+]
+
+
+class TestSectionFactor:
+    """The section factor is one exp of -c log(1 - xu) - e xu; the chained
+    form with two exps and a product is its oracle."""
+
+    @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
+    def test_matches_chained_factors(self, p):
+        for order in (0, 1, 9):
+            _, _, xu = _rescaled(p, order)
+            for e, c in ((p.lam, (p.r + 1) * p.lam), (0, p.lam)):
+                got, want = _section(xu, e, c), _chain_section(xu, e, c)
+                assert _typed(got._a) == _typed(want._a)
+
+    @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
+    def test_vectors_match_chained_route(self, p):
+        for n_max in (0, 1, 7):
+            b, w = _chain_vectors(n_max, p)
+            assert _typed(bell_egf(n_max, p)) == _typed(b)
+            assert _typed(omega_egf(n_max, p)) == _typed(w)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, x",
+        [(1, 2, 2, 2), (_F(1, 3), _F(1, 2), 1, _F(3, 2))],
+        ids=["polynomial-u", "dense-u"],
+    )
+    def test_depth_sixty_matches_closed_sums(self, alpha, beta, gamma, x):
+        n_max, ns = 60, range(61)
+        p1 = ParamSet.make(alpha, beta, gamma, x, 1, 1)
+        p2 = p1.replace(lam=2)
+        assert bell_egf(n_max, p1) == [bell_lambda1(n, p1) for n in ns]
+        assert bell_egf(n_max, p2) == section_convolution(n_max, p2)
+        assert omega_egf(n_max, p2) == [omega(n, p2) for n in ns]

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -21,8 +21,58 @@ def derivative(s):
 
 
 def series_strategy(order, constant=None):
+    """Series of the given order whose last 0..order numerators are zero
+    (int or Fraction), so polynomials and the unit are drawn as well."""
     head = st.just(constant) if constant is not None else rationals
-    return st.tuples(head, *([rationals] * order)).map(TruncatedSeries)
+    dense = st.tuples(head, *([rationals] * order))
+    zero = st.sampled_from([0, Fraction(0)])
+    return st.tuples(dense, st.integers(0, order), zero).map(
+        lambda t: TruncatedSeries(t[0][: order + 1 - t[1]] + (t[2],) * t[1])
+    )
+
+
+def dense_mul(a, b):
+    """EGF numerators of a * b with every index summed: the oracle for the
+    degree-bounded convolution in ``__mul__``."""
+    return [sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def dense_log(f):
+    """EGF numerators of log f from g_{m+1} = f_{m+1} - sum_{k<m} C(m,k) g_{k+1} f_{m-k},
+    every index summed: the oracle for the degree-bounded ``log``."""
+    out = [0]
+    for m in range(len(f) - 1):
+        out.append(f[m + 1] - sum(comb(m, k) * out[k + 1] * f[m - k] for k in range(m)))
+    return out
+
+
+def operands(order):
+    """Numerator lists at ``order``: the unit, the zero series (int and
+    Fraction zeros), monomials, polynomials of degree 1..3 with int and
+    Fraction coefficients (the latter with Fraction(0) tails), and dense series."""
+    pad = [0] * order
+    yield [1] + pad
+    yield [0] + pad
+    yield [Fraction(0)] * (order + 1)
+    for degree in range(order + 1):
+        yield [0] * degree + [(1, -3, Fraction(2, 3))[degree % 3]] + [0] * (order - degree)
+    for degree in range(1, min(order, 3) + 1):
+        yield ([1, 2, -1, 3][: degree + 1] + pad)[: order + 1]
+        yield ([0, 5, 0, -2][: degree + 1] + pad)[: order + 1]
+        yield (
+            [1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)][: degree + 1]
+            + [Fraction(0)] * order
+        )[: order + 1]
+    yield [n * n - 3 for n in range(order + 1)]
+    yield [1] + [Fraction(n, n + 2) for n in range(1, order + 1)]
+
+
+def assert_matches_oracle(got: TruncatedSeries, want: list):
+    """Equal values; where the oracle's numerator is an int, so is the kernel's
+    (summing fewer zero terms may only turn a Fraction into an int)."""
+    assert got == TruncatedSeries(want)
+    for g, w in zip(got._a, want):
+        assert type(w) is not int or type(g) is int
 
 
 class TestRingOps:
@@ -44,6 +94,23 @@ class TestRingOps:
             TruncatedSeries.one(3) + TruncatedSeries.one(4)
         with pytest.raises(ValueError):
             TruncatedSeries.one(3) * TruncatedSeries.one(2)
+
+    def test_order_mismatch_rejected_before_trimming(self):
+        # a sparse operand would be cut to its degree; the orders are compared first
+        dense = TruncatedSeries(range(1, 8))
+        for sparse in (TruncatedSeries.zero(3), TruncatedSeries.one(3),
+                       TruncatedSeries.monomial(2, 1, 3)):
+            for a, b in ((sparse, dense), (dense, sparse)):
+                with pytest.raises(ValueError, match="order mismatch"):
+                    a * b
+
+    def test_mul_matches_dense_oracle(self):
+        for order in range(13):
+            cases = list(operands(order))
+            for a in cases:
+                for b in cases:
+                    got = TruncatedSeries(a) * TruncatedSeries(b)
+                    assert_matches_oracle(got, dense_mul(a, b))
 
     def test_truncate_and_derivative(self):
         s = TruncatedSeries([1, 2, 3, 4])
@@ -98,6 +165,12 @@ class TestExpLog:
             TruncatedSeries([1, 1]).exp()
         with pytest.raises(ValueError):
             TruncatedSeries([0, 1]).log()
+
+    def test_log_matches_dense_oracle(self):
+        for order in range(13):
+            for f in operands(order):
+                if f[0] == 1:
+                    assert_matches_oracle(TruncatedSeries(f).log(), dense_log(f))
 
     @given(series_strategy(5, constant=Fraction(1)))
     def test_exp_log_round_trip(self, a):
