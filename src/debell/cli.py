@@ -15,9 +15,9 @@ from fractions import Fraction
 import click
 from click.core import ParameterSource
 
-from . import asymptotics, bell, enumeration, stirling, verify
+from . import __version__, bell, enumeration, stirling
 from .derangements import r_derangement_egf, r_derangement_rec
-from .exact import ParamSet, as_rat, format_rat
+from .exact import ParamSet, as_rat, format_point, format_rat
 
 
 class _RationalType(click.ParamType):
@@ -78,11 +78,14 @@ def _emit(fmt: str, out: str | None, doc, lines) -> None:
 
 
 def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
-    doc = {"command": command, "point": dict(params.as_pairs()), **extras}
-    doc["value"] = format_rat(value)
-    keys = sorted(doc)
-    csv_lines = [",".join(keys), ",".join(json.dumps(str(doc[k])) for k in keys)]
-    _emit(fmt, out, doc, [format_rat(value)] if fmt == "plain" else csv_lines)
+    """One value as plain text, a JSON object, or a CSV header and row whose
+    point cell reads ``alpha=0;beta=1;...`` and whose None cells are empty."""
+    point = params.as_pairs()
+    doc = {"command": command, "point": dict(point), **extras, "value": format_rat(value)}
+    cells = {**doc, "point": format_point(point)}
+    keys = sorted(cells)
+    csv_lines = [",".join(keys), ",".join("" if cells[k] is None else str(cells[k]) for k in keys)]
+    _emit(fmt, out, doc, [doc["value"]] if fmt == "plain" else csv_lines)
 
 
 def _run(fn, *args):
@@ -95,7 +98,7 @@ def _run(fn, *args):
 
 
 @click.group()
-@click.version_option(package_name="debell")
+@click.version_option(__version__, prog_name="debell")
 def main():
     """Exact computation and cross-checking for deranged Bell number families."""
 
@@ -211,6 +214,8 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
 def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, r, fmt, out):
     """Convergence table (delta, estimate, exact, rel_error) for B[n]/n!;
     the exponent is delta, so there is no --lambda."""
+    from . import asymptotics
+
     params = ParamSet.make(alpha, beta, gamma, x, r=r)
     m = n - 1 if m is None else m
     rows = _run(
@@ -245,6 +250,8 @@ def verify_cmd(claims, fmt, out, max_n):
     Exits 0 when every claim that is required to hold reports EQUAL on all
     its points, 1 otherwise.
     """
+    from . import verify
+
     ids = None if claims is None else [c.strip() for c in claims.split(",") if c.strip()]
     if ids == []:
         raise click.UsageError("--claims names no claim id")

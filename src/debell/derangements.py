@@ -21,7 +21,6 @@ from .exact import binomial
 from .series import TruncatedSeries, binpow
 
 
-@lru_cache(maxsize=None)
 def derangement(n: int) -> int:
     """d_n = n! * sum_{i<=n} (-1)^i / i!."""
     if n < 0:

@@ -52,6 +52,11 @@ def format_rat(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_point(pairs) -> str:
+    """A point's (key, value) pairs as one CSV cell: "alpha=0;beta=1;..."."""
+    return ";".join(f"{k}={v}" for k, v in pairs)
+
+
 def binomial(n: int, k: int) -> int:
     """Extended binomial coefficient.
 

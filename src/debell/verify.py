@@ -4,8 +4,8 @@ Every identity of interest in the family is a named claim evaluated over a
 parameter grid in exact arithmetic, alternative readings and variant forms
 expected to disagree included.  A run produces a deterministic report of
 per-point comparisons; claims that turn out false are recorded, never
-patched.  The required-equal subset (see ``REQUIRED_EQUAL``) drives the
-harness exit code.
+patched.  A claim's ``required`` rule names the rows that must be EQUAL, and
+those rows alone drive the harness exit code.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _js
 from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
-from .exact import ParamSet, as_rat, binomial, falling, format_rat, narrow
+from .exact import ParamSet, as_rat, binomial, falling, format_point, format_rat, narrow
 
 EQUAL = "EQUAL"
 UNEQUAL = "UNEQUAL"
@@ -40,9 +40,6 @@ class ReportRow:
     status: str
     note: str = ""
 
-    def point_dict(self) -> dict:
-        return dict(self.point)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -56,10 +53,11 @@ class VerificationReport:
         return out
 
     def required_failures(self) -> list:
+        rules = {cid: claim.required for cid, claim in claim_registry().items() if claim.required}
         return [
             row
             for row in self.rows
-            if row.status == UNEQUAL and _row_required_equal(row)
+            if row.status == UNEQUAL and row.claim in rules and rules[row.claim](dict(row.point))
         ]
 
     @property
@@ -118,12 +116,17 @@ class GridSpec:
 @dataclass(frozen=True)
 class Claim:
     """A named identity: ``points(grid)`` yields the parameter points and
-    ``evaluate(params, grid)`` returns every report row of one point."""
+    ``evaluate(params, grid)`` returns every report row of one point.
+    ``required(point)`` is true for a row that must be EQUAL, ``point`` being
+    the row's point as a dict; a claim whose ``required`` is None is recorded
+    only (the variant-form and worked-example claims are expected to differ
+    at many points, and the fixture regression pins their exact outcomes)."""
 
     id: str
     description: str
     points: Callable[[GridSpec], Iterable[ParamSet]]
     evaluate: Callable[[ParamSet, GridSpec], list]
+    required: Callable[[dict], bool] | None = None
 
 
 def _points(grid: GridSpec, **axes) -> Iterator[ParamSet]:
@@ -230,25 +233,33 @@ def _eval_asymp(params: ParamSet, grid: GridSpec) -> list:
     return rows
 
 
+def _everywhere(point: dict) -> bool:
+    return True
+
+
+def _at_r0(point: dict) -> bool:
+    return point.get("r") == "0"
+
+
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
     ex_points = partial(_points, lambdas="ex_lambdas", betas="ex_betas")
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              partial(_points, lambdas=(1,)), _eval_t5),
+              partial(_points, lambdas=(1,)), _eval_t5, _everywhere),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam",
               _points, _eval_t33),
         Claim("T3-n", "section convolution over compositions of n vs the series route",
-              _points, partial(_eval_t3, "T3-n", False)),
+              _points, partial(_eval_t3, "T3-n", False), _everywhere),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
               _points, partial(_eval_t3, "T3-nr", True)),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
-              _points, _eval_omega_id),
+              _points, _eval_omega_id, _at_r0),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
               _points, partial(_eval_eq40, "EQ40-literal", True)),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
-              _points, partial(_eval_eq40, "EQ40-power", False)),
+              _points, partial(_eval_eq40, "EQ40-power", False), _everywhere),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
               partial(ex_points, rs=(1,)), partial(_eval_ex, "EX-B1x2", _ex_b1x2, 2)),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
@@ -260,26 +271,9 @@ def claim_registry() -> dict:
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
               partial(_points, lambdas=(1,)), partial(_eval_w, "W5-explicit", 5)),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              partial(_points, lambdas=(1,), rs=(0,)), _eval_asymp),
+              partial(_points, lambdas=(1,), rs=(0,)), _eval_asymp, _everywhere),
     ]
     return {c.id: c for c in claims}
-
-
-# Rows that must be EQUAL for a verification run to pass; everything else is
-# recorded only (the variant-form and worked-example claims are expected to
-# differ at many points, and the fixture regression pins their exact outcomes).
-REQUIRED_EQUAL: dict = {
-    "T5": lambda point: True,
-    "T3-n": lambda point: True,
-    "EQ40-power": lambda point: True,
-    "ASYMP-r0": lambda point: True,
-    "OMEGA-ID": lambda point: point.get("r") == "0",
-}
-
-
-def _row_required_equal(row: ReportRow) -> bool:
-    pred = REQUIRED_EQUAL.get(row.claim)
-    return bool(pred and pred(row.point_dict()))
 
 
 def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
@@ -340,8 +334,8 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim", "point", "lhs", "rhs", "status", "note"])
         for row in report.rows:
-            point = ";".join(f"{k}={v}" for k, v in row.point)
-            writer.writerow([row.claim, point, row.lhs, row.rhs, row.status, row.note])
+            writer.writerow([row.claim, format_point(row.point), row.lhs, row.rhs, row.status,
+                             row.note])
         return buf.getvalue().encode()
     if fmt == "markdown":
         lines = ["# Verification report", ""]
@@ -369,7 +363,7 @@ def fixture_summary(report: VerificationReport) -> dict:
         rows = by_claim[cid]
         digest = hashlib.sha256()
         for row in rows:
-            point = ";".join(f"{k}={v}" for k, v in row.point)
+            point = format_point(row.point)
             digest.update(f"{row.claim}|{point}|{row.lhs}|{row.rhs}|{row.status}\n".encode())
         out[cid] = {
             "rows": len(rows),

@@ -238,7 +238,7 @@ def test_c12_claim_adjudication_regression(full_report):
         for cid in ("T5", "T3-n", "EQ40-power", "ASYMP-r0"):
             assert counts[cid]["UNEQUAL"] == 0
         for row in full_report.rows:
-            if row.claim == "OMEGA-ID" and row.point_dict()["r"] == "0":
+            if row.claim == "OMEGA-ID" and dict(row.point)["r"] == "0":
                 assert row.status == "EQUAL"
         expected = json.loads(FIXTURE.read_text())
         assert verify.fixture_summary(full_report) == expected

@@ -11,7 +11,6 @@ ALLOWED = [
     "_lambda1",
     "_r_stirling_tally",
     "claim_registry",
-    "derangement",
     "partitions_with_parts",
     "r_derangement",
 ]

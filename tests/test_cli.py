@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import debell
 from debell import verify
 from debell.cli import main
 from debell.exact import ParamSet
@@ -96,6 +97,33 @@ class TestScalarCommands:
     def test_identical_invocations_identical_bytes(self):
         args = ("bell", "--n", "5", "--lambda", "2", "--gamma", "2", "--format", "json")
         assert invoke(*args).output == invoke(*args).output
+
+    def test_csv_bytes(self):
+        # the point cell as the verify CSV writes it; rderange without --s has an empty s cell
+        result = invoke("rderange", "--k", "3", "--r", "1", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "command,k,point,r,s,value\n"
+            "rderange,3,alpha=0;beta=1;gamma=0;x=1;lam=1;r=1,1,,9\n"
+        )
+        result = invoke("bell", "--n", "3", "--x", "1/3", "--format", "csv")
+        assert result.stdout == (
+            "command,n,point,route,value\n"
+            "bell,3,alpha=0;beta=1;gamma=0;x=1/3;lam=1;r=0,egf,11/27\n"
+        )
+
+
+class TestVersion:
+    def test_version_flag(self):
+        result = invoke("--version")
+        assert result.exit_code == 0
+        assert result.stdout == "debell, version 0.1.0\n"
+
+    def test_pyproject_states_the_package_version(self):
+        import tomllib
+
+        pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
+        assert pyproject["project"]["version"] == debell.__version__
 
 
 class TestEnumerateCommand:

@@ -9,7 +9,6 @@ from debell import bell
 from debell.exact import narrow
 from debell.verify import (
     EQUAL,
-    REQUIRED_EQUAL,
     SKIPPED,
     UNEQUAL,
     GridSpec,
@@ -77,9 +76,14 @@ class TestRegistry:
         for claim in claim_registry().values():
             assert claim.description
 
-    def test_required_equal_names_only_registered_claims(self):
-        # a renamed or misspelled key would silently drop out of the exit-code gate
-        assert set(REQUIRED_EQUAL) <= set(claim_registry())
+    def test_required_claims_and_the_omega_id_rule(self):
+        # the claims whose UNEQUAL rows fail a run; every other claim is recorded only
+        registry = claim_registry()
+        required = {cid: claim.required for cid, claim in registry.items() if claim.required}
+        assert sorted(required) == ["ASYMP-r0", "EQ40-power", "OMEGA-ID", "T3-n", "T5"]
+        for cid in ("ASYMP-r0", "EQ40-power", "T3-n", "T5"):
+            assert all(required[cid]({"r": r}) for r in ("0", "1", "2"))
+        assert [required["OMEGA-ID"]({"r": r}) for r in ("0", "1", "2")] == [True, False, False]
 
 
 class TestPerPointEvaluation:
@@ -120,7 +124,7 @@ class TestOutcomes:
         assert report.all_required_equal  # but none of them at r = 0
         for row in report.rows:
             if row.status == UNEQUAL:
-                assert row.point_dict()["r"] != "0"
+                assert dict(row.point)["r"] != "0"
 
     def test_recorded_claims_do_not_fail_the_run(self):
         report = run_claims(["EX-B1x2", "T3-nr"], SMALL_GRID)
