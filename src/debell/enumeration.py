@@ -6,8 +6,9 @@ series or closed-sum modules.  Every structure is generated explicitly and
 visited once; no count comes from a recurrence or a closed form.
 
 Set partitions come from two independent generators.  ``_partitions_raw``
-builds the blocks recursively, only those with a given block count when
-asked, and feeds the listings and the direct route of
+builds the blocks recursively, starting with 1..r already in their own
+blocks when asked for separated partitions and opening only k blocks when
+asked for a block count; it feeds the listings and the direct route of
 ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
 growth strings iteratively, one list updated in place, and feeds the count
 tallies; there a partition's block count is its running maximum plus one,
@@ -17,18 +18,19 @@ partitions by different code.  Derangements are the permutations of
 ``itertools.permutations`` with any fixed point filtered out in C; the
 direct route counts them once per block count.
 
-``FAMILIES`` states each family's point fields, hard size cap, counter and
-text lister; exceeding a cap raises rather than silently truncating.  The
-``DEBELL_MAX_ENUM`` environment variable, when set to a nonnegative integer,
-replaces every cap.  A negative size raises ``ValueError`` before the cap is
-checked.
+A family is a counter plus one lister: ``FAMILIES`` states each family's
+point fields, hard size cap, counter and the function that checks the sizes
+and returns the text lines; exceeding a cap raises rather than silently
+truncating.  The ``DEBELL_MAX_ENUM`` environment variable, when set to a
+nonnegative integer, replaces every cap.  A negative size raises
+``ValueError`` before the cap is checked.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, pairwise, permutations
 from math import factorial
 from operator import eq
 from typing import Callable, Iterator, NamedTuple
@@ -84,21 +86,24 @@ def format_cycles(perm) -> str:
 # -- set partitions -----------------------------------------------------------
 
 
-def _partitions_raw(n: int, k: int | None = None):
-    """All partitions of [n] as tuples of tuples, in standard form; only
-    those with exactly k blocks when k is given.
+def _partitions_raw(n: int, k: int | None = None, r: int = 0):
+    """All partitions of [n] with 1..r in distinct blocks, as tuples of
+    tuples in standard form; only those with exactly k blocks when k is given.
 
-    Elements are inserted in increasing order, so blocks are born sorted and
-    the block list is automatically ordered by minima; no arrangement is ever
-    produced twice.  With k, no block is opened past the k-th, and an element
-    joins an existing block only if the elements after it can still open the
-    blocks missing; so every branch walked ends in a k-block partition, and
-    they come in the order of the unbounded walk.
+    The walk starts from the blocks [1], ..., [r] and inserts r+1..n in
+    increasing order, so blocks are born sorted and the block list is
+    automatically ordered by minima; no arrangement is ever produced twice.
+    An element opens its own block after trying every existing one, so the
+    separated partitions are exactly the unbounded walk's branch where each
+    of 1..r opened a block, and they come in that walk's order.  With k, no
+    block is opened past the k-th, and an element joins an existing block
+    only if the elements after it can still open the blocks missing; so every
+    branch walked ends in a k-block partition.
     """
-    if k is not None and not 0 <= k <= n:
+    most, least = (n, r) if k is None else (k, k)
+    if not r <= least <= most <= n:
         return
-    most, least = (n, 0) if k is None else (k, k)
-    blocks: list = []
+    blocks = [[e] for e in range(1, r + 1)]
 
     def rec(i):
         if i > n:
@@ -114,7 +119,7 @@ def _partitions_raw(n: int, k: int | None = None):
             yield from rec(i + 1)
             blocks.pop()
 
-    yield from rec(1)
+    yield from rec(r + 1)
 
 
 def _growth_strings(n: int):
@@ -149,24 +154,7 @@ def _growth_strings(n: int):
 def set_partitions_count(n: int, k: int) -> int:
     """Number of partitions of [n] into exactly k nonempty blocks, by generation."""
     _check("set-partitions", n, n=n)
-    if k < 0:
-        return 0
     return _r_stirling_tally(n, 0).get(k, 0)
-
-
-def _block_index(p, e: int) -> int:
-    for j, b in enumerate(p):
-        if e in b:
-            return j
-    raise ValueError(f"element {e} not found")
-
-
-def _first_r_separated(p, r: int) -> bool:
-    if r == 0:
-        return True
-    if len(p) < r:
-        return False
-    return len({_block_index(p, e) for e in range(1, r + 1)}) == r
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +178,6 @@ def _r_stirling_tally(total: int, r: int) -> dict:
 def r_stirling_count(n: int, k: int, r: int) -> int:
     """Partitions of [n+r] into k+r blocks with 1..r in pairwise distinct blocks."""
     _check("r-stirling", n + r, n=n, r=r)
-    if k < 0:
-        return 0
     return _r_stirling_tally(n + r, r).get(k + r, 0)
 
 
@@ -215,26 +201,6 @@ def barred_count(n: int, lam: int) -> int:
         binomial(k + lam - 1, lam - 1) * factorial(k) * c
         for k, c in sorted(_r_stirling_tally(n, 0).items())
     )
-
-
-def iter_ordered_partitions(n: int):
-    _check("ordered", n, n=n)
-    for p in _partitions_raw(n):
-        yield from permutations(p)
-
-
-def iter_barred(n: int, lam: int):
-    """Yield barred arrangements as tuples of sections (each a tuple of blocks)."""
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    _check("barred", n, n=n)
-    for p in _partitions_raw(n):
-        k = len(p)
-        for arranged in permutations(p):
-            # a multiset of lam-1 bar slots among the k+1 gaps fixes the sections
-            for slots in combinations_with_replacement(range(k + 1), lam - 1):
-                cuts = (0,) + slots + (k,)
-                yield tuple(arranged[cuts[i]:cuts[i + 1]] for i in range(lam))
 
 
 # -- derangements -------------------------------------------------------------
@@ -271,13 +237,6 @@ def r_derangements_enum(k: int, r: int) -> int:
     return sum(1 for _ in _derangements(k + r, r))
 
 
-def iter_r_derangements(k: int, r: int):
-    """Yield each r-derangement of [k+r] as a tuple of 1-indexed images."""
-    _check("r-derangements", k + r, k=k, r=r)
-    for sigma in _derangements(k + r, r):
-        yield tuple(e + 1 for e in sigma)
-
-
 # -- deranged partitions ------------------------------------------------------
 
 
@@ -288,15 +247,14 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
 
     Computed twice, directly and in the factored form (separated-partition
     tallies times derangement counts); the two totals must agree.  The direct
-    route walks the k-block partitions once per block count k and generates
-    the derangements of k blocks once, since their number depends on k and r
-    alone.
+    route walks the separated k-block partitions once per block count k and
+    generates the derangements of k blocks once, since their number depends
+    on k and r alone.
     """
     _check("r-deranged-partitions", n + r, n=n, r=r)
     total = n + r
     direct = sum(
-        sum(1 for p in _partitions_raw(total, k) if _first_r_separated(p, r))
-        * sum(1 for _ in _derangements(k, r))
+        sum(1 for _ in _partitions_raw(total, k, r)) * sum(1 for _ in _derangements(k, r))
         for k in range(r, total + 1)
     )
     factored = sum(
@@ -310,16 +268,6 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
     return direct
 
 
-def iter_r_deranged_partitions(n: int, r: int):
-    """Yield each deranged arrangement as the permuted block sequence."""
-    _check("r-deranged-partitions", n + r, n=n, r=r)
-    for p in _partitions_raw(n + r):
-        if not _first_r_separated(p, r):
-            continue
-        for sigma in _derangements(len(p), r):
-            yield tuple(p[sigma[i]] for i in range(len(p)))
-
-
 # -- the family table ---------------------------------------------------------
 
 
@@ -330,7 +278,41 @@ def _set_partition_lines(n: int, k: int):
 
 def _r_stirling_lines(n: int, k: int, r: int):
     _check("r-stirling", n + r, n=n, r=r)
-    return (format_blocks(p) for p in _partitions_raw(n + r, k + r) if _first_r_separated(p, r))
+    return map(format_blocks, _partitions_raw(n + r, k + r, r))
+
+
+def _ordered_lines(n: int):
+    _check("ordered", n, n=n)
+    return (format_blocks(arranged) for p in _partitions_raw(n) for arranged in permutations(p))
+
+
+def _barred_lines(n: int, lam: int):
+    """Each arrangement as its lam sections: a multiset of lam-1 bar slots
+    among the k+1 gaps of an ordered k-block partition fixes the sections."""
+    if lam < 1:
+        raise ValueError("lam must be at least 1")
+    _check("barred", n, n=n)
+    return (
+        format_sections(arranged[i:j] for i, j in pairwise((0, *slots, len(p))))
+        for p in _partitions_raw(n)
+        for arranged in permutations(p)
+        for slots in combinations_with_replacement(range(len(p) + 1), lam - 1)
+    )
+
+
+def _r_derangement_lines(k: int, r: int):
+    _check("r-derangements", k + r, k=k, r=r)
+    return (format_cycles([e + 1 for e in sigma]) for sigma in _derangements(k + r, r))
+
+
+def _r_deranged_partition_lines(n: int, r: int):
+    """Each deranged arrangement as the permuted block sequence."""
+    _check("r-deranged-partitions", n + r, n=n, r=r)
+    return (
+        format_blocks(p[s] for s in sigma)
+        for p in _partitions_raw(n + r, r=r)
+        for sigma in _derangements(len(p), r)
+    )
 
 
 class Family(NamedTuple):
@@ -346,27 +328,10 @@ class Family(NamedTuple):
 FAMILIES = {
     "set-partitions": Family(("n", "k"), 10, set_partitions_count, _set_partition_lines),
     "r-stirling": Family(("n", "k", "r"), 10, r_stirling_count, _r_stirling_lines),
-    "ordered": Family(
-        ("n",), 9, ordered_partitions_count,
-        lambda n: map(format_blocks, iter_ordered_partitions(n)),
-    ),
-    "barred": Family(
-        ("n", "lam"), 9, barred_count,
-        lambda n, lam: map(format_sections, iter_barred(n, lam)),
-    ),
-    "r-derangements": Family(
-        ("k", "r"), 9, r_derangements_enum,
-        lambda k, r: map(format_cycles, iter_r_derangements(k, r)),
-    ),
+    "ordered": Family(("n",), 9, ordered_partitions_count, _ordered_lines),
+    "barred": Family(("n", "lam"), 9, barred_count, _barred_lines),
+    "r-derangements": Family(("k", "r"), 9, r_derangements_enum, _r_derangement_lines),
     "r-deranged-partitions": Family(
-        ("n", "r"), 8, r_deranged_partitions_enum,
-        lambda n, r: map(format_blocks, iter_r_deranged_partitions(n, r)),
+        ("n", "r"), 8, r_deranged_partitions_enum, _r_deranged_partition_lines
     ),
 }
-
-
-def list_arrangements(family: str, **point) -> Iterator[str]:
-    """Canonical text lines for a family's arrangements, one per arrangement."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family}")
-    return FAMILIES[family].lines(**point)

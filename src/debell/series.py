@@ -119,9 +119,10 @@ class TruncatedSeries:
         nonzero numerator) of the lower-degree operand: O(N d) products."""
         self._same_order(other)
         a, b = self._a, other._a
-        if _degree(a) > _degree(b):
-            a, b = b, a
-        a = a[: _degree(a) + 1]
+        da, db = _degree(a), _degree(b)
+        if da > db:
+            a, b, da = b, a, db
+        a = a[: da + 1]
         width = len(a)
         out, row = [], [1]
         for n in range(len(b)):

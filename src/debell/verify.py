@@ -116,7 +116,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class Claim:
     """A named identity: ``points(grid)`` yields the parameter points and
-    ``evaluate(params, grid)`` returns every report row of one point.
+    ``evaluate(claim_id, params, grid)`` returns every report row of one
+    point; ``claim_registry()`` binds each claim's own id as ``claim_id``.
     ``required(point)`` is true for a row that must be EQUAL, ``point`` being
     the row's point as a dict; a claim whose ``required`` is None is recorded
     only (the variant-form and worked-example claims are expected to differ
@@ -125,7 +126,7 @@ class Claim:
     id: str
     description: str
     points: Callable[[GridSpec], Iterable[ParamSet]]
-    evaluate: Callable[[ParamSet, GridSpec], list]
+    evaluate: Callable[..., list]
     required: Callable[[dict], bool] | None = None
 
 
@@ -159,17 +160,17 @@ def _skips(claim_id: str, params: ParamSet, grid: GridSpec, note: str) -> list:
 # -- individual claims ---------------------------------------------------------
 
 
-def _eval_t5(params: ParamSet, grid: GridSpec) -> list:
+def _eval_t5(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
     rhs = [bell.bell_lambda1(n, params) for n in range(grid.max_n + 1)]
-    return _vs_egf("T5", params, grid, rhs)
+    return _vs_egf(claim_id, params, grid, rhs)
 
 
-def _eval_t33(params: ParamSet, grid: GridSpec) -> list:
+def _eval_t33(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
     rhs = [bell.bell_general_closed(n, params) for n in range(grid.max_n + 1)]
-    return _vs_egf("T33", params, grid, rhs)
+    return _vs_egf(claim_id, params, grid, rhs)
 
 
-def _eval_t3(claim_id: str, shifted_index: bool, params: ParamSet, grid: GridSpec) -> list:
+def _eval_t3(claim_id: str, params: ParamSet, grid: GridSpec, shifted_index: bool) -> list:
     if params.lam < 1:
         return _skips(claim_id, params, grid, "needs lam >= 1")
     r = params.r
@@ -177,12 +178,12 @@ def _eval_t3(claim_id: str, shifted_index: bool, params: ParamSet, grid: GridSpe
     return _vs_egf(claim_id, params, grid, conv[r:] if shifted_index else conv)
 
 
-def _eval_omega_id(params: ParamSet, grid: GridSpec) -> list:
+def _eval_omega_id(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
     rows = bell.omega_identity_rows(grid.max_n, params)
-    return [_row("OMEGA-ID", _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
+    return [_row(claim_id, _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
 
 
-def _eval_eq40(claim_id: str, literal: bool, params: ParamSet, grid: GridSpec) -> list:
+def _eval_eq40(claim_id: str, params: ParamSet, grid: GridSpec, literal: bool) -> list:
     if params.lam < 1:
         return _skips(claim_id, params, grid, "needs lam >= 1")
     route = bell.product_literal if literal else bell.product_power
@@ -208,13 +209,13 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
     return binomial(lam + 5, 6) * falling(6, 3) * x**6 * beta**6
 
 
-def _eval_ex(claim_id: str, poly, n: int, params: ParamSet, grid: GridSpec) -> list:
+def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
     lhs = bell.bell_egf(n, params)[n]
     rhs = poly(params.lam, params.x, params.beta)
     return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
 
 
-def _eval_w(claim_id: str, f: int, params: ParamSet, grid: GridSpec) -> list:
+def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int) -> list:
     b = asymptotics.bell_base(params, max(grid.w_max_n, 6))
     return [
         _row(claim_id, _at(params, n), asymptotics.w_from_base(b, n, f),
@@ -223,12 +224,12 @@ def _eval_w(claim_id: str, f: int, params: ParamSet, grid: GridSpec) -> list:
     ]
 
 
-def _eval_asymp(params: ParamSet, grid: GridSpec) -> list:
+def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
     rows = []
     for n in grid.asymp_n:
         for delta in grid.deltas:
             cmp = asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
-            rows.append(_row("ASYMP-r0", _at(params, n, delta=delta, m=n - 1), cmp.estimate,
+            rows.append(_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmp.estimate,
                              cmp.exact, "full-order expansion vs exact"))
     return rows
 
@@ -251,29 +252,29 @@ def claim_registry() -> dict:
         Claim("T33", "binomially weighted closed sum vs the series route, all lam",
               _points, _eval_t33),
         Claim("T3-n", "section convolution over compositions of n vs the series route",
-              _points, partial(_eval_t3, "T3-n", False), _everywhere),
+              _points, partial(_eval_t3, shifted_index=False), _everywhere),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
-              _points, partial(_eval_t3, "T3-nr", True)),
+              _points, partial(_eval_t3, shifted_index=True)),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
               _points, _eval_omega_id, _at_r0),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              _points, partial(_eval_eq40, "EQ40-literal", True)),
+              _points, partial(_eval_eq40, literal=True)),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
-              _points, partial(_eval_eq40, "EQ40-power", False), _everywhere),
+              _points, partial(_eval_eq40, literal=False), _everywhere),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
-              partial(ex_points, rs=(1,)), partial(_eval_ex, "EX-B1x2", _ex_b1x2, 2)),
+              partial(ex_points, rs=(1,)), partial(_eval_ex, poly=_ex_b1x2, n=2)),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
-              partial(ex_points, rs=(2,)), partial(_eval_ex, "EX-B2x4", _ex_b2x4, 4)),
+              partial(ex_points, rs=(2,)), partial(_eval_ex, poly=_ex_b2x4, n=4)),
         Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
-              partial(ex_points, rs=(2,)), partial(_eval_ex, "EX-B2x6", _ex_b2x6, 6)),
+              partial(ex_points, rs=(2,)), partial(_eval_ex, poly=_ex_b2x6, n=6)),
         Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
-              partial(_points, lambdas=(1,)), partial(_eval_w, "W4-explicit", 4)),
+              partial(_points, lambdas=(1,)), partial(_eval_w, f=4)),
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
-              partial(_points, lambdas=(1,)), partial(_eval_w, "W5-explicit", 5)),
+              partial(_points, lambdas=(1,)), partial(_eval_w, f=5)),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
               partial(_points, lambdas=(1,), rs=(0,)), _eval_asymp, _everywhere),
     ]
-    return {c.id: c for c in claims}
+    return {c.id: replace(c, evaluate=partial(c.evaluate, c.id)) for c in claims}
 
 
 def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:

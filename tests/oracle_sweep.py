@@ -4,13 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-It checks 410 points (set partitions for n <= 10; r-Stirling for n+r <= 10
-with r <= 3; ordered and barred arrangements, lam 1..3, for n <= 9;
-r-derangements for k+r <= 9 with r <= 3; deranged partitions for n+r <= 8
-with r <= 3; then the listing lengths against the counters, for set
-partitions at n = 10 and every k, and r-Stirling at n+r = 9 with r <= 2),
-prints every mismatch and exits 1 if there is any.  pytest does not collect
-this file: the full sweep is too slow for tier-1.
+It checks 487 points: every counter against its formula route (set
+partitions for n <= 10; r-Stirling for n+r <= 10 with r <= 3; ordered and
+barred arrangements, lam 1..3, for n <= 9; r-derangements for k+r <= 9 with
+r <= 3; deranged partitions for n+r <= 8 with r <= 3), then every family's
+listing length against its counter (set partitions at n = 10 and every k;
+r-Stirling at n+r = 9 with r <= 2; ordered for n <= 7; barred for n <= 6,
+lam 1..3; r-derangements for k+r <= 8 with r <= 3; deranged partitions for
+n+r <= 6 with r <= 2).  It prints every mismatch and exits 1 if there is
+any.  pytest does not collect this file: the full sweep is too slow for
+tier-1.
 """
 
 from __future__ import annotations
@@ -50,16 +53,28 @@ def sweep():
                    enumeration.r_deranged_partitions_enum(n, r),
                    bell.deranged_bell_classic(n, r))
     for k in range(11):
-        yield (f"len(set-partitions listing, n=10, k={k})",
-               sum(1 for _ in enumeration.list_arrangements("set-partitions", n=10, k=k)),
-               enumeration.set_partitions_count(10, k))
+        yield listed("set-partitions", 10, k)
     for r in range(3):
-        n = 9 - r
-        for k in range(n + 1):
-            yield (f"len(r-stirling listing, n={n}, k={k}, r={r})",
-                   sum(1 for _ in enumeration.list_arrangements("r-stirling", n=n, k=k, r=r)),
-                   enumeration.r_stirling_count(n, k, r))
+        for k in range(10 - r):
+            yield listed("r-stirling", 9 - r, k, r)
+    for n in range(8):
+        yield listed("ordered", n)
+    for n in range(7):
+        for lam in (1, 2, 3):
+            yield listed("barred", n, lam)
+    for r in range(4):
+        for k in range(9 - r):
+            yield listed("r-derangements", k, r)
+    for r in range(3):
+        for n in range(7 - r):
+            yield listed("r-deranged-partitions", n, r)
 
+
+def listed(family: str, *point):
+    """(label, length of the family's listing, its counter) at one point."""
+    spec = enumeration.FAMILIES[family]
+    at = ", ".join(f"{field}={v}" for field, v in zip(spec.fields, point))
+    return f"len({family} listing, {at})", sum(1 for _ in spec.lines(*point)), spec.count(*point)
 
 def main() -> int:
     t0 = time.perf_counter()

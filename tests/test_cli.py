@@ -120,8 +120,7 @@ class TestVersion:
         assert result.stdout == "debell, version 0.1.0\n"
 
     def test_pyproject_states_the_package_version(self):
-        import tomllib
-
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
         pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
         assert pyproject["project"]["version"] == debell.__version__
 

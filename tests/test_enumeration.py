@@ -7,24 +7,32 @@ from debell.enumeration import (
     FAMILIES,
     EnumerationCapError,
     _derangements,
-    _first_r_separated,
     _partitions_raw,
     _r_stirling_tally,
     barred_count,
     format_blocks,
     format_cycles,
     format_sections,
-    iter_barred,
-    iter_ordered_partitions,
-    iter_r_deranged_partitions,
-    iter_r_derangements,
-    list_arrangements,
     ordered_partitions_count,
     r_derangements_enum,
     r_deranged_partitions_enum,
     r_stirling_count,
     set_partitions_count,
 )
+
+
+def listing(family, *point):
+    return list(FAMILIES[family].lines(*point))
+
+
+def lister(family):
+    return lambda *point: listing(family, *point)
+
+
+def first_r_separated(p, r: int) -> bool:
+    """Whether 1..r lie in pairwise distinct blocks of the partition p: the
+    membership oracle the walker and the growth-string tallies are judged by."""
+    return len({j for j, block in enumerate(p) for e in block if e <= r}) == r
 
 
 def check_standard_form(blocks) -> None:
@@ -76,10 +84,16 @@ class TestSetPartitions:
             set_partitions_count(11, 3)
 
     def test_block_bounded_walk_is_the_filtered_walk(self):
+        # with k no block past the k-th, with r 1..r in their own blocks from
+        # the start: the unbounded walk filtered, in its order (r > n: nothing)
         for n in range(9):
             partitions = list(_partitions_raw(n))
-            for k in range(-1, n + 2):
-                assert list(_partitions_raw(n, k)) == [p for p in partitions if len(p) == k], (n, k)
+            for r in range(4):
+                apart = [p for p in partitions if first_r_separated(p, r)]
+                assert list(_partitions_raw(n, r=r)) == apart, (n, r)
+                for k in range(-1, n + 2):
+                    expected = [p for p in apart if len(p) == k]
+                    assert list(_partitions_raw(n, k, r)) == expected, (n, k, r)
 
 
 class TestRStirling:
@@ -104,7 +118,7 @@ class TestOrderedAndBarred:
 
     def test_iter_matches_count(self):
         for n in range(6):
-            assert sum(1 for _ in iter_ordered_partitions(n)) == ordered_partitions_count(n)
+            assert len(listing("ordered", n)) == ordered_partitions_count(n)
 
     def test_barred_hand_value(self):
         assert barred_count(2, 2) == 8
@@ -117,7 +131,7 @@ class TestOrderedAndBarred:
     def test_barred_iter_matches_count(self):
         for n in range(4):
             for lam in (1, 2, 3):
-                arrangements = list(iter_barred(n, lam))
+                arrangements = listing("barred", n, lam)
                 assert len(set(arrangements)) == len(arrangements) == barred_count(n, lam)
 
     def test_caps(self):
@@ -141,11 +155,10 @@ class TestRDerangements:
         assert r_derangements_enum(1, 2) == 0
 
     def test_the_two_valid_arrangements(self):
-        forms = {format_cycles(p) for p in iter_r_derangements(2, 2)}
-        assert forms == {"(1 3)(2 4)", "(1 4)(2 3)"}
+        assert listing("r-derangements", 2, 2) == ["(1 3)(2 4)", "(1 4)(2 3)"]
 
     def test_generation_is_canonical(self):
-        perms = list(iter_r_derangements(3, 1))
+        perms = listing("r-derangements", 3, 1)
         assert len(set(perms)) == len(perms) == r_derangements_enum(3, 1)
 
     def test_cap(self):
@@ -161,7 +174,7 @@ class TestRDerangedPartitions:
 
     def test_iter_matches_count(self):
         for n, r in [(3, 0), (2, 1), (2, 2), (4, 0)]:
-            arrangements = list(iter_r_deranged_partitions(n, r))
+            arrangements = listing("r-deranged-partitions", n, r)
             assert len(set(arrangements)) == len(arrangements)
             assert len(arrangements) == r_deranged_partitions_enum(n, r)
 
@@ -204,12 +217,10 @@ class TestTypesAndFormatting:
     def test_tally_and_listing(self):
         family = FAMILIES["set-partitions"]
         assert family.fields == ("n", "k") and family.cap == 10 and family.count(4, 2) == 7
-        listed = list(list_arrangements("set-partitions", n=3, k=2))
+        listed = listing("set-partitions", 3, 2)
         assert sorted(listed) == ["{1,2}{3}", "{1,3}{2}", "{1}{2,3}"]
         assert len(set(listed)) == 3
-        assert len(list(list_arrangements("barred", n=2, lam=2))) == 8
-        with pytest.raises(ValueError):
-            list(list_arrangements("unknown-family", n=1))
+        assert len(listing("barred", 2, 2)) == 8
 
 
 class TestGenerators:
@@ -220,7 +231,7 @@ class TestGenerators:
 
         def feed(family, **point):
             nonlocal lines
-            for line in list_arrangements(family, **point):
+            for line in FAMILIES[family].lines(**point):
                 digest.update((line + "\n").encode())
                 lines += 1
 
@@ -246,7 +257,7 @@ class TestGenerators:
             for r in range(4):
                 expected = {}
                 for p in partitions:
-                    if r <= total and _first_r_separated(p, r):
+                    if first_r_separated(p, r):
                         expected[len(p)] = expected.get(len(p), 0) + 1
                 assert _r_stirling_tally(total, r) == expected, (total, r)
 
@@ -284,15 +295,15 @@ NEGATIVE_SIZES = [
     (r_derangements_enum, (0, -2), "r"),
     (r_deranged_partitions_enum, (-1, 0), "n"),
     (r_deranged_partitions_enum, (2, -1), "r"),
-    (lambda n: list(list_arrangements("set-partitions", n=n, k=0)), (-1,), "n"),
-    (lambda n: list(iter_ordered_partitions(n)), (-1,), "n"),
-    (lambda n, lam: list(iter_barred(n, lam)), (-1, 2), "n"),
-    (lambda k, r: list(iter_r_derangements(k, r)), (-1, 0), "k"),
-    (lambda k, r: list(iter_r_derangements(k, r)), (2, -1), "r"),
-    (lambda n, r: list(iter_r_deranged_partitions(n, r)), (-1, 0), "n"),
-    (lambda n, r: list(iter_r_deranged_partitions(n, r)), (2, -1), "r"),
-    (lambda n, k, r: list(list_arrangements("r-stirling", n=n, k=k, r=r)), (-1, 0, 2), "n"),
-    (lambda n, k, r: list(list_arrangements("r-stirling", n=n, k=k, r=r)), (2, 0, -1), "r"),
+    (lister("set-partitions"), (-1, 0), "n"),
+    (lister("ordered"), (-1,), "n"),
+    (lister("barred"), (-1, 2), "n"),
+    (lister("r-derangements"), (-1, 0), "k"),
+    (lister("r-derangements"), (2, -1), "r"),
+    (lister("r-deranged-partitions"), (-1, 0), "n"),
+    (lister("r-deranged-partitions"), (2, -1), "r"),
+    (lister("r-stirling"), (-1, 0, 2), "n"),
+    (lister("r-stirling"), (2, 0, -1), "r"),
 ]
 
 
