@@ -62,6 +62,12 @@ def partitions_with_parts(n: int, k: int) -> tuple:
     return tuple(results)
 
 
+def _check_base(b, f: int) -> None:
+    """W(n, f) reads b_0..b_(f+1): parts of n into n-f parts are at most f+1."""
+    if len(b) < f + 2:
+        raise ValueError(f"base sequence too short for f={f}: needs b_0..b_{f + 1}")
+
+
 def w_from_base(b, n: int, f: int) -> Fraction:
     """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!,
     summed as n! W(n, f) = sum n!/prod(i!^{k_i} k_i!) prod (i! b_i)^{k_i}: each
@@ -69,7 +75,8 @@ def w_from_base(b, n: int, f: int) -> Fraction:
     wherever B[i] is."""
     if not 0 <= f <= n - 1:
         raise ValueError(f"f must satisfy 0 <= f <= n-1, got f={f}, n={n}")
-    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]  # parts are <= f+1
+    _check_base(b, f)
+    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]
     total = 0
     for mult in partitions_with_parts(n, n - f):
         count, prod = factorial(n), 1
@@ -88,8 +95,8 @@ def bell_base(params: ParamSet, n_max: int) -> tuple:
 
 
 def w_explicit(b, n: int, f: int) -> Fraction:
-    """Fixed expanded forms of W(n, f) for f <= 5 over the base b_0..b_6 (at
-    least), evaluated literally.
+    """Fixed expanded forms of W(n, f) for f <= 5 over the base b_0..b_(f+1),
+    evaluated literally.
 
     Each term b1^(n-excess) prod b_i / (head! (n-excess)!) is summed as an
     integer multiple of c1^(n-excess) prod c_i over c_i = i! b_i, as in
@@ -103,6 +110,7 @@ def w_explicit(b, n: int, f: int) -> Fraction:
         raise ValueError("expanded forms exist only for f <= 5")
     if f < 0 or n < 0:
         raise ValueError("n and f must be nonnegative")
+    _check_base(b, f)
     c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]
     terms = []  # (denominator, numerator)
 

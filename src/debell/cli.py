@@ -262,8 +262,8 @@ def verify_cmd(claims, fmt, out, max_n):
         raise click.UsageError(str(exc))
     # the report bytes are emit_report's own (and pinned), so they bypass _emit
     _write(verify.emit_report(report, fmt).decode(), out)
-    if not report.all_required_equal:
-        failures = report.required_failures()
+    failures = report.required_failures()
+    if failures:
         click.echo(f"required-equal failures: {len(failures)}", err=True)
         for row in failures[:10]:
             point = ",".join(f"{key}={value}" for key, value in row.point)

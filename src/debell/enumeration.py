@@ -8,15 +8,15 @@ visited once; no count comes from a recurrence or a closed form.
 Set partitions come from two independent generators.  ``_partitions_raw``
 builds the blocks recursively, starting with 1..r already in their own
 blocks when asked for separated partitions and opening only k blocks when
-asked for a block count; it feeds the listings and the direct route of
+asked for a block count; it feeds the listings and
 ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
 growth strings iteratively, one list updated in place, and feeds the count
 tallies; there a partition's block count is its running maximum plus one,
 and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
-r-1.  So the direct and factored deranged-partition routes reach their
-partitions by different code.  Derangements are the permutations of
+r-1.  ``r_deranged_partitions_enum`` checks the two generators against
+each other at every block count.  Derangements are the permutations of
 ``itertools.permutations`` with any fixed point filtered out in C; the
-direct route counts them once per block count.
+deranged-partition counter and lister generate them once per block count.
 
 A family is a counter plus one lister: ``FAMILIES`` states each family's
 point fields, hard size cap, counter and the function that checks the sizes
@@ -29,7 +29,7 @@ nonnegative integer, replaces every cap.  A negative size raises
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, pairwise, permutations
 from math import factorial
 from operator import eq
@@ -245,27 +245,24 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
     whose standard-form block sequence is permuted with no fixed position and
     the r distinguished blocks in distinct cycles.
 
-    Computed twice, directly and in the factored form (separated-partition
-    tallies times derangement counts); the two totals must agree.  The direct
-    route walks the separated k-block partitions once per block count k and
-    generates the derangements of k blocks once, since their number depends
-    on k and r alone.
+    For each block count k the separated k-block partitions are walked and
+    their number must equal the growth-string tally of k-block partitions;
+    each is then counted once per derangement of its k blocks, generated once
+    per k since their number depends on k and r alone.
     """
     _check("r-deranged-partitions", n + r, n=n, r=r)
     total = n + r
-    direct = sum(
-        sum(1 for _ in _partitions_raw(total, k, r)) * sum(1 for _ in _derangements(k, r))
-        for k in range(r, total + 1)
-    )
-    factored = sum(
-        r_stirling_count(n, i, r) * r_derangements_enum(i, r) for i in range(n + 1)
-    )
-    if direct != factored:
-        raise RuntimeError(
-            f"deranged-partition routes disagree at (n={n}, r={r}): "
-            f"direct {direct} vs factored {factored}"
-        )
-    return direct
+    tally = _r_stirling_tally(total, r)
+    count = 0
+    for k in range(r, total + 1):
+        walked = sum(1 for _ in _partitions_raw(total, k, r))
+        if walked != tally.get(k, 0):
+            raise RuntimeError(
+                f"partition walkers disagree at (n={n}, r={r}), k={k}: "
+                f"block walk {walked} vs growth strings {tally.get(k, 0)}"
+            )
+        count += walked * sum(1 for _ in _derangements(k, r))
+    return count
 
 
 # -- the family table ---------------------------------------------------------
@@ -308,10 +305,11 @@ def _r_derangement_lines(k: int, r: int):
 def _r_deranged_partition_lines(n: int, r: int):
     """Each deranged arrangement as the permuted block sequence."""
     _check("r-deranged-partitions", n + r, n=n, r=r)
+    derangements = cache(lambda k: tuple(_derangements(k, r)))  # one set per block count
     return (
         format_blocks(p[s] for s in sigma)
         for p in _partitions_raw(n + r, r=r)
-        for sigma in _derangements(len(p), r)
+        for sigma in derangements(len(p))
     )
 
 

@@ -147,47 +147,23 @@ def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = 
     return ReportRow(claim_id, point, format_rat(lhs), format_rat(rhs), status, note)
 
 
-def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, rhs) -> list:
-    """Rows n = 0..max_n comparing the series route B[n] with ``rhs[n]``."""
+def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=False) -> list:
+    """Rows n = 0..max_n comparing the series route B[n] with ``route(max_n,
+    params)[n]``, or SKIPPED rows at lam = 0 for a route that ``needs_lam`` >= 1."""
+    points = [_at(params, n) for n in range(grid.max_n + 1)]
+    if needs_lam and params.lam < 1:
+        return [ReportRow(claim_id, point, "", "", SKIPPED, "needs lam >= 1") for point in points]
+    rhs = route(grid.max_n, params)
     lhs = bell.bell_egf(grid.max_n, params)
-    return [_row(claim_id, _at(params, n), lhs[n], rhs[n]) for n in range(grid.max_n + 1)]
-
-
-def _skips(claim_id: str, params: ParamSet, grid: GridSpec, note: str) -> list:
-    return [ReportRow(claim_id, _at(params, n), "", "", SKIPPED, note) for n in range(grid.max_n + 1)]
+    return [_row(claim_id, point, lhs[n], rhs[n]) for n, point in enumerate(points)]
 
 
 # -- individual claims ---------------------------------------------------------
 
 
-def _eval_t5(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
-    rhs = [bell.bell_lambda1(n, params) for n in range(grid.max_n + 1)]
-    return _vs_egf(claim_id, params, grid, rhs)
-
-
-def _eval_t33(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
-    rhs = [bell.bell_general_closed(n, params) for n in range(grid.max_n + 1)]
-    return _vs_egf(claim_id, params, grid, rhs)
-
-
-def _eval_t3(claim_id: str, params: ParamSet, grid: GridSpec, shifted_index: bool) -> list:
-    if params.lam < 1:
-        return _skips(claim_id, params, grid, "needs lam >= 1")
-    r = params.r
-    conv = bell.section_convolution(grid.max_n + r, params)
-    return _vs_egf(claim_id, params, grid, conv[r:] if shifted_index else conv)
-
-
 def _eval_omega_id(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
     rows = bell.omega_identity_rows(grid.max_n, params)
     return [_row(claim_id, _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
-
-
-def _eval_eq40(claim_id: str, params: ParamSet, grid: GridSpec, literal: bool) -> list:
-    if params.lam < 1:
-        return _skips(claim_id, params, grid, "needs lam >= 1")
-    route = bell.product_literal if literal else bell.product_power
-    return _vs_egf(claim_id, params, grid, route(grid.max_n, params))
 
 
 def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -245,22 +221,33 @@ def _at_r0(point: dict) -> bool:
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
     ex_points = partial(_points, lambdas="ex_lambdas", betas="ex_betas")
+    # Each route reads its function off ``bell`` when called, so a rebound or
+    # patched route is the one that runs.
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              partial(_points, lambdas=(1,)), _eval_t5, _everywhere),
-        Claim("T33", "binomially weighted closed sum vs the series route, all lam",
-              _points, _eval_t33),
+              partial(_points, lambdas=(1,)),
+              partial(_vs_egf, route=lambda m, p: [bell.bell_lambda1(n, p) for n in range(m + 1)]),
+              _everywhere),
+        Claim("T33", "binomially weighted closed sum vs the series route, all lam", _points,
+              partial(_vs_egf,
+                      route=lambda m, p: [bell.bell_general_closed(n, p) for n in range(m + 1)])),
         Claim("T3-n", "section convolution over compositions of n vs the series route",
-              _points, partial(_eval_t3, shifted_index=False), _everywhere),
+              _points, partial(_vs_egf, needs_lam=True,
+                               route=lambda m, p: bell.section_convolution(m + p.r, p)),
+              _everywhere),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
-              _points, partial(_eval_t3, shifted_index=True)),
+              _points, partial(_vs_egf, needs_lam=True,
+                               route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:])),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
               _points, _eval_omega_id, _at_r0),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              _points, partial(_eval_eq40, literal=True)),
+              _points, partial(_vs_egf, needs_lam=True,
+                               route=lambda m, p: bell.product_literal(m, p))),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
-              _points, partial(_eval_eq40, literal=False), _everywhere),
+              _points, partial(_vs_egf, needs_lam=True,
+                               route=lambda m, p: bell.product_power(m, p)),
+              _everywhere),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
               partial(ex_points, rs=(1,)), partial(_eval_ex, poly=_ex_b1x2, n=2)),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
@@ -356,21 +343,13 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
 def fixture_summary(report: VerificationReport) -> dict:
     """Per-claim outcome digest used for drift regression: row counts by
     status plus a hash of the claim's serialized rows."""
-    by_claim: dict = {}
+    counts = report.counts()
+    digests = {cid: hashlib.sha256() for cid in counts}
     for row in report.rows:
-        by_claim.setdefault(row.claim, []).append(row)
-    out = {}
-    for cid in sorted(by_claim):
-        rows = by_claim[cid]
-        digest = hashlib.sha256()
-        for row in rows:
-            point = format_point(row.point)
-            digest.update(f"{row.claim}|{point}|{row.lhs}|{row.rhs}|{row.status}\n".encode())
-        out[cid] = {
-            "rows": len(rows),
-            "equal": sum(1 for r in rows if r.status == EQUAL),
-            "unequal": sum(1 for r in rows if r.status == UNEQUAL),
-            "skipped": sum(1 for r in rows if r.status == SKIPPED),
-            "sha256": digest.hexdigest(),
-        }
-    return out
+        line = f"{row.claim}|{format_point(row.point)}|{row.lhs}|{row.rhs}|{row.status}\n"
+        digests[row.claim].update(line.encode())
+    return {
+        cid: {"rows": sum(per.values()), "equal": per[EQUAL], "unequal": per[UNEQUAL],
+              "skipped": per[SKIPPED], "sha256": digests[cid].hexdigest()}
+        for cid, per in sorted(counts.items())
+    }

@@ -169,6 +169,11 @@ class TestWCoefficients:
             w_from_base(b, 3, 3)
         with pytest.raises(ValueError):
             w_explicit(b, 4, 6)
+        # W(5, 3) reads b_0..b_4
+        with pytest.raises(ValueError, match="base sequence too short"):
+            w_from_base((1, Fraction(1, 2)), 5, 3)
+        with pytest.raises(ValueError, match="base sequence too short"):
+            w_explicit((1, Fraction(1, 2)), 5, 3)
 
 
 class TestBaseSequence:

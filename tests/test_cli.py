@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import json
 import textwrap
@@ -123,6 +124,12 @@ class TestVersion:
         tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
         pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
         assert pyproject["project"]["version"] == debell.__version__
+
+    def test_pyproject_console_script_is_the_cli(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
+        module, _, attr = pyproject["project"]["scripts"]["debell"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestEnumerateCommand:

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from debell import enumeration
 from debell.enumeration import (
     FAMILIES,
     EnumerationCapError,
@@ -181,6 +182,16 @@ class TestRDerangedPartitions:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             r_deranged_partitions_enum(7, 2)
+
+    def test_walkers_compared_at_every_block_count(self, monkeypatch):
+        # d(1, 0) = 0, so a walk that loses the one-block partition leaves the
+        # total at 28; the per-block-count check still catches it
+        def lossy(n, k=None, r=0):
+            return (p for p in _partitions_raw(n, k, r) if len(p) != 1)
+
+        monkeypatch.setattr(enumeration, "_partitions_raw", lossy)
+        with pytest.raises(RuntimeError, match=r"k=1:"):
+            r_deranged_partitions_enum(4, 0)
 
 
 class TestEnvOverride(object):

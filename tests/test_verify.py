@@ -88,19 +88,24 @@ class TestRegistry:
 
 class TestPerPointEvaluation:
     def test_vectors_built_once_per_point(self, monkeypatch):
-        calls = {"omega_identity_rows": 0, "section_convolution": 0}
-        for name in calls:
-            def counted(*args, _name=name, _route=getattr(bell, name)):
-                calls[_name] += 1
-                return _route(*args)
+        names = ["omega_identity_rows", "section_convolution", "product_literal", "product_power"]
+        calls = {name: [] for name in names}  # the point of each call, in order
+        for name in names:
+            def counted(n_max, params, _name=name, _route=getattr(bell, name)):
+                calls[_name].append(params)
+                return _route(n_max, params)
 
             monkeypatch.setattr(bell, name, counted)
-        report = run_claims(["OMEGA-ID", "T3-n"], SMALL_GRID)
+        report = run_claims(["OMEGA-ID", "T3-n", "EQ40-literal", "EQ40-power"], SMALL_GRID)
         points = list(SMALL_GRID.param_sets())
-        assert len(report.rows) == 2 * len(points) * (SMALL_GRID.max_n + 1)
+        assert len(report.rows) == 4 * len(points) * (SMALL_GRID.max_n + 1)
+        with_lam = [p for p in points if p.lam >= 1]
+        assert 0 < len(with_lam) < len(points)  # the lam = 0 points skip
         assert calls == {
-            "omega_identity_rows": len(points),
-            "section_convolution": sum(1 for p in points if p.lam >= 1),
+            "omega_identity_rows": points,
+            "section_convolution": with_lam,
+            "product_literal": with_lam,
+            "product_power": with_lam,
         }
 
 
