@@ -17,7 +17,7 @@ from click.core import ParameterSource
 
 from . import __version__, bell, enumeration, stirling
 from .derangements import r_derangement_egf, r_derangement_rec
-from .exact import ParamSet, as_rat, format_point, format_rat
+from .exact import ParamSet, as_rat, csv_text, format_point, format_rat
 
 
 class _RationalType(click.ParamType):
@@ -69,23 +69,25 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit(fmt: str, out: str | None, doc, lines) -> None:
-    """Write ``doc`` as sorted, indented JSON for fmt "json", else ``lines``,
-    each followed by a newline."""
+def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
+    """Write ``doc`` as sorted, indented JSON for fmt "json", ``header`` and ``rows``
+    as CSV for "csv", and each row's last cell (value, count or line) for "plain"."""
     if fmt == "json":
-        lines = [json.dumps(doc, sort_keys=True, indent=2)]
-    _write("".join(line + "\n" for line in lines), out)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        text = csv_text(header, rows)
+    else:
+        text = "".join(f"{row[-1]}\n" for row in rows)
+    _write(text, out)
 
 
 def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
-    """One value as plain text, a JSON object, or a CSV header and row whose
-    point cell reads ``alpha=0;beta=1;...`` and whose None cells are empty."""
+    """One value as plain text, a JSON object, or a CSV header and row of the
+    same keys, sorted, whose point cell reads ``alpha=0;beta=1;...``."""
     point = params.as_pairs()
     doc = {"command": command, "point": dict(point), **extras, "value": format_rat(value)}
-    cells = {**doc, "point": format_point(point)}
-    keys = sorted(cells)
-    csv_lines = [",".join(keys), ",".join("" if cells[k] is None else str(cells[k]) for k in keys)]
-    _emit(fmt, out, doc, [doc["value"]] if fmt == "plain" else csv_lines)
+    keys, cells = zip(*sorted({**doc, "point": format_point(point)}.items()))
+    _emit(fmt, out, doc, keys, [cells])
 
 
 def _run(fn, *args):
@@ -190,16 +192,12 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     if list_items:
         if fmt != "plain":
             raise click.UsageError("--list prints plain lines only; drop --format")
-        _emit(fmt, out, None, _run(lambda: list(spec.lines(**point))))
+        _emit("plain", out, None, None, _run(lambda: [[line] for line in spec.lines(**point)]))
         return
     count = _run(spec.count, *point.values())
     doc = {"command": "enumerate", "family": family, "point": point, "count": count}
     keys = sorted(point)
-    csv_lines = [
-        ",".join(["family", *keys, "count"]),
-        ",".join([family, *(str(point[key]) for key in keys), str(count)]),
-    ]
-    _emit(fmt, out, doc, [str(count)] if fmt == "plain" else csv_lines)
+    _emit(fmt, out, doc, ["family", *keys, "count"], [[family, *map(point.get, keys), count]])
 
 
 @main.command("asymp")
@@ -221,29 +219,21 @@ def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, r, fmt, out):
     rows = _run(
         lambda: [asymptotics.bell_asymptotic_estimate(n, m, d, params) for d in sorted(set(deltas))]
     )
-    table = [
-        {
-            "delta": cmp.delta,
-            "estimate": format_rat(cmp.estimate),
-            "exact": format_rat(cmp.exact),
-            "rel_error": None if cmp.rel_error is None else format_rat(cmp.rel_error),
-            "status": cmp.status,
-        }
-        for cmp in rows
-    ]
-    doc = {"command": "asymp", "n": n, "m": m, "point": dict(params.as_pairs()), "rows": table}
-    csv_lines = ["delta,estimate,exact,rel_error,status"] + [
-        f"{row['delta']},{row['estimate']},{row['exact']},{row['rel_error'] or ''},{row['status']}"
-        for row in table
-    ]
-    _emit(fmt, out, doc, csv_lines)
+    header = ["delta", "estimate", "exact", "rel_error", "status"]
+    table = [[cmp.delta, format_rat(cmp.estimate), format_rat(cmp.exact),
+              None if cmp.rel_error is None else format_rat(cmp.rel_error), cmp.status]
+             for cmp in rows]
+    doc = {"command": "asymp", "n": n, "m": m, "point": dict(params.as_pairs()),
+           "rows": [dict(zip(header, row)) for row in table]}
+    _emit(fmt, out, doc, header, table)
 
 
 @main.command("verify")
 @click.option("--claims", default=None, help="comma-separated claim ids (default: all)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="csv")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--max-n", type=click.IntRange(min=0), default=None, help="override the grid's n range")
+@click.option("--max-n", type=click.IntRange(min=0), default=None,
+              help="largest n of any row (default: 8, and 12 for the W claims)")
 def verify_cmd(claims, fmt, out, max_n):
     """Run the claim registry and report per-point outcomes.
 
@@ -255,9 +245,8 @@ def verify_cmd(claims, fmt, out, max_n):
     ids = None if claims is None else [c.strip() for c in claims.split(",") if c.strip()]
     if ids == []:
         raise click.UsageError("--claims names no claim id")
-    grid = verify.GridSpec.default() if max_n is None else verify.GridSpec(max_n=max_n)
     try:
-        report = verify.run_claims(ids, grid)
+        report = verify.run_claims(ids, verify.GridSpec.default(max_n))
     except verify.UnknownClaimError as exc:
         raise click.UsageError(str(exc))
     # the report bytes are emit_report's own (and pinned), so they bypass _emit
@@ -266,7 +255,7 @@ def verify_cmd(claims, fmt, out, max_n):
     if failures:
         click.echo(f"required-equal failures: {len(failures)}", err=True)
         for row in failures[:10]:
-            point = ",".join(f"{key}={value}" for key, value in row.point)
+            point = format_point(row.point, ",")
             click.echo(f"  {row.claim} {point} lhs={row.lhs} rhs={row.rhs}", err=True)
         sys.exit(1)
 
@@ -277,9 +266,8 @@ def verify_cmd(claims, fmt, out, max_n):
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def table_cmd(max_n, alpha, beta, gamma, x, lam, r, out):
     """CSV table of B[n] for n = 0..max-n."""
-    params = ParamSet.make(alpha, beta, gamma, x, lam, r)
-    values = _run(bell.bell_egf, max_n, params)
-    _emit("csv", out, None, ["n,value"] + [f"{n},{format_rat(v)}" for n, v in enumerate(values)])
+    values = _run(bell.bell_egf, max_n, ParamSet.make(alpha, beta, gamma, x, lam, r))
+    _emit("csv", out, None, ["n", "value"], [(n, format_rat(v)) for n, v in enumerate(values)])
 
 
 if __name__ == "__main__":

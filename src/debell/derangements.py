@@ -13,22 +13,18 @@ classical numbers (d_{k,0} = d_k, d_{0,0} = 1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
 from .exact import binomial
 from .series import TruncatedSeries, binpow
 
 
 def derangement(n: int) -> int:
-    """d_n = n! * sum_{i<=n} (-1)^i / i!."""
+    """d_n = n! * sum_{i<=n} (-1)^i / i!, summed in ints: n!/i! = perm(n, n - i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = factorial(n) * sum(Fraction((-1) ** i, factorial(i)) for i in range(n + 1))
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"derangement({n}) not a nonnegative integer: {total}")
-    return int(total)
+    return sum((-1) ** i * perm(n, n - i) for i in range(n + 1))
 
 
 def r_derangement_egf(k: int, r: int) -> int:

@@ -52,9 +52,18 @@ def format_rat(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_point(pairs) -> str:
-    """A point's (key, value) pairs as one CSV cell: "alpha=0;beta=1;..."."""
-    return ";".join(f"{k}={v}" for k, v in pairs)
+def format_point(pairs, sep: str = ";") -> str:
+    """A point's (key, value) pairs joined by ``sep``: the CSV cell "alpha=0;beta=1;..."."""
+    return sep.join(f"{k}={v}" for k, v in pairs)
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV: standard quoting, "\\n" line ends, None as an empty cell."""
+    import csv  # loaded on the first call, so a command that writes no CSV never loads it
+    import io
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def binomial(n: int, k: int) -> int:

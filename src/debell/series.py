@@ -85,9 +85,6 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self._a == other._a
 
-    def __hash__(self):
-        return hash(self._a)
-
     def __repr__(self):
         head = ", ".join(map(str, self._a[:6]))
         tail = ", ..." if self.order > 5 else ""

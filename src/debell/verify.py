@@ -10,9 +10,7 @@ those rows alone drive the harness exit code.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -20,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _js
 from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
-from .exact import ParamSet, as_rat, binomial, falling, format_point, format_rat, narrow
+from .exact import ParamSet, as_rat, binomial, csv_text, falling, format_point, format_rat, narrow
 
 EQUAL = "EQUAL"
 UNEQUAL = "UNEQUAL"
@@ -89,8 +87,12 @@ class GridSpec:
     asymp_n: tuple = (1, 2, 3, 4)
 
     @classmethod
-    def default(cls) -> "GridSpec":
-        return cls()
+    def default(cls, max_n: int | None = None) -> "GridSpec":
+        """The default grid, with every n range cut at ``max_n`` when given."""
+        if max_n is None:
+            return cls()
+        return cls(max_n=max_n, w_max_n=min(cls.w_max_n, max_n),
+                   asymp_n=tuple(n for n in cls.asymp_n if n <= max_n))
 
     def triples(self) -> Iterator[tuple]:
         for a in self.alphas:
@@ -186,6 +188,8 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
 
 
 def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
+    if n > grid.max_n:
+        return []
     lhs = bell.bell_egf(n, params)[n]
     rhs = poly(params.lam, params.x, params.beta)
     return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
@@ -234,7 +238,7 @@ def claim_registry() -> dict:
                       route=lambda m, p: [bell.bell_general_closed(n, p) for n in range(m + 1)])),
         Claim("T3-n", "section convolution over compositions of n vs the series route",
               _points, partial(_vs_egf, needs_lam=True,
-                               route=lambda m, p: bell.section_convolution(m + p.r, p)),
+                               route=lambda m, p: bell.section_convolution(m, p)),
               _everywhere),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
               _points, partial(_vs_egf, needs_lam=True,
@@ -318,13 +322,9 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
         )
         return ('{\n  "rows": [\n' + body + "\n  ]\n}\n").encode()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim", "point", "lhs", "rhs", "status", "note"])
-        for row in report.rows:
-            writer.writerow([row.claim, format_point(row.point), row.lhs, row.rhs, row.status,
-                             row.note])
-        return buf.getvalue().encode()
+        rows = ([row.claim, format_point(row.point), row.lhs, row.rhs, row.status, row.note]
+                for row in report.rows)
+        return csv_text(["claim", "point", "lhs", "rhs", "status", "note"], rows).encode()
     if fmt == "markdown":
         lines = ["# Verification report", ""]
         current = None
@@ -333,7 +333,7 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
                 current = row.claim
                 lines += [f"## {current}", "", "| point | lhs | rhs | status | note |",
                           "| --- | --- | --- | --- | --- |"]
-            point = "; ".join(f"{k}={v}" for k, v in row.point)
+            point = format_point(row.point, "; ")
             lines.append(f"| {point} | {row.lhs} | {row.rhs} | {row.status} | {row.note} |")
         lines.append("")
         return "\n".join(lines).encode()

@@ -229,6 +229,38 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "--claims names no claim id" in result.stderr
 
+    @staticmethod
+    def _row_ns(stdout: str) -> dict:
+        """{claim: the set of n over its rows} from a CSV report."""
+        ns: dict = {}
+        for line in stdout.splitlines()[1:]:
+            claim, point = line.split(",")[:2]
+            ns.setdefault(claim, set()).add(int(dict(kv.split("=") for kv in point.split(";"))["n"]))
+        return ns
+
+    @pytest.mark.parametrize(
+        "max_n, expected",
+        [
+            (3, {"EX-B1x2": {2}, "ASYMP-r0": {1, 2, 3}}),
+            (5, {"EX-B1x2": {2}, "EX-B2x4": {4}, "W4-explicit": {5}, "ASYMP-r0": {1, 2, 3, 4}}),
+            (12, {"EX-B1x2": {2}, "EX-B2x4": {4}, "EX-B2x6": {6}, "W4-explicit": set(range(5, 13)),
+                  "W5-explicit": set(range(6, 13)), "ASYMP-r0": {1, 2, 3, 4}}),
+        ],
+    )
+    def test_max_n_bounds_the_fixed_n_claims(self, max_n, expected):
+        claims = "EX-B1x2,EX-B2x4,EX-B2x6,W4-explicit,W5-explicit,ASYMP-r0"
+        result = invoke("verify", "--claims", claims, "--max-n", str(max_n))
+        assert result.exit_code == 0
+        assert self._row_ns(result.stdout) == expected
+
+    def test_max_n_bounds_every_row(self):
+        result = invoke("verify", "--max-n", "3")
+        assert result.exit_code == 0
+        ns = self._row_ns(result.stdout)
+        # W4-explicit, W5-explicit, EX-B2x4 and EX-B2x6 write no row
+        assert len(ns) == len(verify.claim_registry()) - 4
+        assert set().union(*ns.values()) == {0, 1, 2, 3}
+
     def test_markdown_format(self):
         result = invoke("verify", "--claims", "T5", "--max-n", "2", "--format", "markdown")
         assert "## T5" in result.output
@@ -294,6 +326,98 @@ class TestRemovedKnobs:
         assert invoke("enumerate", "--family", "r-stirling", "--n", "4", "--k", "2").stdout == "7\n"
         assert invoke("enumerate", "--family", "barred", "--n", "2").stdout == "3\n"
         assert json.loads(invoke("omega", "--n", "3", "--format", "json").stdout)["point"]["r"] == "0"
+
+
+# Every command in each format it accepts, rational points, an exact-zero asymp
+# row and three computation errors: (exit code, sha256 of stdout, stderr).
+PINNED_BYTES = {
+    "stirling --n 5 --k 3":
+        (0, "64aeb9975f234becd55bb4635e6e2f2da7a6b7bf0a896f0c07763bdfbfb31420", ''),
+    "stirling --n 5 --k 3 --format json":
+        (0, "cc1808075cda6a5bb5a7151e3db3f317905ed9be0d338105b4ba5a1a13ed760a", ''),
+    "stirling --n 5 --k 3 --format csv":
+        (0, "12a6cb08b17b42e85a5d2a2a2de5e6844dee63ae3ac612ffc416373555a61a84", ''),
+    "stirling --n 4 --k 2 --alpha 1/2 --beta 3/2 --gamma 1/3 --route egf --format json":
+        (0, "e80eefcbcb70a87f43d48d9d48000dcf40674d3c0302c9bb80d7f7878eaf23af", ''),
+    "stirling --n 4 --k 2 --alpha 1/2 --beta 3/2 --gamma 1/3 --format csv":
+        (0, "b25f7e99194897d78a4f79015cdf2608ae5a3bc6de18b98b99dd1447b93ffa2a", ''),
+    "rderange --k 3 --r 1":
+        (0, "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a", ''),
+    "rderange --k 3 --r 1 --format json":
+        (0, "69b6552e0110ce1c4c19cc036d96553e8c83132429d5def5344b91e0e93751dd", ''),
+    "rderange --k 3 --r 1 --format csv":
+        (0, "2c894eb63894b5a7d980a0c0b1d36b907dd6178916821843ba1251ba3303634b", ''),
+    "rderange --k 6 --r 2 --s 1 --format csv":
+        (0, "dbece52784aba7dc261fc39598330db849c9d7dc82daaaf2c786a13b89f90de7", ''),
+    "bell --n 3 --x 1/3":
+        (0, "2d9aacaed3e92faf94ff2bb574bef1b2df83a8eb7e7ee8b8a0aed772317ca8c6", ''),
+    "bell --n 3 --x 1/3 --format json":
+        (0, "cf3e52a6d1cd294abb8077f886622c0c6f49f410f2084cd472dfda0c82ad499b", ''),
+    "bell --n 4 --lambda 2 --r 1 --gamma 2 --format csv":
+        (0, "ba7932e323d0587bbe5540332ed82fbfc565d379626b376f340b8b5e95668723", ''),
+    "bell --n 5 --route closed --lambda 2 --alpha 1 --beta 2 --format json":
+        (0, "e21914fdffa74506de6ddd491fa2073d11a4bc14b68220863272e67766bb2028", ''),
+    "omega --n 3":
+        (0, "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17", ''),
+    "omega --n 4 --lambda 2 --x 2 --format json":
+        (0, "02c785305b6b038e25cc87cede806402f695acb8ddf022d65d6fba78c74f6ed8", ''),
+    "omega --n 4 --lambda 2 --x 2 --format csv":
+        (0, "330720777b428c06be496737a63cf5bd30e740f41c18a8c263cc87f782f6e2a9", ''),
+    "enumerate --family set-partitions --n 4 --k 2":
+        (0, "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58", ''),
+    "enumerate --family set-partitions --n 4 --k 2 --format json":
+        (0, "a419bf7a9d86aa97f022c7c056794c72abc72702c3dc0b6522c740d1be07d47b", ''),
+    "enumerate --family barred --n 2 --lambda 2 --format csv":
+        (0, "e6962d98c386851a9834ac3ab259bfb4b20a7f60ba23680ba45ad9f3642bf58f", ''),
+    "enumerate --family r-deranged-partitions --n 3 --r 1 --format csv":
+        (0, "9d33e38aa34ffc830bbec26f786bc7981b2d9f0611b5c9a468cc2496da0b5099", ''),
+    "enumerate --family r-derangements --k 2 --r 2 --list":
+        (0, "1125d4169f40c2e095d8977c9bb0aab9e0fded83d7d2cdde24a34d0220a0504f", ''),
+    "enumerate --family barred --n 3 --lambda 2 --list":
+        (0, "7cb826bb03085ae3819739141a9c044bd50360dbc65cb445dcd5de6292ef3e1b", ''),
+    "asymp --n 4 --m 2 --delta 100 --delta 1000 --gamma 1":
+        (0, "882977eacb03efce299c42a2cf5680c44c2bf1aa5b04c5e49e055e327e2c7134", ''),
+    "asymp --n 4 --m 2 --delta 100 --delta 1000 --gamma 1 --format json":
+        (0, "e80f0f8375c098635d281fddaea9fb0f804a95e624a7ef68be1d95f848add48f", ''),
+    "asymp --n 3 --delta 10 --r 1":
+        (0, "9afc3b627a2c98a78f40c778a7457aa57f6dff45c99bc7394217f26d48a9266a", ''),
+    "asymp --n 3 --delta 10 --r 1 --format json":
+        (0, "b55af12cdb15fb42e4b297a9d410c8b7dc53acfdb74bf510a0e967d27e36e0da", ''),
+    "asymp --n 2 --delta 10 --alpha 1/2 --gamma 1 --x 2/3":
+        (0, "ac9ccf9ee1b0c8c32ac3cc6d80884edef8984d4bf4c9fb1eb2409f5c2c16f37c", ''),
+    "table --max-n 8 --gamma 1":
+        (0, "cb0bd8e30fdd74a020154e4e3977803acdbb6be63ba39eac40f131aff92313b6", ''),
+    "table --max-n 6 --x 1/3 --lambda 2 --r 1":
+        (0, "39566551244a68508ec438fedef4281ea4168b095b8c11f69f01464c38bb51df", ''),
+    "verify --claims T5,OMEGA-ID --max-n 2 --format json":
+        (0, "53391a82248fb332422bd4c00d3d810da6311c515c7c8d76430b1c50c94a3251", ''),
+    "verify --claims T5,OMEGA-ID --max-n 2 --format csv":
+        (0, "d7c32720eab307269af77d233446b500f01ab56f411e86277ae8b1cce8dd417a", ''),
+    "verify --claims T5,OMEGA-ID --max-n 2 --format markdown":
+        (0, "d0f3f819369e55167b57a35802ece994ae51eaaeead4bfeabc32cce7d9882515", ''),
+    "enumerate --family ordered --n 11":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: ordered: size 11 exceeds cap 9\n'),
+    "bell --n 3 --route convolution --lambda 0":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: the convolution route requires lam >= 1\n'),
+    "asymp --n 4 --delta 2 --gamma 1":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: delta must be an integer >= n\n'),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("line", list(PINNED_BYTES))
+    def test_exit_code_stdout_and_stderr(self, line):
+        result = invoke(*line.split())
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert (result.exit_code, digest, result.stderr) == PINNED_BYTES[line]
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        for i, (line, (code, digest, _)) in enumerate(PINNED_BYTES.items()):
+            if code == 0:
+                target = tmp_path / f"out{i}"
+                result = invoke(*line.split(), "--out", str(target))
+                assert (result.exit_code, result.stdout) == (0, ""), line
+                assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, line
 
 
 def _reads(fn) -> set:

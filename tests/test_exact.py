@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from debell.exact import (
     ParamSet,
     binomial,
+    csv_text,
     falling,
+    format_point,
     format_rat,
     gen_falling,
 )
@@ -90,6 +92,19 @@ class TestRationals:
         )
         assert a + b == manual
 
+
+class TestTextCells:
+    def test_point_cell(self):
+        pairs = ParamSet.make(x=Fraction(1, 3), r=2).as_pairs()
+        assert format_point(pairs) == "alpha=0;beta=1;gamma=0;x=1/3;lam=1;r=2"
+        assert format_point(pairs[:2], ",") == "alpha=0,beta=1"
+
+    def test_csv_quotes_only_what_needs_it(self):
+        rows = [[1, "p/q", None], ["a,b", 'say "hi"', "two\nlines"]]
+        assert csv_text(["n", "value", "note"], rows) == (
+            'n,value,note\n1,p/q,\n"a,b","say ""hi""","two\nlines"\n'
+        )
+        assert csv_text(["n", "value"], []) == "n,value\n"
 
 class TestParamSet:
     def test_coercion_and_validation(self):

@@ -45,6 +45,13 @@ def test_scalar_command_loads_neither_verify_nor_asymptotics():
     )
 
 
+def test_only_a_command_that_writes_csv_loads_the_csv_module():
+    run = ("from debell import cli\ncli.main({}, standalone_mode=False)\n"
+           "print(json.dumps('csv' in sys.modules))")
+    plain = _fresh(run.format('["omega", "--n", "3"]'))
+    csv = _fresh(run.format('["omega", "--n", "3", "--format", "csv"]'))
+    assert (plain, csv) == (False, True)
+
 def test_exports_are_the_readme_tour_imports_and_binpow():
     tour = README.read_text().split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
     tour = tour.split("```", 1)[0]

@@ -109,6 +109,36 @@ class TestPerPointEvaluation:
         }
 
 
+    def test_t3_convolutions_stop_at_the_entries_they_compare(self, monkeypatch):
+        route = bell.section_convolution
+        sizes = []  # (n_max, r) of each call
+        monkeypatch.setattr(bell, "section_convolution",
+                            lambda n_max, p: sizes.append((n_max, p.r)) or route(n_max, p))
+        run_claims(["T3-n"], SMALL_GRID)
+        assert sizes and {n_max for n_max, _ in sizes} == {SMALL_GRID.max_n}
+        sizes.clear()
+        run_claims(["T3-nr"], SMALL_GRID)
+        assert {r for _, r in sizes} == set(SMALL_GRID.rs)
+        assert all(n_max == SMALL_GRID.max_n + r for n_max, r in sizes)
+
+
+class TestDefaultGrid:
+    def test_without_max_n_it_is_the_field_defaults(self):
+        assert GridSpec.default() == GridSpec()
+
+    @pytest.mark.parametrize(
+        "max_n, w_max_n, asymp_n",
+        [(0, 0, ()), (3, 3, (1, 2, 3)), (8, 8, (1, 2, 3, 4)), (20, 12, (1, 2, 3, 4))],
+    )
+    def test_max_n_cuts_every_n_range(self, max_n, w_max_n, asymp_n):
+        assert GridSpec.default(max_n) == replace(GridSpec(), max_n=max_n, w_max_n=w_max_n,
+                                                  asymp_n=asymp_n)
+
+    def test_an_example_claim_past_max_n_writes_no_row(self):
+        grid = replace(SMALL_GRID, max_n=3)
+        assert run_claims(["EX-B2x4"], grid).rows == ()
+        assert run_claims(["EX-B1x2"], grid).rows
+
 class TestOutcomes:
     def test_t5_all_equal(self):
         report = run_claims(["T5"], SMALL_GRID)
