@@ -1,23 +1,23 @@
 """Large-exponent behaviour of series-power coefficients.
 
-For a base series Omega(t) = sum b_n t^n with b_0 = 1 and an exponent delta,
-the coefficient [t^n] Omega^delta expands as
+For a base EGF Omega(t) = sum c_n t^n / n! with c_0 = 1 and an exponent
+delta, the coefficient [t^n] Omega^delta expands as
 
     a(delta, n) / (delta)_n = sum_{f=0}^{m} W(n, f) / (delta-n+f)_f + remainder,
 
-where W(n, f) sums, over the integer partitions of n with n-f parts,
-prod_i b_i^{k_i} / k_i!.  The f-th term is O(delta^-f), so for fixed n the
-remainder after order m is O(delta^-(m+1)).  At the full order m = n-1 the
-remainder is zero: expanding (1 + sum_i b_i t^i)^delta gives
-[t^n] = sum_{f=0}^{n-1} (delta)_{n-f} W(n, f) exactly.  ``expansion``
-computes this weighted-sum form, (delta)_n times the partial sum above,
-since (delta)_n / (delta-n+f)_f = (delta)_{n-f}.
+where W(n, f) = B_{n,n-f}(c_1, c_2, ...) / n!, the partial Bell polynomial
+over the numerators (Comtet, Advanced Combinatorics, 1974, 3.3).  The f-th
+term is O(delta^-f), so for fixed n the remainder after order m is
+O(delta^-(m+1)).  At the full order m = n-1 the remainder is zero: expanding
+(1 + sum_i c_i t^i / i!)^delta gives [t^n] = sum_{f=0}^{n-1} (delta)_{n-f}
+W(n, f) exactly.  ``expansion`` computes this weighted-sum form, (delta)_n
+times the partial sum above, since (delta)_n / (delta-n+f)_f = (delta)_{n-f}.
 
-Applied to the deranged-Bell family the base is b_i = B[i at lam=1] / i!,
-the exact side is B[n] at lam = delta with gamma scaled by delta, and
-everything is evaluated in exact rational arithmetic at finite delta.  For
-r >= 1 the base has b_0 = 0, which breaks the Omega(0) = 1 premise; such
-runs are diagnostic only.
+Applied to the deranged-Bell family the base is c_i = B[i at lam=1], the
+exact side is B[n] at lam = delta with gamma scaled by delta, and everything
+is evaluated in exact rational arithmetic at finite delta.  For r >= 1 the
+base has c_0 = 0, which breaks the Omega(0) = 1 premise; such runs are
+diagnostic only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .bell import _lambda1, bell_egf
-from .exact import ParamSet, falling, narrow
+from .exact import ParamSet, falling
 
 _ZERO = Fraction(0)
 
@@ -62,21 +62,20 @@ def partitions_with_parts(n: int, k: int) -> tuple:
     return tuple(results)
 
 
-def _check_base(b, f: int) -> None:
-    """W(n, f) reads b_0..b_(f+1): parts of n into n-f parts are at most f+1."""
-    if len(b) < f + 2:
-        raise ValueError(f"base sequence too short for f={f}: needs b_0..b_{f + 1}")
+def _check_base(c, f: int) -> None:
+    """W(n, f) reads c_0..c_(f+1): parts of n into n-f parts are at most f+1."""
+    if len(c) < f + 2:
+        raise ValueError(f"base sequence too short for f={f}: needs c_0..c_{f + 1}")
 
 
-def w_from_base(b, n: int, f: int) -> Fraction:
-    """W(n, f) = sum over partitions of n with n-f parts of prod b_i^{k_i}/k_i!,
-    summed as n! W(n, f) = sum n!/prod(i!^{k_i} k_i!) prod (i! b_i)^{k_i}: each
-    coefficient counts the set partitions of that type, and i! b_i is an int
-    wherever B[i] is."""
+def w_from_base(c, n: int, f: int) -> Fraction:
+    """W(n, f) = B_{n,n-f}(c) / n!, the partial Bell polynomial summed over the
+    partitions of n with n-f parts as sum n!/prod(i!^{k_i} k_i!) prod c_i^{k_i}:
+    each coefficient counts the set partitions of that type, so the sum is an
+    int wherever the c_i are."""
     if not 0 <= f <= n - 1:
         raise ValueError(f"f must satisfy 0 <= f <= n-1, got f={f}, n={n}")
-    _check_base(b, f)
-    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]
+    _check_base(c, f)
     total = 0
     for mult in partitions_with_parts(n, n - f):
         count, prod = factorial(n), 1
@@ -89,19 +88,19 @@ def w_from_base(b, n: int, f: int) -> Fraction:
 
 
 def bell_base(params: ParamSet, n_max: int) -> tuple:
-    """Base coefficients b_i = B[i at lam=1] / i! for the family's expansion."""
+    """The family's base numerators c_i = B[i at lam=1] for i = 0..n_max, from
+    the closed sum: ints where integral, as in every vector route."""
     a, b, g, x, _, r = params.key
-    return tuple(Fraction(_lambda1(a, b, g, x, r, i), factorial(i)) for i in range(n_max + 1))
+    return tuple(_lambda1(a, b, g, x, r, i) for i in range(n_max + 1))
 
 
-def w_explicit(b, n: int, f: int) -> Fraction:
-    """Fixed expanded forms of W(n, f) for f <= 5 over the base b_0..b_(f+1),
-    evaluated literally.
+def w_explicit(c, n: int, f: int) -> Fraction:
+    """Fixed expanded forms of W(n, f) for f <= 5 over the numerators
+    c_0..c_(f+1), evaluated literally.
 
-    Each term b1^(n-excess) prod b_i / (head! (n-excess)!) is summed as an
-    integer multiple of c1^(n-excess) prod c_i over c_i = i! b_i, as in
-    ``w_from_base``, and the sum is divided once by the lcm of the term
-    denominators.
+    Each term b1^(n-excess) prod b_i / (head! (n-excess)!), with b_i = c_i / i!,
+    is summed as an integer multiple of c1^(n-excess) prod c_i, and the sum is
+    divided once by the lcm of the term denominators.
 
     The f = 4 and f = 5 forms deviate from the generic partition sum in
     specific terms (marked below); they exist so the harness can record
@@ -110,8 +109,7 @@ def w_explicit(b, n: int, f: int) -> Fraction:
         raise ValueError("expanded forms exist only for f <= 5")
     if f < 0 or n < 0:
         raise ValueError("n and f must be nonnegative")
-    _check_base(b, f)
-    c = [narrow(factorial(i) * v) for i, v in enumerate(b[: f + 2])]
+    _check_base(c, f)
     terms = []  # (denominator, numerator)
 
     def term(head: int, excess: int, parts=(), over: int = 1) -> None:
@@ -154,17 +152,17 @@ def w_explicit(b, n: int, f: int) -> Fraction:
     return Fraction(sum(common // den * num for den, num in terms), common)
 
 
-def expansion(b, delta, n: int, m: int) -> Fraction:
-    """sum_{f=0}^{m} (delta)_{n-f} W(n, f) over the base b_0, b_1, ..., b_n.
+def expansion(c, delta, n: int, m: int) -> Fraction:
+    """sum_{f=0}^{m} (delta)_{n-f} W(n, f) over the numerators c_0, c_1, ..., c_n.
 
     For fixed n it differs from a(delta, n) = [t^n] Omega^delta by a relative
     O(delta^-(m+1)), and by nothing at m = n-1.  The sum itself is exact.
     """
     if not 0 <= m <= n - 1:
         raise ValueError(f"m must satisfy 0 <= m <= n-1, got m={m}, n={n}")
-    if len(b) <= n:
+    if len(c) <= n:
         raise ValueError(f"base sequence too short for n={n}")
-    return sum((falling(delta, n - f) * w_from_base(b, n, f) for f in range(m + 1)), _ZERO)
+    return sum((falling(delta, n - f) * w_from_base(c, n, f) for f in range(m + 1)), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def bell_asymptotic_estimate(n: int, m: int, delta: int, params: ParamSet) -> As
     estimate = sum_{f=0}^{m} (delta)_{n-f} W(n, f);
     exact    = B[n] at lam = delta with gamma scaled to gamma*delta, over n!.
 
-    For fixed n and b_1 != 0, rel_error is O(delta^-(m+1)): each tenfold
+    For fixed n and c_1 != 0, rel_error is O(delta^-(m+1)): each tenfold
     step in delta cuts it by about 10^(m+1).  At m = n-1 the sum is exact
     and rel_error is 0 at every delta.
 

@@ -72,9 +72,9 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
 
 @lru_cache(maxsize=None)
 def _lambda1(alpha, beta, gamma, x, r: int, n: int) -> int | Fraction:
-    """sum_k d_{k,r} (x beta)^k S(n,k); an int where the weights are integral."""
+    """sum_k d_{k,r} (x beta)^k S(n,k); an int where integral."""
     d = (r_derangement(k, r) for k in range(n + 1))
-    return stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d)
+    return narrow(stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d))
 
 
 def bell_lambda1(n: int, params: ParamSet) -> Fraction:
@@ -131,7 +131,7 @@ def bell_convolution(n: int, params: ParamSet) -> Fraction:
     the vector B[i] at (lam=1, gamma=0) and read at index n.  This reproduces
     the generating-function route exactly (the product structure of the EGF).
     """
-    return section_convolution(n, params)[n]
+    return Fraction(section_convolution(n, params)[n])
 
 
 def deranged_bell_classic(n: int, r: int) -> int:

@@ -61,12 +61,12 @@ _output_options = _options(
 )
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(data: bytes, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(data, nl=False)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
@@ -78,7 +78,7 @@ def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
         text = csv_text(header, rows)
     else:
         text = "".join(f"{row[-1]}\n" for row in rows)
-    _write(text, out)
+    _write(text.encode(), out)
 
 
 def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
@@ -250,7 +250,7 @@ def verify_cmd(claims, fmt, out, max_n):
     except verify.UnknownClaimError as exc:
         raise click.UsageError(str(exc))
     # the report bytes are emit_report's own (and pinned), so they bypass _emit
-    _write(verify.emit_report(report, fmt).decode(), out)
+    _write(verify.emit_report(report, fmt), out)
     failures = report.required_failures()
     if failures:
         click.echo(f"required-equal failures: {len(failures)}", err=True)

@@ -70,7 +70,8 @@ class GridSpec:
     The weight triples honour the divisibility alpha | beta, alpha | gamma
     (alpha = 0 passes everything); the `ex_*` fields drive the worked-example
     claims, `w_max_n` the explicit-display claims, and `deltas`/`asymp_n` the
-    expansion claim.
+    expansion claim.  `max_n` alone does not cut `w_max_n` or `asymp_n`;
+    `GridSpec.default(max_n)` bounds every claim.
     """
 
     alphas: tuple = (0, 1, 2)
@@ -196,10 +197,10 @@ def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> l
 
 
 def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int) -> list:
-    b = asymptotics.bell_base(params, max(grid.w_max_n, 6))
+    c = asymptotics.bell_base(params, max(grid.w_max_n, 6))
     return [
-        _row(claim_id, _at(params, n), asymptotics.w_from_base(b, n, f),
-             asymptotics.w_explicit(b, n, f), "generic sum vs expanded form")
+        _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
+             asymptotics.w_explicit(c, n, f), "generic sum vs expanded form")
         for n in range(f + 1, grid.w_max_n + 1)
     ]
 

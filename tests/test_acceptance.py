@@ -10,6 +10,7 @@ import dataclasses
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -213,7 +214,7 @@ def test_c10_geometric_base_check():
     with crit("C10", "geometric base full-order expansion is exact for n <= 6"):
         from debell.exact import binomial
 
-        base = (1,) * 9  # 1/(1-t)
+        base = tuple(factorial(i) for i in range(9))  # 1/(1-t) = sum i! t^i / i!
         for n in range(1, 7):
             for delta in (7, 19, 101, 1000):
                 # [t^n] 1/(1-t)^delta is C(delta+n-1, n), by stars and bars

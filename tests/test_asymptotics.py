@@ -51,9 +51,14 @@ class TestPartitions:
                 assert len(partitions_with_parts(n, k)) == partition_count(n, k)
 
 
+def _numerators(b) -> list:
+    """The EGF numerators c_i = i! b_i of an ordinary base b, as the code takes it."""
+    return [factorial(i) * v for i, v in enumerate(b)]
+
+
 def _w_oracle(b, n: int, f: int) -> Fraction:
-    """W(n, f) summed factor by factor in Fractions: prod b_i^{k_i} / k_i! over
-    the partitions of n with n-f parts."""
+    """W(n, f) summed factor by factor in Fractions over the ordinary base
+    b_i = c_i / i!: prod b_i^{k_i} / k_i! over the partitions of n with n-f parts."""
     total = Fraction(0)
     for mult in partitions_with_parts(n, n - f):
         term = Fraction(1)
@@ -120,14 +125,14 @@ class TestWCoefficients:
     @given(w_explicit_cases())
     def test_explicit_matches_term_by_term_oracle(self, case):
         b, n, f = case
-        w = w_explicit(b, n, f)
+        w = w_explicit(_numerators(b), n, f)
         assert type(w) is Fraction
         assert w == _w_explicit_oracle(b, n, f)
 
     @given(w_cases())
     def test_matches_factor_by_factor_oracle(self, case):
         b, n, f = case  # b_0 is 1 or 0; W(n, f) never reads it
-        w = w_from_base(b, n, f)
+        w = w_from_base(_numerators(b), n, f)
         assert type(w) is Fraction
         assert w == _w_oracle(b, n, f)
 
@@ -140,7 +145,7 @@ class TestWCoefficients:
 
     def test_derivative_kills_first_coefficient(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 0)
-        assert w_from_base(bell_base(p, 1), 1, 0) == 0  # the base has b_1 = gamma = 0 here
+        assert w_from_base(bell_base(p, 1), 1, 0) == 0  # the base has c_1 = gamma = 0 here
 
     def test_explicit_matches_generic_up_to_f3(self):
         for p in [
@@ -179,10 +184,10 @@ class TestWCoefficients:
 class TestBaseSequence:
     def test_bell_base_values(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 0)
-        b = bell_base(p, 4)
-        assert b[0] == 1
+        c = bell_base(p, 4)
+        assert c[0] == 1
         for i in range(5):
-            assert b[i] == bell_lambda1(i, p) / factorial(i)
+            assert c[i] == bell_lambda1(i, p)
 
 
 class TestHsuExpansion:
@@ -194,8 +199,8 @@ class TestHsuExpansion:
             assert expansion(base, delta, 1, 0) == delta * base[1]
 
     def test_geometric_base_full_order_identity(self):
-        # 1/(1-t): [t^n] (1-t)^-delta = (delta+n-1)_n / n!
-        base = (1,) * 9
+        # 1/(1-t) = sum i! t^i / i!: [t^n] (1-t)^-delta = (delta+n-1)_n / n!
+        base = tuple(factorial(i) for i in range(9))
         for n in range(1, 7):
             for delta in (7, 19, 101, Fraction(15, 2)):
                 expected = falling(delta + n - 1, n) / factorial(n)

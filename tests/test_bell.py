@@ -267,8 +267,8 @@ class TestBellValueDispatch:
 
 class TestPublicTypes:
     """The closed sums run on ints inside, but the public scalar routes keep
-    returning Fraction: an int reaching a caller that divides (as bell_base
-    does, by i!) would silently become a float."""
+    returning Fraction: an int reaching a caller that divides (by n!, say)
+    would silently become a float."""
 
     @pytest.mark.parametrize(
         "p",
@@ -281,9 +281,9 @@ class TestPublicTypes:
             values = [
                 bell_lambda1(n, p),
                 bell_general_closed(n, p),
+                bell_convolution(n, p),
                 omega(n, p),
                 gen_falling(p.gamma, p.alpha, n),
-                *bell_base(p, n),
             ]
             for k in range(n + 1):
                 values += [stirling_rec(n, k, p.alpha, p.beta, p.gamma), tab.value(n, k)]
@@ -302,6 +302,13 @@ class TestPublicTypes:
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
             ), (route.__name__, values)
+        base = bell_base(p, 7)  # the lam = 1 closed sums B[0..7], whatever p.lam is
+        assert list(base) == [bell_lambda1(i, p.replace(lam=1)) for i in range(8)]
+        assert all(
+            type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in base
+        ), base
+        if p.combinatorial_regime:
+            assert all(type(v) is int for v in base), base
         assert type(bell_asymptotic_estimate(3, 1, 10, p.replace(lam=1)).exact) is Fraction
 
 
