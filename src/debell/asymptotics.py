@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .bell import _lambda1, bell_egf
+from .bell import _check_n_max, _lambda1, bell_egf
 from .exact import ParamSet, falling
 
 _ZERO = Fraction(0)
@@ -90,6 +90,7 @@ def w_from_base(c, n: int, f: int) -> Fraction:
 def bell_base(params: ParamSet, n_max: int) -> tuple:
     """The family's base numerators c_i = B[i at lam=1] for i = 0..n_max, from
     the closed sum: ints where integral, as in every vector route."""
+    _check_n_max(n_max)
     a, b, g, x, _, r = params.key
     return tuple(_lambda1(a, b, g, x, r, i) for i in range(n_max + 1))
 

@@ -28,6 +28,12 @@ from .exact import ParamSet, binomial, narrow
 from .series import TruncatedSeries, binpow
 
 
+def _check_n_max(n_max: int) -> None:
+    """Every vector route's guard: entries 0..n_max need n_max >= 0."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+
+
 def _rescaled(params: ParamSet, order: int) -> tuple:
     """(S, head, x u): (1+alpha t)^(gamma/alpha) and x u read at t -> S t with
     S = lcm(den alpha, den beta, den gamma) * den x.  Their EGF numerators
@@ -58,8 +64,8 @@ def _section(xu: TruncatedSeries, e, c) -> TruncatedSeries:
 def _bell_egf(params: ParamSet, n_max: int) -> tuple:
     """B[0..n_max] as head * (x u)^(r lam) * _section(x u, lam, (r+1) lam), read
     at order n_max + 1 (a spare position past anything read)."""
-    order = n_max + 1
-    s, head, xu = _rescaled(params, order)
+    _check_n_max(n_max)
+    s, head, xu = _rescaled(params, n_max + 1)
     lam, r = params.lam, params.r
     ser = head * xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam)
     return tuple(_unscale(ser, s, n_max))
@@ -99,8 +105,9 @@ def bell_general_closed(n: int, params: ParamSet) -> Fraction:
 
 
 def _binomial_convolution(a: list, b: list) -> list:
-    """EGF product of two coefficient vectors: c[m] = sum_k C(m, k) a[k] b[m-k]."""
-    return [sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1)) for m in range(len(a))]
+    """EGF product of two coefficient vectors, c[m] = sum_k C(m, k) a[k] b[m-k], narrowed."""
+    return [narrow(sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1)))
+            for m in range(len(a))]
 
 
 def section_convolution(n_max: int, params: ParamSet) -> list:
@@ -108,9 +115,10 @@ def section_convolution(n_max: int, params: ParamSet) -> list:
     lam times with the lam = 1, gamma = 0 closed sums B[i] (binomial
     convolution, the EGF product).  Built from the falling factorials and the
     closed sums alone, so it stays independent of the series route.  Entries
-    are exact rationals, held as ints where the weights are integral."""
+    are exact rationals, held as ints where integral."""
     if params.lam < 1:
         raise ValueError("the convolution route requires lam >= 1")
+    _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
     acc = [1]  # (gamma|alpha)_i
     for i in range(n_max):
@@ -158,7 +166,7 @@ def bell_classic(n: int, params: ParamSet) -> int:
 def _omega(n: int, params: ParamSet) -> int | Fraction:
     a, b, g, x, lam, _ = params.key
     weights = (binomial(k + lam - 1, k) * factorial(k) for k in range(n + 1))
-    return stirling.table(a, b, g).weighted_sum(n, x * b, weights)
+    return narrow(stirling.table(a, b, g).weighted_sum(n, x * b, weights))
 
 
 def omega(n: int, params: ParamSet) -> Fraction:
@@ -169,6 +177,7 @@ def omega(n: int, params: ParamSet) -> Fraction:
 def omega_egf(n_max: int, params: ParamSet) -> list:
     """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam: the
     head times _section(x u, 0, lam), with no exponential term."""
+    _check_n_max(n_max)
     s, head, xu = _rescaled(params, n_max + 1)
     return _unscale(head * _section(xu, 0, params.lam), s, n_max)
 
@@ -181,7 +190,8 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
 
     for n = 0..n_max, from one B[0..n_max+r] vector and one binomial
     convolution.  Equality is not asserted; the harness records it.  Both
-    sides are exact rationals, held as ints where the weights are integral."""
+    sides are exact rationals, held as ints where integral."""
+    _check_n_max(n_max)
     a, b, _, x, lam, r = params.key
     top = n_max + r
     zero_gamma = stirling.table(a, b, 0)
@@ -196,6 +206,7 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
 def _product(n_max: int, params: ParamSet, literal: bool) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
+    _check_n_max(n_max)
     order = n_max + 1
     s, head, xu = _rescaled(params, order)
     r, lam = params.r, params.lam

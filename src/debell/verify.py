@@ -11,14 +11,16 @@ those rows alone drive the harness exit code.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from itertools import product
 from json.encoder import encode_basestring_ascii as _js
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import asymptotics, bell
-from .exact import ParamSet, as_rat, binomial, csv_text, falling, format_point, format_rat, narrow
+from .exact import ParamSet, as_rat, binomial, csv_text, falling, format_point, format_rat
 
 EQUAL = "EQUAL"
 UNEQUAL = "UNEQUAL"
@@ -65,14 +67,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameter grid for claim evaluation.
+    """Parameter grid for claim evaluation: six axes and one bound on n.
 
-    The weight triples honour the divisibility alpha | beta, alpha | gamma
-    (alpha = 0 passes everything); the `ex_*` fields drive the worked-example
-    claims, `w_max_n` the explicit-display claims, and `deltas`/`asymp_n` the
-    expansion claim.  `max_n` alone does not cut `w_max_n` or `asymp_n`;
-    `GridSpec.default(max_n)` bounds every claim.
-    """
+    A claim binds its own axes and fixed n where it is registered.  ``max_n``
+    cuts every claim: the grid claims run n = 0..max_n (0..8 without it), the
+    W claims stop at min(12, max_n), ASYMP-r0 keeps n <= max_n, and an example
+    claim whose fixed n exceeds max_n writes no rows."""
 
     alphas: tuple = (0, 1, 2)
     betas: tuple = (1, 2, 4)
@@ -80,47 +80,38 @@ class GridSpec:
     xs: tuple = (1, 2)
     lambdas: tuple = (0, 1, 2, 3)
     rs: tuple = (0, 1, 2)
-    max_n: int = 8
-    ex_lambdas: tuple = tuple(range(9))
-    ex_betas: tuple = (1, 2)
-    w_max_n: int = 12
-    deltas: tuple = (100, 1000)
-    asymp_n: tuple = (1, 2, 3, 4)
+    max_n: int | None = None
 
     @classmethod
     def default(cls, max_n: int | None = None) -> "GridSpec":
         """The default grid, with every n range cut at ``max_n`` when given."""
-        if max_n is None:
-            return cls()
-        return cls(max_n=max_n, w_max_n=min(cls.w_max_n, max_n),
-                   asymp_n=tuple(n for n in cls.asymp_n if n <= max_n))
+        return cls(max_n=max_n)
+
+    def top(self, bound: int | None = None) -> int:
+        """The last n a claim writes: its own ``bound`` cut at ``max_n``, or,
+        for a grid claim (no bound of its own), ``max_n`` itself, 8 without it."""
+        return min((n for n in (bound, self.max_n) if n is not None), default=8)
 
     def triples(self) -> Iterator[tuple]:
-        for a in self.alphas:
-            a = as_rat(a)
-            for b in self.betas:
-                b = as_rat(b)
-                if a != 0 and b % a != 0:
-                    continue
-                for g in self.gammas:
-                    g = as_rat(g)
-                    if a != 0 and g % a != 0:
-                        continue
-                    yield (a, b, g)
+        """The weights (alpha, beta, gamma) with alpha | beta and alpha | gamma
+        (alpha = 0 passes everything)."""
+        weights = (map(as_rat, axis) for axis in (self.alphas, self.betas, self.gammas))
+        for a, b, g in product(*weights):
+            if a == 0 or (b % a == 0 and g % a == 0):
+                yield (a, b, g)
 
     def param_sets(self) -> Iterator[ParamSet]:
         for a, b, g in self.triples():
-            for x in self.xs:
-                for lam in self.lambdas:
-                    for r in self.rs:
-                        yield ParamSet.make(a, b, g, x, lam, r)
+            for x, lam, r in product(self.xs, self.lambdas, self.rs):
+                yield ParamSet.make(a, b, g, x, lam, r)
 
 
 @dataclass(frozen=True)
 class Claim:
-    """A named identity: ``points(grid)`` yields the parameter points and
-    ``evaluate(claim_id, params, grid)`` returns every report row of one
-    point; ``claim_registry()`` binds each claim's own id as ``claim_id``.
+    """A named identity, evaluated at the grid's points with the (axis, values)
+    pairs of ``points`` replacing those axes; ``evaluate(claim_id, params,
+    grid)`` returns one point's rows in ascending n (then delta, then m), and
+    ``claim_registry()`` binds each claim's own id as ``claim_id``.
     ``required(point)`` is true for a row that must be EQUAL, ``point`` being
     the row's point as a dict; a claim whose ``required`` is None is recorded
     only (the variant-form and worked-example claims are expected to differ
@@ -128,16 +119,9 @@ class Claim:
 
     id: str
     description: str
-    points: Callable[[GridSpec], Iterable[ParamSet]]
+    points: tuple
     evaluate: Callable[..., list]
     required: Callable[[dict], bool] | None = None
-
-
-def _points(grid: GridSpec, **axes) -> Iterator[ParamSet]:
-    """The grid's points with ``axes`` replacing its own; an axis given as a
-    string names another field of the grid (``lambdas="ex_lambdas"``)."""
-    axes = {k: getattr(grid, v) if isinstance(v, str) else v for k, v in axes.items()}
-    return replace(grid, **axes).param_sets()
 
 
 def _at(params: ParamSet, n: int, **extra) -> tuple:
@@ -151,13 +135,14 @@ def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = 
 
 
 def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=False) -> list:
-    """Rows n = 0..max_n comparing the series route B[n] with ``route(max_n,
+    """Rows n = 0..top comparing the series route B[n] with ``route(top,
     params)[n]``, or SKIPPED rows at lam = 0 for a route that ``needs_lam`` >= 1."""
-    points = [_at(params, n) for n in range(grid.max_n + 1)]
+    top = grid.top()
+    points = [_at(params, n) for n in range(top + 1)]
     if needs_lam and params.lam < 1:
         return [ReportRow(claim_id, point, "", "", SKIPPED, "needs lam >= 1") for point in points]
-    rhs = route(grid.max_n, params)
-    lhs = bell.bell_egf(grid.max_n, params)
+    rhs = route(top, params)
+    lhs = bell.bell_egf(top, params)
     return [_row(claim_id, point, lhs[n], rhs[n]) for n, point in enumerate(points)]
 
 
@@ -165,7 +150,7 @@ def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=Fa
 
 
 def _eval_omega_id(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
-    rows = bell.omega_identity_rows(grid.max_n, params)
+    rows = bell.omega_identity_rows(grid.top(), params)
     return [_row(claim_id, _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
 
 
@@ -174,14 +159,8 @@ def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
 
 
 def _ex_b2x4(lam: int, x: Fraction, beta: Fraction) -> Fraction:
-    xb = x**4 * beta**4
-    return (
-        Fraction(lam**4, 2) * xb
-        - Fraction(lam**3, 2) * xb
-        + 2 * lam**3 * xb
-        + Fraction(lam**2, 2) * xb
-        - 3 * lam * xb
-    )
+    return (Fraction(lam**4, 2) - Fraction(lam**3, 2) + 2 * lam**3 + Fraction(lam**2, 2)
+            - 3 * lam) * x**4 * beta**4
 
 
 def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -189,26 +168,27 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
 
 
 def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
-    if n > grid.max_n:
+    if grid.top(n) < n:
         return []
     lhs = bell.bell_egf(n, params)[n]
     rhs = poly(params.lam, params.x, params.beta)
     return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
 
 
-def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int) -> list:
-    c = asymptotics.bell_base(params, max(grid.w_max_n, 6))
+def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
+    top = grid.top(n_max)
+    c = asymptotics.bell_base(params, max(top, 6))
     return [
         _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
              asymptotics.w_explicit(c, n, f), "generic sum vs expanded form")
-        for n in range(f + 1, grid.w_max_n + 1)
+        for n in range(f + 1, top + 1)
     ]
 
 
-def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
+def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
     rows = []
-    for n in grid.asymp_n:
-        for delta in grid.deltas:
+    for n in range(1, grid.top(n_max) + 1):
+        for delta in deltas:
             cmp = asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
             rows.append(_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmp.estimate,
                              cmp.exact, "full-order expansion vs exact"))
@@ -223,69 +203,76 @@ def _at_r0(point: dict) -> bool:
     return point.get("r") == "0"
 
 
+# The axis sets the claims replace; the full grid is ``()``.
+_LAM1 = (("lambdas", (1,)),)
+_EX = (("lambdas", tuple(range(9))), ("betas", (1, 2)))
+
+
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
-    ex_points = partial(_points, lambdas="ex_lambdas", betas="ex_betas")
     # Each route reads its function off ``bell`` when called, so a rebound or
     # patched route is the one that runs.
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              partial(_points, lambdas=(1,)),
+              _LAM1,
               partial(_vs_egf, route=lambda m, p: [bell.bell_lambda1(n, p) for n in range(m + 1)]),
               _everywhere),
-        Claim("T33", "binomially weighted closed sum vs the series route, all lam", _points,
+        Claim("T33", "binomially weighted closed sum vs the series route, all lam", (),
               partial(_vs_egf,
                       route=lambda m, p: [bell.bell_general_closed(n, p) for n in range(m + 1)])),
-        Claim("T3-n", "section convolution over compositions of n vs the series route",
-              _points, partial(_vs_egf, needs_lam=True,
-                               route=lambda m, p: bell.section_convolution(m, p)),
+        Claim("T3-n", "section convolution over compositions of n vs the series route", (),
+              partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.section_convolution(m, p)),
               _everywhere),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
-              _points, partial(_vs_egf, needs_lam=True,
-                               route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:])),
+              (), partial(_vs_egf, needs_lam=True,
+                          route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:])),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
-              _points, _eval_omega_id, _at_r0),
+              (), _eval_omega_id, _at_r0),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              _points, partial(_vs_egf, needs_lam=True,
-                               route=lambda m, p: bell.product_literal(m, p))),
-        Claim("EQ40-power", "lam-th power of the single-section factor vs the series route",
-              _points, partial(_vs_egf, needs_lam=True,
-                               route=lambda m, p: bell.product_power(m, p)),
+              (), partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.product_literal(m, p))),
+        Claim("EQ40-power", "lam-th power of the single-section factor vs the series route", (),
+              partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.product_power(m, p)),
               _everywhere),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
-              partial(ex_points, rs=(1,)), partial(_eval_ex, poly=_ex_b1x2, n=2)),
+              _EX + (("rs", (1,)),), partial(_eval_ex, poly=_ex_b1x2, n=2)),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
-              partial(ex_points, rs=(2,)), partial(_eval_ex, poly=_ex_b2x4, n=4)),
+              _EX + (("rs", (2,)),), partial(_eval_ex, poly=_ex_b2x4, n=4)),
         Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
-              partial(ex_points, rs=(2,)), partial(_eval_ex, poly=_ex_b2x6, n=6)),
+              _EX + (("rs", (2,)),), partial(_eval_ex, poly=_ex_b2x6, n=6)),
         Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
-              partial(_points, lambdas=(1,)), partial(_eval_w, f=4)),
+              _LAM1, partial(_eval_w, f=4, n_max=12)),
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
-              partial(_points, lambdas=(1,)), partial(_eval_w, f=5)),
+              _LAM1, partial(_eval_w, f=5, n_max=12)),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              partial(_points, lambdas=(1,), rs=(0,)), _eval_asymp, _everywhere),
+              _LAM1 + (("rs", (0,)),), partial(_eval_asymp, n_max=4, deltas=(100, 1000)),
+              _everywhere),
     ]
     return {c.id: replace(c, evaluate=partial(c.evaluate, c.id)) for c in claims}
 
 
 def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
-    """Evaluate the named claims (all of them by default) over the grid."""
+    """Evaluate the named claims (all of them by default) over the grid.
+
+    Each distinct axis set is walked once, sorted by ``ParamSet.key``, and a
+    point's rows come in ascending n, so rows are written in report order; a
+    point the axes repeat is evaluated once, its rows written once per copy."""
     registry = claim_registry()
     if ids is None:
         ids = sorted(registry)
     unknown = sorted(set(ids) - set(registry))
     if unknown:
         raise UnknownClaimError(f"unknown claim ids: {', '.join(unknown)}")
-    grid = grid or GridSpec.default()
+    grid = grid or GridSpec()
+    walks: dict = {}  # a claim's axis overrides -> (point, copies) pairs, sorted
     rows = []
     for cid in sorted(set(ids)):
         claim = registry[cid]
-        for params in claim.points(grid):
-            rows.extend(claim.evaluate(params, grid))
-    value = cache(lambda text: narrow(Fraction(text)))  # a few dozen distinct point strings
-    point_key = cache(lambda point: tuple(value(v) for _, v in point))  # shared across claims
-    rows.sort(key=lambda row: (row.claim, point_key(row.point)))
+        if claim.points not in walks:
+            points = Counter(replace(grid, **dict(claim.points)).param_sets())
+            walks[claim.points] = sorted(points.items(), key=lambda item: item[0].key)
+        for params, copies in walks[claim.points]:
+            rows.extend(row for row in claim.evaluate(params, grid) for _ in range(copies))
     return VerificationReport(tuple(rows))
 
 

@@ -297,7 +297,11 @@ class TestPublicTypes:
     def test_vector_routes_hold_exact_values(self, p):
         """Vector entries are ints where integral and Fractions otherwise, never
         floats; a caller dividing one by n! must write Fraction(v, n!)."""
-        for route in (bell_egf, omega_egf, product_literal, product_power):
+        def both_sides(n_max, p):
+            return [v for pair in omega_identity_rows(n_max, p) for v in pair]
+
+        for route in (bell_egf, omega_egf, product_literal, product_power, section_convolution,
+                      both_sides):
             values = route(7, p)
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
@@ -310,6 +314,19 @@ class TestPublicTypes:
         if p.combinatorial_regime:
             assert all(type(v) is int for v in base), base
         assert type(bell_asymptotic_estimate(3, 1, 10, p.replace(lam=1)).exact) is Fraction
+
+
+@pytest.mark.parametrize(
+    "route",
+    [bell_egf, omega_egf, product_literal, product_power, omega_identity_rows,
+     section_convolution, bell_convolution, lambda n_max, p: bell_base(p, n_max)],
+    ids=["bell_egf", "omega_egf", "product_literal", "product_power", "omega_identity_rows",
+         "section_convolution", "bell_convolution", "bell_base"],
+)
+def test_vector_routes_reject_a_negative_n_max(route):
+    # r = 1: omega_identity_rows would otherwise read B[0..n_max+r] and return []
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        route(-1, ParamSet.make(1, 2, 2, 2, 2, 1))
 
 
 class TestOmega:

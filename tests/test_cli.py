@@ -245,6 +245,9 @@ class TestVerifyCommand:
             (5, {"EX-B1x2": {2}, "EX-B2x4": {4}, "W4-explicit": {5}, "ASYMP-r0": {1, 2, 3, 4}}),
             (12, {"EX-B1x2": {2}, "EX-B2x4": {4}, "EX-B2x6": {6}, "W4-explicit": set(range(5, 13)),
                   "W5-explicit": set(range(6, 13)), "ASYMP-r0": {1, 2, 3, 4}}),
+            (0, {}),
+            (20, {"EX-B1x2": {2}, "EX-B2x4": {4}, "EX-B2x6": {6}, "W4-explicit": set(range(5, 13)),
+                  "W5-explicit": set(range(6, 13)), "ASYMP-r0": {1, 2, 3, 4}}),
         ],
     )
     def test_max_n_bounds_the_fixed_n_claims(self, max_n, expected):
@@ -252,6 +255,13 @@ class TestVerifyCommand:
         result = invoke("verify", "--claims", claims, "--max-n", str(max_n))
         assert result.exit_code == 0
         assert self._row_ns(result.stdout) == expected
+
+    @pytest.mark.parametrize("max_n", [3, 5])
+    def test_grid_max_n_is_the_flag(self, max_n):
+        claims = ["W4-explicit", "W5-explicit", "ASYMP-r0"]
+        result = invoke("verify", "--claims", ",".join(claims), "--max-n", str(max_n))
+        report = verify.run_claims(claims, verify.GridSpec(max_n=max_n))
+        assert result.stdout == verify.emit_report(report, "csv").decode()
 
     def test_max_n_bounds_every_row(self):
         result = invoke("verify", "--max-n", "3")

@@ -55,13 +55,16 @@ SMALL_GRID = GridSpec(
     xs=(1,),
     lambdas=(0, 1, 2),
     rs=(0, 1),
-    max_n=4,
-    ex_lambdas=(0, 1, 2),
-    ex_betas=(1,),
-    w_max_n=6,
-    deltas=(50,),
-    asymp_n=(1, 2),
+    max_n=6,  # W4-explicit and W5-explicit start at n = 5 and 6
 )
+
+
+def _row_ns(report: VerificationReport) -> dict:
+    """{claim: the set of n over its rows}."""
+    ns: dict = {}
+    for row in report.rows:
+        ns.setdefault(row.claim, set()).add(int(dict(row.point)["n"]))
+    return ns
 
 
 class TestRegistry:
@@ -131,8 +134,12 @@ class TestDefaultGrid:
         [(0, 0, ()), (3, 3, (1, 2, 3)), (8, 8, (1, 2, 3, 4)), (20, 12, (1, 2, 3, 4))],
     )
     def test_max_n_cuts_every_n_range(self, max_n, w_max_n, asymp_n):
-        assert GridSpec.default(max_n) == replace(GridSpec(), max_n=max_n, w_max_n=w_max_n,
-                                                  asymp_n=asymp_n)
+        assert GridSpec.default(max_n) == GridSpec(max_n=max_n)
+        one_triple = GridSpec(alphas=(0,), betas=(1,), gammas=(0,), xs=(1,), max_n=max_n)
+        ns = _row_ns(run_claims(["T5", "W4-explicit", "ASYMP-r0"], one_triple))
+        assert ns["T5"] == set(range(max_n + 1))
+        assert ns.get("W4-explicit", set()) == set(range(5, w_max_n + 1))
+        assert ns.get("ASYMP-r0", set()) == set(asymp_n)
 
     def test_an_example_claim_past_max_n_writes_no_row(self):
         grid = replace(SMALL_GRID, max_n=3)
@@ -174,6 +181,18 @@ class TestDeterminism:
         second = emit_report(run_claims(ids, SMALL_GRID), "json")
         assert first == second
 
+    def test_each_axis_set_walked_once(self, monkeypatch):
+        walks = []  # the (lambdas, betas, rs) of each walked grid
+        param_sets = GridSpec.param_sets
+        monkeypatch.setattr(GridSpec, "param_sets",
+                            lambda grid: walks.append((grid.lambdas, grid.betas, grid.rs))
+                            or param_sets(grid))
+        run_claims(grid=SMALL_GRID)
+        assert len(walks) == len(set(walks)) == 5  # for 13 claims
+        walks.clear()
+        run_claims(["EX-B2x4", "EX-B2x6", "T3-n", "T33"], SMALL_GRID)
+        assert len(walks) == 2
+
     def test_rows_sorted_by_claim_then_point(self):
         report = run_claims(["T5", "EX-B1x2"], SMALL_GRID)
         claims = [row.claim for row in report.rows]
@@ -185,7 +204,7 @@ def _rows_sorted_per_row(grid: GridSpec) -> VerificationReport:
     value parsed on its own."""
     rows = []
     for claim in sorted(claim_registry().values(), key=lambda c: c.id):
-        for params in claim.points(grid):
+        for params in replace(grid, **dict(claim.points)).param_sets():
             rows.extend(claim.evaluate(params, grid))
     rows.sort(key=lambda row: (row.claim, tuple(narrow(Fraction(v)) for _, v in row.point)))
     return VerificationReport(tuple(rows))
