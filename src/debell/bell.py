@@ -61,19 +61,27 @@ def _section(xu: TruncatedSeries, e, c) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _bell_egf(params: ParamSet, n_max: int) -> tuple:
-    """B[0..n_max] as head * (x u)^(r lam) * _section(x u, lam, (r+1) lam), read
-    at order n_max + 1 (a spare position past anything read)."""
-    _check_n_max(n_max)
-    s, head, xu = _rescaled(params, n_max + 1)
-    lam, r = params.lam, params.r
-    ser = head * xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam)
-    return tuple(_unscale(ser, s, n_max))
+def _bell_egf(params: ParamSet) -> list:
+    """The longest B vector ``bell_egf`` has built at ``params``; it grows in place."""
+    return []
 
 
 def bell_egf(n_max: int, params: ParamSet) -> list:
-    """B[0..n_max] from the defining generating function."""
-    return list(_bell_egf(params, n_max))
+    """B[0..n_max] from the defining generating function: head * (x u)^(r lam)
+    * _section(x u, lam, (r+1) lam), read at order n_max + 1 (a spare position
+    past anything read).
+
+    B[n] does not depend on the truncation order, so each ParamSet keeps the
+    longest vector built so far, and a shorter request gets a copy of its
+    first n_max + 1 entries: exactly the values a build at n_max would give."""
+    _check_n_max(n_max)
+    held = _bell_egf(params)
+    if len(held) <= n_max:
+        s, head, xu = _rescaled(params, n_max + 1)
+        lam, r = params.lam, params.r
+        held[:] = _unscale(head * xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam),
+                           s, n_max)
+    return held[: n_max + 1]
 
 
 @lru_cache(maxsize=None)
@@ -203,15 +211,22 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
 # -- the per-section product, read two ways ------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _product_factor(alpha, beta, gamma, x, r: int, order: int) -> tuple:
+    """(S, head, F) at ``order``, F the lam-free single-section factor
+    (x u)^r exp(-x u) / (1 - x u)^(r+1); the two product readings differ only
+    in the power they raise F to."""
+    s, head, xu = _rescaled(ParamSet.make(alpha, beta, gamma, x, 1, r), order)
+    log_one_minus = (TruncatedSeries.one(order) - xu).log()
+    return s, head, xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
+
+
 def _product(n_max: int, params: ParamSet, literal: bool) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
     _check_n_max(n_max)
-    order = n_max + 1
-    s, head, xu = _rescaled(params, order)
-    r, lam = params.r, params.lam
-    log_one_minus = (TruncatedSeries.one(order) - xu).log()
-    factor = xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
+    a, b, g, x, lam, r = params.key
+    s, head, factor = _product_factor(a, b, g, x, r, n_max + 1)
     # factor i is factor 1 to the i-th power, so the literal product of
     # factors 1..lam is factor 1 to the power 1 + 2 + ... + lam
     return _unscale(head * factor.pow_int(lam * (lam + 1) // 2 if literal else lam), s, n_max)

@@ -124,8 +124,10 @@ class Claim:
     required: Callable[[dict], bool] | None = None
 
 
+@lru_cache(maxsize=None)
 def _at(params: ParamSet, n: int, **extra) -> tuple:
-    """A row's point: the parameters, n, then ``extra`` in the order given."""
+    """A row's point: the parameters, n, then ``extra`` in the order given;
+    built once, so every claim's rows at one point share one tuple."""
     return params.as_pairs() + (("n", str(n)),) + tuple((k, str(v)) for k, v in extra.items())
 
 
@@ -177,6 +179,8 @@ def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> l
 
 def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
     top = grid.top(n_max)
+    if top <= f:
+        return []
     c = asymptotics.bell_base(params, max(top, 6))
     return [
         _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
@@ -279,13 +283,6 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
 # -- serialization --------------------------------------------------------------
 
 
-# One report row as json.dumps(..., sort_keys=True, indent=2) lays it out.
-_JSON_ROW = (
-    '    {{\n      "claim": {claim},\n      "lhs": {lhs},\n      "note": {note},\n'
-    '      "point": {point},\n      "rhs": {rhs},\n      "status": {status}\n    }}'
-)
-
-
 def _point_json(point: tuple) -> str:
     if not point:
         return "[]"
@@ -295,20 +292,31 @@ def _point_json(point: tuple) -> str:
     return "[\n" + pairs + "\n      ]"
 
 
+def _json_rows(rows) -> Iterator[bytes]:
+    """The JSON report in pieces: each row as json.dumps(..., sort_keys=True,
+    indent=2) lays it out, led by the text that precedes it, then the closing
+    text.  A claim's, note's and status's text is formatted once, and a
+    point's once per distinct point."""
+    claim_text = cache(lambda claim: f'    {{\n      "claim": {_js(claim)},\n      "lhs": ')
+    note_text = cache(lambda note: f',\n      "note": {_js(note)},\n      "point": ')
+    status_text = cache(lambda status: f',\n      "status": {_js(status)}\n    }}')
+    point_json = cache(_point_json)
+    lead = '{\n  "rows": [\n'
+    for row in rows:
+        yield (f"{lead}{claim_text(row.claim)}{_js(row.lhs)}{note_text(row.note)}"
+               f'{point_json(row.point)},\n      "rhs": {_js(row.rhs)}{status_text(row.status)}'
+               ).encode()
+        lead = ",\n"
+    yield b"\n  ]\n}\n"
+
+
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
     """The report as bytes; the JSON form is byte-identical to
     ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
     if fmt == "json":
         if not report.rows:
             return b'{\n  "rows": []\n}\n'
-        point_json = cache(_point_json)
-        body = ",\n".join(
-            _JSON_ROW.format(claim=_js(row.claim), lhs=_js(row.lhs), note=_js(row.note),
-                             point=point_json(row.point), rhs=_js(row.rhs),
-                             status=_js(row.status))
-            for row in report.rows
-        )
-        return ('{\n  "rows": [\n' + body + "\n  ]\n}\n").encode()
+        return b"".join(_json_rows(report.rows))
     if fmt == "csv":
         rows = ([row.claim, format_point(row.point), row.lhs, row.rhs, row.status, row.note]
                 for row in report.rows)

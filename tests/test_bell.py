@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from debell.asymptotics import bell_asymptotic_estimate, bell_base
 from debell.bell import (
+    _bell_egf,
     _lambda1,
+    _product_factor,
     _rescaled,
     _section,
     _unscale,
@@ -411,6 +413,58 @@ class TestProductForms:
         for route in (product_literal, product_power):
             with pytest.raises(ValueError):
                 route(4, ParamSet.make(lam=0))
+
+
+class TestSharedWork:
+    """bell_egf keeps the longest B vector per ParamSet and serves a shorter
+    request from its prefix; the product readings share one factor per order."""
+
+    POINTS = [
+        ParamSet.make(1, 2, 2, 2, 2, 1),
+        ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 2, 1),  # S = 6
+    ]
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_a_served_prefix_is_a_cold_build(self, p):
+        _bell_egf.cache_clear()
+        cold = _typed(bell_egf(3, p))
+        grown = _typed(bell_egf(8, p)[:4])
+        served = _typed(bell_egf(3, p))
+        _bell_egf.cache_clear()
+        assert served == grown == cold == _typed(bell_egf(3, p))
+
+    def test_the_rational_point_is_rescaled(self):
+        assert _rescaled(self.POINTS[1], 0)[0] == 6
+
+    def test_returned_vectors_are_copies(self):
+        p = self.POINTS[0]
+        first = bell_egf(5, p)
+        want = list(first)
+        first[2] = -1
+        first.append(0)
+        assert bell_egf(5, p) == want
+        assert bell_egf(6, p)[:6] == want
+
+    def test_one_vector_per_param_set(self):
+        _bell_egf.cache_clear()
+        for n_max in (3, 8, 5, 0):
+            for p in self.POINTS:
+                bell_egf(n_max, p)
+                bell_egf(n_max, p.replace(lam=3))
+        assert _bell_egf.cache_info().currsize == 2 * len(self.POINTS)
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_one_factor_per_order_for_every_lam(self, p):
+        _product_factor.cache_clear()
+        for n_max in (4, 6):
+            for lam in (1, 2, 3):
+                q = p.replace(lam=lam)
+                literal, power = product_literal(n_max, q), product_power(n_max, q)
+                assert literal == _literal_product_oracle(n_max, q)
+                assert power == bell_egf(n_max, q)
+                assert (literal == power) == (lam == 1)
+        info = _product_factor.cache_info()  # 12 reads, one build per order
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 10)
 
 
 class TestRegimeProperties:

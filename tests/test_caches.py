@@ -7,8 +7,10 @@ import pkgutil
 import debell
 
 ALLOWED = [
+    "_at",
     "_bell_egf",
     "_lambda1",
+    "_product_factor",
     "_r_stirling_tally",
     "claim_registry",
     "partitions_with_parts",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from debell import bell
+from debell import asymptotics, bell
 from debell.exact import narrow
 from debell.verify import (
     EQUAL,
@@ -145,6 +145,28 @@ class TestDefaultGrid:
         grid = replace(SMALL_GRID, max_n=3)
         assert run_claims(["EX-B2x4"], grid).rows == ()
         assert run_claims(["EX-B1x2"], grid).rows
+
+
+class TestWClaims:
+    # fixture_summary of W4-explicit and W5-explicit at GridSpec(max_n=6)
+    AT_MAX_N_6 = {
+        "W4-explicit": {"rows": 288, "equal": 144, "unequal": 144, "skipped": 0,
+                        "sha256": "fbc119044f0fedacecc890aec6f0680956e94ca4e8bfe3ed6fb860de81a58cff"},
+        "W5-explicit": {"rows": 144, "equal": 144, "unequal": 0, "skipped": 0,
+                        "sha256": "20fe67435171aa6c65239d17368d51b24208987e2a6beeae1b7f9994507bb10b"},
+    }
+
+    def test_no_base_is_built_for_a_point_without_rows(self, monkeypatch):
+        calls = []
+        base = asymptotics.bell_base
+        monkeypatch.setattr(asymptotics, "bell_base",
+                            lambda params, n_max: calls.append(n_max) or base(params, n_max))
+        ids = ["W4-explicit", "W5-explicit"]
+        assert run_claims(ids, GridSpec(max_n=3)).rows == ()
+        assert calls == []
+        assert fixture_summary(run_claims(ids, GridSpec(max_n=6))) == self.AT_MAX_N_6
+        assert calls
+
 
 class TestOutcomes:
     def test_t5_all_equal(self):
