@@ -13,6 +13,11 @@ the binomially weighted closed sum for general lam, the section convolution,
 the classical specialization, and the omega identities -- is computed
 independently so that agreement can be adjudicated point by point instead of
 assumed.
+
+gamma enters only through the head (1+alpha t)^(gamma/alpha), so B's series
+route and the product readings memoize the rest of their EGF (``_gamma_free``,
+``_product_factor``) once for all the gammas that share the rescale S of
+``_with_head``; S, which gamma's denominator enters, is in both keys.
 """
 
 from __future__ import annotations
@@ -34,16 +39,18 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
 
-def _rescaled(params: ParamSet, order: int) -> tuple:
-    """(S, head, x u): (1+alpha t)^(gamma/alpha) and x u read at t -> S t with
-    S = lcm(den alpha, den beta, den gamma) * den x.  Their EGF numerators
-    (gamma S|alpha S)_n and x (beta S|alpha S)_n = x (den x)^n (...)_n are
-    integers, so is every series built from them; ``_unscale`` divides S^n out."""
-    a, b, g, x = params.alpha, params.beta, params.gamma, params.x
-    s = lcm(a.denominator, b.denominator, g.denominator) * x.denominator
-    head = binpow(a * s, g * s, order)
-    u = binpow(a * s, b * s, order) - TruncatedSeries.one(order)
-    return s, head, u.scale(x)
+def _xu(alpha, beta, x, s: int, order: int) -> TruncatedSeries:
+    """x u read at t -> S t, numerators x (beta S|alpha S)_n = x (den x)^n (...)_n."""
+    return (binpow(alpha * s, beta * s, order) - TruncatedSeries.one(order)).scale(x)
+
+
+def _with_head(params: ParamSet, n_max: int, rest, *args) -> list:
+    """Entries 0..n_max of the head (1+alpha t)^(gamma/alpha) times an EGF's gamma-free
+    rest(alpha, beta, x, S, order, *args), read at t -> S t, S = lcm(den alpha, den beta,
+    den gamma) * den x: every numerator is then an integer, and ``_unscale`` divides S^n out."""
+    a, b, g, x, _, _ = params.key
+    s, order = lcm(a.denominator, b.denominator, g.denominator) * x.denominator, n_max + 1
+    return _unscale(binpow(a * s, g * s, order) * rest(a, b, x, s, order, *args), s, n_max)
 
 
 def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
@@ -66,10 +73,18 @@ def _bell_egf(params: ParamSet) -> list:
     return []
 
 
+@lru_cache(maxsize=None)
+def _gamma_free(alpha, beta, x, s: int, order: int, lam: int, r: int) -> TruncatedSeries:
+    """G = (x u)^(r lam) * _section(x u, lam, (r+1) lam), B's EGF without its head,
+    keyed on (alpha, beta, x, S, order, lam, r): gamma enters only the head."""
+    xu = _xu(alpha, beta, x, s, order)
+    return xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam)
+
+
 def bell_egf(n_max: int, params: ParamSet) -> list:
-    """B[0..n_max] from the defining generating function: head * (x u)^(r lam)
-    * _section(x u, lam, (r+1) lam), read at order n_max + 1 (a spare position
-    past anything read).
+    """B[0..n_max] from the defining generating function: head * G, G the
+    gamma-free (x u)^(r lam) * _section(x u, lam, (r+1) lam) of ``_gamma_free``,
+    read at order n_max + 1 (a spare position past anything read).
 
     B[n] does not depend on the truncation order, so each ParamSet keeps the
     longest vector built so far, and a shorter request gets a copy of its
@@ -77,10 +92,7 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
     _check_n_max(n_max)
     held = _bell_egf(params)
     if len(held) <= n_max:
-        s, head, xu = _rescaled(params, n_max + 1)
-        lam, r = params.lam, params.r
-        held[:] = _unscale(head * xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam),
-                           s, n_max)
+        held[:] = _with_head(params, n_max, _gamma_free, params.lam, params.r)
     return held[: n_max + 1]
 
 
@@ -186,8 +198,7 @@ def omega_egf(n_max: int, params: ParamSet) -> list:
     """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam: the
     head times _section(x u, 0, lam), with no exponential term."""
     _check_n_max(n_max)
-    s, head, xu = _rescaled(params, n_max + 1)
-    return _unscale(head * _section(xu, 0, params.lam), s, n_max)
+    return _with_head(params, n_max, lambda *xu_args: _section(_xu(*xu_args), 0, params.lam))
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:
@@ -212,24 +223,26 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
 
 
 @lru_cache(maxsize=None)
-def _product_factor(alpha, beta, gamma, x, r: int, order: int) -> tuple:
-    """(S, head, F) at ``order``, F the lam-free single-section factor
-    (x u)^r exp(-x u) / (1 - x u)^(r+1); the two product readings differ only
-    in the power they raise F to."""
-    s, head, xu = _rescaled(ParamSet.make(alpha, beta, gamma, x, 1, r), order)
+def _product_factor(alpha, beta, x, s: int, order: int, r: int, k: int) -> TruncatedSeries:
+    """F^k, keyed on (alpha, beta, x, S, order, r, k), F the lam-free single-section
+    factor (x u)^r exp(-x u) / (1 - x u)^(r+1); gamma enters only the head, so F
+    is built once per order for every gamma that shares S, and raised to each k."""
+    if k != 1:
+        return _product_factor(alpha, beta, x, s, order, r, 1).pow_int(k)
+    xu = _xu(alpha, beta, x, s, order)
     log_one_minus = (TruncatedSeries.one(order) - xu).log()
-    return s, head, xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
+    return xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
 
 
 def _product(n_max: int, params: ParamSet, literal: bool) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
     _check_n_max(n_max)
-    a, b, g, x, lam, r = params.key
-    s, head, factor = _product_factor(a, b, g, x, r, n_max + 1)
+    lam = params.lam
     # factor i is factor 1 to the i-th power, so the literal product of
     # factors 1..lam is factor 1 to the power 1 + 2 + ... + lam
-    return _unscale(head * factor.pow_int(lam * (lam + 1) // 2 if literal else lam), s, n_max)
+    return _with_head(params, n_max, _product_factor, params.r,
+                      lam * (lam + 1) // 2 if literal else lam)
 
 
 def product_literal(n_max: int, params: ParamSet) -> list:

@@ -106,8 +106,8 @@ class ParamSet:
     ``alpha``, ``beta``, ``gamma`` are the factorial-polynomial weights,
     ``x`` the number of block colors, ``lam`` the section/bar exponent, and
     ``r`` the number of distinguished singletons.  ``key`` is the six values
-    with integral weights narrowed to ``int``; the hash and the text form
-    ``as_pairs()`` are computed from it once per instance.
+    with integral weights narrowed to ``int``; equality compares it, and the
+    hash and the text form ``as_pairs()`` are computed from it once per instance.
     """
 
     alpha: Fraction
@@ -130,6 +130,9 @@ class ParamSet:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_pairs", pairs)
+
+    def __eq__(self, other):
+        return self.key == other.key if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
         return self._hash

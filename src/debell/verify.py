@@ -136,6 +136,11 @@ def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = 
     return ReportRow(claim_id, point, format_rat(lhs), format_rat(rhs), status, note)
 
 
+def _b(params: ParamSet, grid: GridSpec) -> list:
+    """B[0..top + r], what OMEGA-ID reads: every claim reads it, so each point builds B once."""
+    return bell.bell_egf(grid.top() + params.r, params)
+
+
 def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=False) -> list:
     """Rows n = 0..top comparing the series route B[n] with ``route(top,
     params)[n]``, or SKIPPED rows at lam = 0 for a route that ``needs_lam`` >= 1."""
@@ -144,7 +149,7 @@ def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=Fa
     if needs_lam and params.lam < 1:
         return [ReportRow(claim_id, point, "", "", SKIPPED, "needs lam >= 1") for point in points]
     rhs = route(top, params)
-    lhs = bell.bell_egf(top, params)
+    lhs = _b(params, grid)
     return [_row(claim_id, point, lhs[n], rhs[n]) for n, point in enumerate(points)]
 
 
@@ -172,7 +177,7 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
 def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
     if grid.top(n) < n:
         return []
-    lhs = bell.bell_egf(n, params)[n]
+    lhs = _b(params, grid)[n]
     rhs = poly(params.lam, params.x, params.beta)
     return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
 
@@ -190,13 +195,13 @@ def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int)
 
 
 def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
-    rows = []
-    for n in range(1, grid.top(n_max) + 1):
-        for delta in deltas:
-            cmp = asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
-            rows.append(_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmp.estimate,
-                             cmp.exact, "full-order expansion vs exact"))
-    return rows
+    ns = range(1, grid.top(n_max) + 1)
+    # from the top n down, so each scaled point's B vector is built at its longest first
+    cmps = {(n, delta): asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
+            for n in reversed(ns) for delta in deltas}
+    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmps[n, delta].estimate,
+                 cmps[n, delta].exact, "full-order expansion vs exact")
+            for n in ns for delta in deltas]
 
 
 def _everywhere(point: dict) -> bool:

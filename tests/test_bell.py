@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from debell.asymptotics import bell_asymptotic_estimate, bell_base
 from debell.bell import (
     _bell_egf,
+    _gamma_free,
     _lambda1,
     _product_factor,
-    _rescaled,
     _section,
     _unscale,
+    _xu,
     bell_classic,
     bell_convolution,
     bell_egf,
@@ -31,8 +32,8 @@ from debell.enumeration import (
     ordered_partitions_count,
     r_deranged_partitions_enum,
 )
-from debell.exact import ParamSet, binomial, gen_falling
-from debell.series import TruncatedSeries
+from debell.exact import ParamSet, binomial, gen_falling, narrow
+from debell.series import TruncatedSeries, binpow
 from debell.stirling import StirlingTable, stirling_rec
 
 _ZERO = Fraction(0)
@@ -45,6 +46,13 @@ def rational_points(draw):
     alpha, beta = draw(weights), draw(weights.filter(bool))
     gamma, x = draw(weights), draw(weights)
     return ParamSet.make(alpha, beta, gamma, x, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+
+
+def _rescaled(p: ParamSet, order: int) -> tuple:
+    """(S, head, x u): S = lcm(den alpha, den beta, den gamma) * den x, and the
+    head (1+alpha t)^(gamma/alpha) and x u read at t -> S t."""
+    s = lcm(p.alpha.denominator, p.beta.denominator, p.gamma.denominator) * p.x.denominator
+    return s, binpow(p.alpha * s, p.gamma * s, order), _xu(p.alpha, p.beta, p.x, s, order)
 
 
 def _compositions(n: int, parts: int):
@@ -387,7 +395,7 @@ def _literal_product_oracle(n_max: int, params: ParamSet) -> list:
     for i in range(1, params.lam + 1):
         ser = ser * xu.pow_int(r * i) * xu.scale(-i).exp()
         ser = ser * log_one_minus.scale(-(r + 1) * i).exp()
-    return [Fraction(ser.egf_coeff(n), s**n) for n in range(n_max + 1)]
+    return [narrow(Fraction(ser.egf_coeff(n), s**n)) for n in range(n_max + 1)]
 
 
 class TestProductForms:
@@ -415,9 +423,25 @@ class TestProductForms:
                 route(4, ParamSet.make(lam=0))
 
 
+def _gamma_free_scale(p: ParamSet) -> int:
+    """The S at which a cold ``bell_egf(3, p)`` memoizes p's gamma-free series:
+    the one S whose ``_gamma_free`` read afterwards is a cache hit."""
+    _bell_egf.cache_clear()
+    _gamma_free.cache_clear()
+    bell_egf(3, p)
+    a, b, _, x, lam, r = p.key
+    for s in range(1, 13):
+        hits = _gamma_free.cache_info().hits
+        _gamma_free(a, b, x, s, 4, lam, r)
+        if _gamma_free.cache_info().hits > hits:
+            return s
+    raise AssertionError("no cached S in 1..12")
+
+
 class TestSharedWork:
     """bell_egf keeps the longest B vector per ParamSet and serves a shorter
-    request from its prefix; the product readings share one factor per order."""
+    request from its prefix; the product readings share one factor F per order
+    and one power of it per exponent."""
 
     POINTS = [
         ParamSet.make(1, 2, 2, 2, 2, 1),
@@ -434,7 +458,7 @@ class TestSharedWork:
         assert served == grown == cold == _typed(bell_egf(3, p))
 
     def test_the_rational_point_is_rescaled(self):
-        assert _rescaled(self.POINTS[1], 0)[0] == 6
+        assert _gamma_free_scale(self.POINTS[1]) == 6
 
     def test_returned_vectors_are_copies(self):
         p = self.POINTS[0]
@@ -463,8 +487,41 @@ class TestSharedWork:
                 assert literal == _literal_product_oracle(n_max, q)
                 assert power == bell_egf(n_max, q)
                 assert (literal == power) == (lam == 1)
-        info = _product_factor.cache_info()  # 12 reads, one build per order
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 10)
+        # per order: F and its powers 3, 2, 6 (literal and power at lam = 2, 3)
+        # are built once; the other 5 of the 9 reads (each power reads F) hit
+        info = _product_factor.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (8, 8, 10)
+
+
+class TestGammaSharing:
+    """gamma enters B only through the head (1+alpha t)^(gamma/alpha), so the
+    gamma-free series are memoized once per S = lcm(dens) * den x; at x = 3/2
+    the gammas 1/2, 1/3, 2 give S = 4, 6, 2, and gamma = 4 shares S = 2."""
+
+    GAMMAS = (Fraction(1, 2), Fraction(1, 3), 2, 4)
+
+    @staticmethod
+    def points(lam):
+        return [ParamSet.make(1, 2, g, Fraction(3, 2), lam, 1) for g in TestGammaSharing.GAMMAS]
+
+    def test_the_gammas_give_distinct_scales(self):
+        assert [_gamma_free_scale(p) for p in self.points(1)] == [4, 6, 2, 2]
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_routes_match_cold_oracles_with_one_entry_per_scale(self, lam):
+        for cache in (_bell_egf, _gamma_free, _product_factor):
+            cache.cache_clear()
+        types = set()
+        for p in self.points(lam):
+            b, _ = _chain_vectors(8, p)
+            assert _typed(bell_egf(8, p)) == _typed(b)
+            assert _typed(product_power(8, p)) == _typed(b)
+            assert _typed(product_literal(8, p)) == _typed(_literal_product_oracle(8, p))
+            types |= set(map(type, b))
+        assert types == {int, Fraction}
+        assert _gamma_free.cache_info().currsize == 3
+        # per S: F and each distinct power of it, lam and lam (lam + 1) / 2
+        assert _product_factor.cache_info().currsize == 3 * len({1, lam, lam * (lam + 1) // 2})
 
 
 class TestRegimeProperties:

@@ -9,6 +9,7 @@ import debell
 ALLOWED = [
     "_at",
     "_bell_egf",
+    "_gamma_free",
     "_lambda1",
     "_product_factor",
     "_r_stirling_tally",

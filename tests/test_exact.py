@@ -131,3 +131,21 @@ class TestParamSet:
         q = p.replace(lam=3)
         assert q.lam == 3 and q.alpha == 1
         assert dict(p.as_pairs())["beta"] == "2"
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ((2, 4, 2, 1, 1, 0), (Fraction(2), Fraction(4), Fraction(2), Fraction(1), 1, 0)),
+            ((Fraction(1, 3), 1, "1/2", Fraction(3, 2), 2, 1),
+             ("1/3", Fraction(1), Fraction(2, 4), "3/2", 2, 1)),
+        ],
+        ids=["integral", "rational"],
+    )
+    def test_equality_and_hash_agree(self, left, right):
+        p, q = ParamSet.make(*left), ParamSet.make(*right)
+        assert p == q and not p != q and p is not q
+        assert hash(p) == hash(q) and p.key == q.key
+        assert len({p, q}) == 1
+        for changed in (q.replace(lam=q.lam + 1), q.replace(gamma=q.gamma + Fraction(1, 5))):
+            assert p != changed and not p == changed
+        assert p != p.key and p != dict(p.as_pairs())

@@ -111,6 +111,22 @@ class TestPerPointEvaluation:
             "product_power": with_lam,
         }
 
+    def test_each_b_vector_grows_once_on_the_default_grid(self, monkeypatch):
+        """Every claim reads B[0..top + r] at a grid point and ASYMP-r0 reads its
+        scaled points from the top n down, so no request outgrows the first."""
+        requests = {}  # params -> the n_max of each bell_egf call, in order
+        route = bell.bell_egf
+
+        def counted(n_max, params):
+            requests.setdefault(params, []).append(n_max)
+            return route(n_max, params)
+
+        monkeypatch.setattr(bell, "bell_egf", counted)
+        monkeypatch.setattr(asymptotics, "bell_egf", counted)
+        run_claims()
+        assert len(requests) == 972
+        regrown = [p for p, ns in requests.items() if max(ns) > ns[0]]
+        assert regrown == []
 
     def test_t3_convolutions_stop_at_the_entries_they_compare(self, monkeypatch):
         route = bell.section_convolution
