@@ -14,10 +14,10 @@ the classical specialization, and the omega identities -- is computed
 independently so that agreement can be adjudicated point by point instead of
 assumed.
 
-gamma enters only through the head (1+alpha t)^(gamma/alpha), so B's series
-route and the product readings memoize the rest of their EGF (``_gamma_free``,
-``_product_factor``) once for all the gammas that share the rescale S of
-``_with_head``; S, which gamma's denominator enters, is in both keys.
+Every series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free
+factor from one of two memoized builders, ``_gamma_free`` (B and omega) and
+``_product_factor`` (the product readings), built once for all the gammas
+that share the rescale S of ``_with_head``; S is in both keys.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
     return [narrow(Fraction(ser.egf_coeff(n), s**n)) for n in range(n_max + 1)]
 
 
-def _section(xu: TruncatedSeries, e, c) -> TruncatedSeries:
-    """exp(-e X) / (1 - X)^c at X = x u, built as the single exponential
-    exp(-c log(1 - X) - e X); integer numerators stay ints."""
-    one = TruncatedSeries.one(xu.order)
-    return ((one - xu).log().scale(-c) - xu.scale(e)).exp()
-
-
 @lru_cache(maxsize=None)
 def _bell_egf(params: ParamSet) -> list:
     """The longest B vector ``bell_egf`` has built at ``params``; it grows in place."""
@@ -74,17 +67,19 @@ def _bell_egf(params: ParamSet) -> list:
 
 
 @lru_cache(maxsize=None)
-def _gamma_free(alpha, beta, x, s: int, order: int, lam: int, r: int) -> TruncatedSeries:
-    """G = (x u)^(r lam) * _section(x u, lam, (r+1) lam), B's EGF without its head,
-    keyed on (alpha, beta, x, S, order, lam, r): gamma enters only the head."""
+def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> TruncatedSeries:
+    """X^p exp(-e X) / (1 - X)^c at X = x u, keyed on (alpha, beta, x, S, order,
+    p, e, c), gamma-free because gamma enters only the head; the quotient is
+    the single exponential exp(-c log(1 - X) - e X), so integer numerators stay ints."""
     xu = _xu(alpha, beta, x, s, order)
-    return xu.pow_int(r * lam) * _section(xu, lam, (r + 1) * lam)
+    section = ((TruncatedSeries.one(order) - xu).log().scale(-c) - xu.scale(e)).exp()
+    return xu.pow_int(p) * section
 
 
 def bell_egf(n_max: int, params: ParamSet) -> list:
-    """B[0..n_max] from the defining generating function: head * G, G the
-    gamma-free (x u)^(r lam) * _section(x u, lam, (r+1) lam) of ``_gamma_free``,
-    read at order n_max + 1 (a spare position past anything read).
+    """B[0..n_max] from the defining generating function: the head times
+    ``_gamma_free`` at (p, e, c) = (r lam, lam, (r+1) lam), read at order
+    n_max + 1 (a spare position past anything read).
 
     B[n] does not depend on the truncation order, so each ParamSet keeps the
     longest vector built so far, and a shorter request gets a copy of its
@@ -92,7 +87,8 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
     _check_n_max(n_max)
     held = _bell_egf(params)
     if len(held) <= n_max:
-        held[:] = _with_head(params, n_max, _gamma_free, params.lam, params.r)
+        lam, r = params.lam, params.r
+        held[:] = _with_head(params, n_max, _gamma_free, r * lam, lam, (r + 1) * lam)
     return held[: n_max + 1]
 
 
@@ -196,9 +192,9 @@ def omega(n: int, params: ParamSet) -> Fraction:
 
 def omega_egf(n_max: int, params: ParamSet) -> list:
     """omega[0..n_max] from (1+alpha t)^(gamma/alpha) / (1 - x u)^lam: the
-    head times _section(x u, 0, lam), with no exponential term."""
+    head times ``_gamma_free`` at (p, e, c) = (0, 0, lam)."""
     _check_n_max(n_max)
-    return _with_head(params, n_max, lambda *xu_args: _section(_xu(*xu_args), 0, params.lam))
+    return _with_head(params, n_max, _gamma_free, 0, 0, params.lam)
 
 
 def omega_identity_rows(n_max: int, params: ParamSet) -> list:
@@ -226,7 +222,9 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
 def _product_factor(alpha, beta, x, s: int, order: int, r: int, k: int) -> TruncatedSeries:
     """F^k, keyed on (alpha, beta, x, S, order, r, k), F the lam-free single-section
     factor (x u)^r exp(-x u) / (1 - x u)^(r+1); gamma enters only the head, so F
-    is built once per order for every gamma that shares S, and raised to each k."""
+    is built once per order for every gamma that shares S, and raised to each k.
+    Its own builder, not ``_gamma_free(..., r, 1, r + 1)``: at lam = 1 that is B's
+    key, and EQ40-power would compare B with itself."""
     if k != 1:
         return _product_factor(alpha, beta, x, s, order, r, 1).pow_int(k)
     xu = _xu(alpha, beta, x, s, order)
@@ -234,23 +232,20 @@ def _product_factor(alpha, beta, x, s: int, order: int, r: int, k: int) -> Trunc
     return xu.pow_int(r) * xu.scale(-1).exp() * log_one_minus.scale(-(r + 1)).exp()
 
 
-def _product(n_max: int, params: ParamSet, literal: bool) -> list:
+def _product(n_max: int, params: ParamSet, k: int) -> list:
     if params.lam < 1:
         raise ValueError("the product forms require lam >= 1")
     _check_n_max(n_max)
-    lam = params.lam
-    # factor i is factor 1 to the i-th power, so the literal product of
-    # factors 1..lam is factor 1 to the power 1 + 2 + ... + lam
-    return _with_head(params, n_max, _product_factor, params.r,
-                      lam * (lam + 1) // 2 if literal else lam)
+    return _with_head(params, n_max, _product_factor, params.r, k)
 
 
 def product_literal(n_max: int, params: ParamSet) -> list:
     """B[0..n_max] read off the product of lam factors whose exponents grow
-    with the factor index i: (x u)^(r i) exp(-i x u) / (1 - x u)^((r+1) i)."""
-    return _product(n_max, params, literal=True)
+    with the factor index i: (x u)^(r i) exp(-i x u) / (1 - x u)^((r+1) i).
+    Factor i is F^i, so the product of factors 1..lam is F^(1 + 2 + ... + lam)."""
+    return _product(n_max, params, params.lam * (params.lam + 1) // 2)
 
 
 def product_power(n_max: int, params: ParamSet) -> list:
     """B[0..n_max] read off the single lam = 1 factor raised to the lam-th power."""
-    return _product(n_max, params, literal=False)
+    return _product(n_max, params, params.lam)

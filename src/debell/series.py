@@ -104,9 +104,6 @@ class TruncatedSeries:
         self._same_order(other)
         return TruncatedSeries(a - b for a, b in zip(self._a, other._a))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-a for a in self._a)
-
     def scale(self, c) -> "TruncatedSeries":
         c = narrow(c)
         return TruncatedSeries(narrow(c * a) for a in self._a)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
@@ -12,7 +13,6 @@ from debell.bell import (
     _gamma_free,
     _lambda1,
     _product_factor,
-    _section,
     _unscale,
     _xu,
     bell_classic,
@@ -432,7 +432,7 @@ def _gamma_free_scale(p: ParamSet) -> int:
     a, b, _, x, lam, r = p.key
     for s in range(1, 13):
         hits = _gamma_free.cache_info().hits
-        _gamma_free(a, b, x, s, 4, lam, r)
+        _gamma_free(a, b, x, s, 4, r * lam, lam, (r + 1) * lam)
         if _gamma_free.cache_info().hits > hits:
             return s
     raise AssertionError("no cached S in 1..12")
@@ -522,6 +522,57 @@ class TestGammaSharing:
         assert _gamma_free.cache_info().currsize == 3
         # per S: F and each distinct power of it, lam and lam (lam + 1) / 2
         assert _product_factor.cache_info().currsize == 3 * len({1, lam, lam * (lam + 1) // 2})
+        for p in self.points(lam):
+            _, w = _chain_vectors(8, p)
+            assert _typed(omega_egf(8, p)) == _typed(w)
+        assert _gamma_free.cache_info().currsize == 3 + 3  # omega's factor, one per S
+
+
+def _reached(route, n_max: int, p: ParamSet) -> set:
+    """The code of every Python function that route(n_max, p) runs from cleared
+    caches; a memo is seen through its wrapped function, which runs on a miss."""
+    for cache in (_bell_egf, _gamma_free, _product_factor):
+        cache.cache_clear()
+    codes, previous = set(), sys.getprofile()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(probe)
+    try:
+        route(n_max, p)
+    finally:
+        sys.setprofile(previous)
+    return codes
+
+
+class TestRouteIndependence:
+    """A route checked against the series route must share none of its machinery:
+    B and omega read ``_gamma_free``, the product readings ``_product_factor``,
+    and neither side reaches the other's builder or the B memo."""
+
+    ROUTES = {  # route: (the builder it reads, what it must never reach)
+        bell_egf: (_gamma_free, (_product_factor,)),
+        omega_egf: (_gamma_free, (_product_factor,)),
+        product_power: (_product_factor, (_gamma_free, _bell_egf)),
+        product_literal: (_product_factor, (_gamma_free, _bell_egf)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES), ids=lambda route: route.__name__)
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ParamSet.make(1, 2, 2, 2, 2, 1),
+            ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 3, 2),  # S = 6
+        ],
+        ids=["integer", "rational"],
+    )
+    def test_route_reaches_its_builder_and_nothing_forbidden(self, route, p):
+        own, forbidden = self.ROUTES[route]
+        reached = _reached(route, 6, p)
+        assert own.__wrapped__.__code__ in reached
+        assert [memo.__name__ for memo in forbidden if memo.__wrapped__.__code__ in reached] == []
 
 
 class TestRegimeProperties:
@@ -568,7 +619,7 @@ class TestRationalRescaling:
 
 def _chain_section(xu, e, c):
     """exp(-e X) / (1 - X)^c at X = xu as two exponentials and a product: the
-    oracle for ``_section``, which takes one exponential of the summed logarithm."""
+    oracle for ``_gamma_free``, which takes one exponential of the summed logarithm."""
     one = TruncatedSeries.one(xu.order)
     return xu.scale(-e).exp() * (one - xu).log().scale(-c).exp()
 
@@ -605,9 +656,10 @@ class TestSectionFactor:
     @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
     def test_matches_chained_factors(self, p):
         for order in (0, 1, 9):
-            _, _, xu = _rescaled(p, order)
+            s, _, xu = _rescaled(p, order)
             for e, c in ((p.lam, (p.r + 1) * p.lam), (0, p.lam)):
-                got, want = _section(xu, e, c), _chain_section(xu, e, c)
+                got = _gamma_free(p.alpha, p.beta, p.x, s, order, 0, e, c)
+                want = _chain_section(xu, e, c)
                 assert _typed(got._a) == _typed(want._a)
 
     @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)

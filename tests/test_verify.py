@@ -206,6 +206,24 @@ class TestOutcomes:
             if row.status == UNEQUAL:
                 assert dict(row.point)["r"] != "0"
 
+    def test_recorded_variants_follow_their_predicates(self):
+        """T3-nr reads B[n+r] against B[n], and EQ40-literal F^(lam(lam+1)/2)
+        against B's F^lam; at r >= 1 both sides vanish below t^(r lam), and at
+        r = 0, F = 1 + X^2/2 + ..., so its powers agree through t^1."""
+        predicates = {
+            "T3-nr": lambda n, lam, r: r == 0 or n + r < r * lam,
+            "EQ40-literal": lambda n, lam, r: (
+                lam == 1 or (r == 0 and n <= 1) or (r >= 1 and n < r * lam)
+            ),
+        }
+        checked = dict.fromkeys(predicates, 0)
+        for row in run_claims(list(predicates)).rows:
+            if row.status != SKIPPED:
+                n, lam, r = (int(dict(row.point)[axis]) for axis in ("n", "lam", "r"))
+                assert (row.status == EQUAL) == predicates[row.claim](n, lam, r), row
+                checked[row.claim] += 1
+        assert checked == {"T3-nr": 3888, "EQ40-literal": 3888}
+
     def test_recorded_claims_do_not_fail_the_run(self):
         report = run_claims(["EX-B1x2", "T3-nr"], SMALL_GRID)
         assert any(r.status == UNEQUAL for r in report.rows)
