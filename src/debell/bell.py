@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, lcm
 
 from . import stirling
@@ -96,7 +95,7 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
 def _lambda1(alpha, beta, gamma, x, r: int, n: int) -> int | Fraction:
     """sum_k d_{k,r} (x beta)^k S(n,k); an int where integral."""
     d = (r_derangement(k, r) for k in range(n + 1))
-    return narrow(stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d))
+    return stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d)
 
 
 def bell_lambda1(n: int, params: ParamSet) -> Fraction:
@@ -116,8 +115,19 @@ def bell_general_closed(n: int, params: ParamSet) -> Fraction:
     a postcondition, except at lam = 1 where the weight is 1.
     """
     a, b, g, x, lam, r = params.key
-    weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n + 1))
-    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, weights))
+    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, _general_weights(lam, r, n)))
+
+
+def general_closed_sums(n_max: int, params: ParamSet) -> list:
+    """``bell_general_closed`` at n = 0..n_max, held as ints where integral."""
+    _check_n_max(n_max)
+    a, b, g, x, lam, r = params.key
+    return stirling.table(a, b, g).weighted_sums(n_max, x * b, _general_weights(lam, r, n_max))
+
+
+def _general_weights(lam: int, r: int, n: int) -> list:
+    """C(k+r+lam-1, k+r) d_{k,r} for k = 0..n."""
+    return [binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n + 1)]
 
 
 def _binomial_convolution(a: list, b: list) -> list:
@@ -179,15 +189,22 @@ def bell_classic(n: int, params: ParamSet) -> int:
 # -- barred-arrangement polynomials --------------------------------------------
 
 
-def _omega(n: int, params: ParamSet) -> int | Fraction:
-    a, b, g, x, lam, _ = params.key
-    weights = (binomial(k + lam - 1, k) * factorial(k) for k in range(n + 1))
-    return narrow(stirling.table(a, b, g).weighted_sum(n, x * b, weights))
-
-
 def omega(n: int, params: ParamSet) -> Fraction:
     """Closed sum sum_k C(k+lam-1, k) x^k k! beta^k S(n,k)."""
-    return Fraction(_omega(n, params))
+    a, b, g, x, lam, _ = params.key
+    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, _omega_weights(lam, n)))
+
+
+def omega_sums(n_max: int, params: ParamSet) -> list:
+    """``omega`` at n = 0..n_max, held as ints where integral."""
+    _check_n_max(n_max)
+    a, b, g, x, lam, _ = params.key
+    return stirling.table(a, b, g).weighted_sums(n_max, x * b, _omega_weights(lam, n_max))
+
+
+def _omega_weights(lam: int, n: int) -> list:
+    """C(k+lam-1, k) k! for k = 0..n."""
+    return [binomial(k + lam - 1, k) * factorial(k) for k in range(n + 1)]
 
 
 def omega_egf(n_max: int, params: ParamSet) -> list:
@@ -203,16 +220,16 @@ def omega_identity_rows(n_max: int, params: ParamSet) -> list:
         omega[n+r] =? sum_i C(n+r, i) B[i]
                       * sum_l beta^l S(n+r-i, l; alpha, beta, 0) x^l lam^l,
 
-    for n = 0..n_max, from one B[0..n_max+r] vector and one binomial
-    convolution.  Equality is not asserted; the harness records it.  Both
-    sides are exact rationals, held as ints where integral."""
+    for n = 0..n_max: the left side from ``omega_sums``, the right from one
+    B[0..n_max+r] vector, the inner sums of one ``weighted_sums`` call and one
+    binomial convolution.  Equality is not asserted; the harness records it.
+    Both sides are exact rationals, held as ints where integral."""
     _check_n_max(n_max)
     a, b, _, x, lam, r = params.key
     top = n_max + r
-    zero_gamma = stirling.table(a, b, 0)
-    inner = [zero_gamma.weighted_sum(j, b * x * lam, repeat(1)) for j in range(top + 1)]
+    inner = stirling.table(a, b, 0).weighted_sums(top, b * x * lam, [1] * (top + 1))
     rhs = _binomial_convolution(bell_egf(top, params), inner)
-    return [(_omega(n + r, params), rhs[n + r]) for n in range(n_max + 1)]
+    return list(zip(omega_sums(top, params)[r:], rhs[r:]))
 
 
 # -- the per-section product, read two ways ------------------------------------

@@ -7,12 +7,13 @@ is 1), with the sign carried by the numerator.
 
 Convention: ``int`` inside; ``Fraction`` only from the scalar routes.  Inner
 sums, series numerators and every vector route (``bell_egf``, ``omega_egf``,
-the product forms, the section convolution, the omega-identity rows,
-``bell_base``) hold an integral value as an ``int`` (``narrow``), which
-multiplies, adds and hashes far faster than a ``Fraction``; the public scalar
-routes (the closed sums, ``omega``, ``w_from_base``, ...) return
-``Fraction``.  Mixing the two is exact except for ``/``: an ``int / int`` is a
-float, so code that divides a vector entry writes ``Fraction(p, q)``.
+the product forms, the section convolution, ``general_closed_sums``,
+``omega_sums``, the omega-identity rows, ``bell_base``) hold an integral
+value as an ``int`` (``narrow``), which multiplies, adds and hashes far
+faster than a ``Fraction``; the public scalar routes (the closed sums,
+``omega``, ``w_from_base``, ...) return ``Fraction``.  Mixing the two is
+exact except for ``/``: an ``int / int`` is a float, so code that divides a
+vector entry writes ``Fraction(p, q)``.
 """
 
 from __future__ import annotations
@@ -84,14 +85,13 @@ def gen_falling(t, alpha, n: int) -> Fraction:
     """Generalized falling factorial t (t - alpha) (t - 2 alpha) ... with n factors."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = as_rat(t)
-    alpha = as_rat(alpha)
-    out = Fraction(1)
+    t, alpha = narrow(t), narrow(alpha)  # ints where integral, so the loop multiplies ints
+    out = 1
     for i in range(n):
         out *= t - i * alpha
         if out == 0:
             break
-    return out
+    return Fraction(out)
 
 
 def falling(c, n: int) -> Fraction:

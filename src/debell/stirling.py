@@ -21,12 +21,17 @@ boundary (``value``, ``stirling_rec``).  With S the lcm of the weight
 denominators, the same recurrence at the integer weights (S alpha, S beta,
 S gamma) yields T(n, k) = S^(n-k) S(n, k); row n of the table holds those
 scaled values, which are S(n, k) itself when S = 1.
+
+The closed sums sum_k w_k c^k S(n, k) read the scaled rows against the ladder
+w_k (c S)^k: ``weighted_sum`` for one n, ``weighted_sums`` for every n up to
+n_max, which builds the ladder once and reads each row as one dot product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from .exact import as_rat, narrow
 from .series import TruncatedSeries, binpow
@@ -59,15 +64,29 @@ class StirlingTable:
 
     def weighted_sum(self, n: int, c, weights) -> int | Fraction:
         """sum_k weights[k] c^k S(n, k), read off the scaled row as
-        S^-n sum_k weights[k] (c S)^k T(n, k); an int when S = 1 and c is
-        integral.  ``weights`` yields the k-th weight at k = 0, 1, ..."""
+        S^-n sum_k weights[k] (c S)^k T(n, k); an int where integral.
+        ``weights`` yields the k-th weight at k = 0, 1, ..."""
+        return self._read(n, self._ladder(n, c, weights))
+
+    def weighted_sums(self, n_max: int, c, weights) -> list:
+        """``weighted_sum`` at n = 0..n_max, the ladder built once for all n."""
+        self.row(n_max)  # rejects a negative n_max; grows the table once
+        ladder = self._ladder(n_max, c, weights)
+        return [self._read(n, ladder) for n in range(n_max + 1)]
+
+    def _ladder(self, n_max: int, c, weights) -> list:
+        """weights[k] (c S)^k for k = 0..n_max."""
         cs = narrow(c * self.scale)
-        total, power = 0, 1
-        for w, t in zip(weights, self.row(n)):
-            if w:
-                total += w * power * t
+        ladder, power = [], 1
+        for _, w in zip(range(n_max + 1), weights):
+            ladder.append(w * power)
             power *= cs
-        return total if self.scale == 1 else Fraction(total, self.scale**n)
+        return ladder
+
+    def _read(self, n: int, ladder: list) -> int | Fraction:
+        """S^-n sum_k ladder[k] T(n, k), narrowed."""
+        total = sum(map(mul, ladder, self.row(n)))
+        return narrow(total if self.scale == 1 else Fraction(total, self.scale**n))
 
     def _grow(self):
         n = len(self._rows) - 1

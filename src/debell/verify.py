@@ -137,7 +137,8 @@ def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = 
 
 
 def _b(params: ParamSet, grid: GridSpec) -> list:
-    """B[0..top + r], what OMEGA-ID reads: every claim reads it, so each point builds B once."""
+    """B[0..top + r], what OMEGA-ID reads: every ``_vs_egf`` and EX claim reads
+    this one vector, so each grid point builds B once."""
     return bell.bell_egf(grid.top() + params.r, params)
 
 
@@ -177,8 +178,9 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
 def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
     if grid.top(n) < n:
         return []
+    _, beta, _, x, lam, _ = params.key
     lhs = _b(params, grid)[n]
-    rhs = poly(params.lam, params.x, params.beta)
+    rhs = poly(lam, x, beta)
     return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
 
 
@@ -228,8 +230,7 @@ def claim_registry() -> dict:
               partial(_vs_egf, route=lambda m, p: [bell.bell_lambda1(n, p) for n in range(m + 1)]),
               _everywhere),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam", (),
-              partial(_vs_egf,
-                      route=lambda m, p: [bell.bell_general_closed(n, p) for n in range(m + 1)])),
+              partial(_vs_egf, route=lambda m, p: bell.general_closed_sums(m, p))),
         Claim("T3-n", "section convolution over compositions of n vs the series route", (),
               partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.section_convolution(m, p)),
               _everywhere),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from debell import stirling
 from debell.asymptotics import bell_asymptotic_estimate, bell_base
 from debell.bell import (
     _bell_egf,
@@ -21,9 +22,11 @@ from debell.bell import (
     bell_general_closed,
     bell_lambda1,
     deranged_bell_classic,
+    general_closed_sums,
     omega,
     omega_egf,
     omega_identity_rows,
+    omega_sums,
     product_literal,
     product_power,
     section_convolution,
@@ -531,8 +534,9 @@ class TestGammaSharing:
 def _reached(route, n_max: int, p: ParamSet) -> set:
     """The code of every Python function that route(n_max, p) runs from cleared
     caches; a memo is seen through its wrapped function, which runs on a miss."""
-    for cache in (_bell_egf, _gamma_free, _product_factor):
+    for cache in (_bell_egf, _gamma_free, _product_factor, _lambda1):
         cache.cache_clear()
+    stirling._TABLES.clear()
     codes, previous = set(), sys.getprofile()
 
     def probe(frame, event, arg):
@@ -559,20 +563,33 @@ class TestRouteIndependence:
         product_literal: (_product_factor, (_gamma_free, _bell_egf)),
     }
 
+    # the closed sums and the convolution read the Stirling triangle alone
+    CLOSED = [bell_lambda1, bell_general_closed, general_closed_sums, omega, omega_sums,
+              section_convolution]
+    POINTS = [
+        ParamSet.make(1, 2, 2, 2, 2, 1),
+        ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 3, 2),  # S = 6
+    ]
+
     @pytest.mark.parametrize("route", list(ROUTES), ids=lambda route: route.__name__)
-    @pytest.mark.parametrize(
-        "p",
-        [
-            ParamSet.make(1, 2, 2, 2, 2, 1),
-            ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 3, 2),  # S = 6
-        ],
-        ids=["integer", "rational"],
-    )
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
     def test_route_reaches_its_builder_and_nothing_forbidden(self, route, p):
         own, forbidden = self.ROUTES[route]
         reached = _reached(route, 6, p)
         assert own.__wrapped__.__code__ in reached
         assert [memo.__name__ for memo in forbidden if memo.__wrapped__.__code__ in reached] == []
+
+    @pytest.mark.parametrize("route", CLOSED, ids=lambda route: route.__name__)
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
+    def test_closed_route_reaches_no_series_machinery(self, route, p):
+        if route is bell_lambda1:
+            p = p.replace(lam=1)  # its only point
+        reached = _reached(route, 6, p)
+        assert StirlingTable._grow.__code__ in reached
+        series_file = binpow.__code__.co_filename  # every TruncatedSeries method's file too
+        assert sorted(code.co_name for code in reached if code.co_filename == series_file) == []
+        memos = (_gamma_free, _product_factor, _bell_egf)
+        assert [memo.__name__ for memo in memos if memo.__wrapped__.__code__ in reached] == []
 
 
 class TestRegimeProperties:
@@ -607,7 +624,12 @@ class TestRationalRescaling:
         if p.lam >= 1:
             assert egf == [bell_convolution(n, p) for n in ns]
             assert product_power(n_max, p) == egf
-        assert omega_egf(n_max, p) == [omega(n, p) for n in ns]
+        omegas = omega_sums(n_max, p)
+        assert omega_egf(n_max, p) == omegas == [omega(n, p) for n in ns]
+        closed = general_closed_sums(n_max, p)
+        assert closed == [bell_general_closed(n, p) for n in ns]
+        for values in (closed, omegas):
+            assert _typed(values) == _typed(map(narrow, values))
 
     @given(rational_points(), st.integers(0, 8))
     def test_rescaled_inputs_are_integral(self, p, order):

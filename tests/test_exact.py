@@ -1,3 +1,4 @@
+import builtins
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from debell import exact
 from debell.exact import (
     ParamSet,
     binomial,
@@ -63,6 +65,34 @@ class TestGenFalling:
         assert gen_falling(6, 2, 3) == 48
         assert gen_falling(5, 1, 3) == 60
         assert gen_falling(Fraction(7, 2), Fraction(1, 3), 0) == 1
+
+    def test_int_path_hand_values(self):
+        cases = [
+            (falling(-3, 4), 360),
+            (gen_falling(Fraction(1, 2), Fraction(1, 3), 5), Fraction(-5, 864)),
+            (gen_falling("2", 0, 3), 8),
+        ]
+        for value, expected in cases:
+            assert type(value) is Fraction
+            assert value == expected
+
+    @given(rationals, rationals, st.integers(min_value=0, max_value=8))
+    def test_always_a_fraction(self, t, alpha, n):
+        assert type(gen_falling(t, alpha, n)) is Fraction
+        assert type(gen_falling(t.numerator, alpha.numerator, n)) is Fraction
+
+    def test_stops_at_the_first_zero_factor(self, monkeypatch):
+        """(2|1)_n has its zero factor at i = 2, so the loop draws no index past it."""
+        drawn = []
+
+        def tracked(n):
+            for i in builtins.range(n):
+                drawn.append(i)
+                yield i
+
+        monkeypatch.setattr(exact, "range", tracked, raising=False)
+        assert gen_falling(2, 1, 50) == 0
+        assert drawn == [0, 1, 2]
 
     def test_falling_alias(self):
         assert falling(5, 3) == 60

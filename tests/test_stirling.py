@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 import pytest
@@ -39,6 +40,8 @@ class TestTriangle:
             tab.row(-1)
         with pytest.raises(ValueError):
             tab.weighted_sum(-2, 1, [1, 1, 1])
+        with pytest.raises(ValueError):
+            tab.weighted_sums(-1, 1, [1])
 
     def test_unrolled_example(self):
         # S(2, 0; 1, beta, 3) = (3|1)_2, whatever beta is
@@ -93,6 +96,36 @@ class TestScaledTriangle:
         # S(2, 1) = S(1, 0) + (beta - alpha + gamma) S(1, 1) = 2 gamma + beta - alpha
         assert tab.value(2, 1) == Fraction(-13, 12)
         assert tab.row(2)[1] == -13
+
+
+class TestWeightedSums:
+    """``weighted_sums`` builds the ladder w_k (c S)^k once for every n; each
+    entry equals the scalar ``weighted_sum`` and the sum taken in Fraction."""
+
+    WEIGHTS = [3, 0, -1, 2, 5, 0, 7, -4, 1, 2]
+
+    @pytest.mark.parametrize(
+        "triple, c",
+        [
+            ((0, 1, 0), 2),
+            ((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)), 3),  # S = 2
+            ((0, 2, 1), Fraction(3, 2)),
+            ((Fraction(1, 3), 1, 0), Fraction(3, 2)),  # S = 3, c S = 9/2
+        ],
+        ids=["S=1", "S=2", "S=1-rational-c", "S=3-rational-c"],
+    )
+    def test_every_n_matches_the_scalar_sum(self, triple, c):
+        tab, w = StirlingTable(*triple), self.WEIGHTS
+        n_max = len(w) - 1
+        sums = tab.weighted_sums(n_max, c, w)
+        assert sums == [tab.weighted_sum(n, c, w) for n in range(n_max + 1)]
+        assert sums == [sum(w[k] * Fraction(c) ** k * tab.value(n, k) for k in range(n + 1))
+                        for n in range(n_max + 1)]
+        assert [type(v) for v in sums] == [
+            int if Fraction(v).denominator == 1 else Fraction for v in sums
+        ]
+        # an unbounded weight iterator is read only to k = n_max
+        assert tab.weighted_sums(4, c, count(1)) == tab.weighted_sums(4, c, [1, 2, 3, 4, 5])
 
 
 class TestRouteEquality:
