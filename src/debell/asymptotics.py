@@ -14,10 +14,10 @@ W(n, f) exactly.  ``expansion`` computes this weighted-sum form, (delta)_n
 times the partial sum above, since (delta)_n / (delta-n+f)_f = (delta)_{n-f}.
 
 Applied to the deranged-Bell family the base is c_i = B[i at lam=1], the
-exact side is B[n] at lam = delta with gamma scaled by delta, and everything
-is evaluated in exact rational arithmetic at finite delta.  For r >= 1 the
-base has c_0 = 0, which breaks the Omega(0) = 1 premise; such runs are
-diagnostic only.
+memoized vector ``bell.lambda1_sums``; the exact side is B[n] at lam = delta
+with gamma scaled by delta, and everything is evaluated in exact rational
+arithmetic at finite delta.  For r >= 1 the base has c_0 = 0, which breaks
+the Omega(0) = 1 premise; such runs are diagnostic only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .bell import _check_n_max, _lambda1, bell_egf
+from .bell import bell_egf, lambda1_sums
 from .exact import ParamSet, falling
 
 _ZERO = Fraction(0)
@@ -85,14 +85,6 @@ def w_from_base(c, n: int, f: int) -> Fraction:
                 prod *= c[i] ** k
         total += count * prod
     return Fraction(total, factorial(n))
-
-
-def bell_base(params: ParamSet, n_max: int) -> tuple:
-    """The family's base numerators c_i = B[i at lam=1] for i = 0..n_max, from
-    the closed sum: ints where integral, as in every vector route."""
-    _check_n_max(n_max)
-    a, b, g, x, _, r = params.key
-    return tuple(_lambda1(a, b, g, x, r, i) for i in range(n_max + 1))
 
 
 def w_explicit(c, n: int, f: int) -> Fraction:
@@ -178,7 +170,7 @@ class AsymptoticComparison:
 def bell_asymptotic_estimate(n: int, m: int, delta: int, params: ParamSet) -> AsymptoticComparison:
     """Compare the truncated expansion with the family's exact value.
 
-    estimate = sum_{f=0}^{m} (delta)_{n-f} W(n, f);
+    estimate = sum_{f=0}^{m} (delta)_{n-f} W(n, f) over c = lambda1_sums(n, params);
     exact    = B[n] at lam = delta with gamma scaled to gamma*delta, over n!.
 
     For fixed n and c_1 != 0, rel_error is O(delta^-(m+1)): each tenfold
@@ -191,7 +183,7 @@ def bell_asymptotic_estimate(n: int, m: int, delta: int, params: ParamSet) -> As
     """
     if not isinstance(delta, int) or delta < n:
         raise ValueError("delta must be an integer >= n")
-    estimate = expansion(bell_base(params, n), delta, n, m)
+    estimate = expansion(lambda1_sums(n, params), delta, n, m)
     scaled = params.replace(lam=delta, gamma=params.gamma * delta)
     exact = Fraction(bell_egf(n, scaled)[n], factorial(n))
     if exact == 0:

@@ -18,6 +18,10 @@ Every series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free
 factor from one of two memoized builders, ``_gamma_free`` (B and omega) and
 ``_product_factor`` (the product readings), built once for all the gammas
 that share the rescale S of ``_with_head``; S is in both keys.
+
+The closed sums ``lambda1_sums``, ``general_closed_sums`` and ``omega_sums``
+read every n off one Stirling ladder, ``_lambda1`` memoizing the lam = 1 vector
+per (n_max, point); the scalars ``bell_lambda1`` and ``omega`` read one row.
 """
 
 from __future__ import annotations
@@ -92,10 +96,18 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
 
 
 @lru_cache(maxsize=None)
-def _lambda1(alpha, beta, gamma, x, r: int, n: int) -> int | Fraction:
-    """sum_k d_{k,r} (x beta)^k S(n,k); an int where integral."""
-    d = (r_derangement(k, r) for k in range(n + 1))
-    return stirling.table(alpha, beta, gamma).weighted_sum(n, x * beta, d)
+def _lambda1(n_max: int, alpha, beta, gamma, x, r: int) -> tuple:
+    """sum_k d_{k,r} (x beta)^k S(n,k) for n = 0..n_max, one ladder for every n;
+    ints where integral, in a tuple its readers share."""
+    d = (r_derangement(k, r) for k in range(n_max + 1))
+    return tuple(stirling.table(alpha, beta, gamma).weighted_sums(n_max, x * beta, d))
+
+
+def lambda1_sums(n_max: int, params: ParamSet) -> tuple:
+    """The lam = 1 closed sums B[0..n_max], whatever ``params.lam`` is (memoized)."""
+    _check_n_max(n_max)
+    a, b, g, x, _, r = params.key
+    return _lambda1(n_max, a, b, g, x, r)
 
 
 def bell_lambda1(n: int, params: ParamSet) -> Fraction:
@@ -103,31 +115,22 @@ def bell_lambda1(n: int, params: ParamSet) -> Fraction:
     if params.lam != 1:
         raise ValueError("the lambda-1 route requires lam == 1")
     a, b, g, x, _, r = params.key
-    return Fraction(_lambda1(a, b, g, x, r, n))
-
-
-def bell_general_closed(n: int, params: ParamSet) -> Fraction:
-    """The binomially weighted closed sum
-
-        sum_k C(k+r+lam-1, k+r) d_{k,r} x^k beta^k S(n,k).
-
-    Its agreement with the generating-function route is a recorded claim, not
-    a postcondition, except at lam = 1 where the weight is 1.
-    """
-    a, b, g, x, lam, r = params.key
-    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, _general_weights(lam, r, n)))
+    d = (r_derangement(k, r) for k in range(n + 1))
+    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, d))
 
 
 def general_closed_sums(n_max: int, params: ParamSet) -> list:
-    """``bell_general_closed`` at n = 0..n_max, held as ints where integral."""
+    """The binomially weighted closed sums
+
+        sum_k C(k+r+lam-1, k+r) d_{k,r} x^k beta^k S(n,k)
+
+    at n = 0..n_max, held as ints where integral.  Their agreement with the
+    generating-function route is a recorded claim, not a postcondition, except
+    at lam = 1 where the weight is 1."""
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
-    return stirling.table(a, b, g).weighted_sums(n_max, x * b, _general_weights(lam, r, n_max))
-
-
-def _general_weights(lam: int, r: int, n: int) -> list:
-    """C(k+r+lam-1, k+r) d_{k,r} for k = 0..n."""
-    return [binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n + 1)]
+    weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n_max + 1))
+    return stirling.table(a, b, g).weighted_sums(n_max, x * b, weights)
 
 
 def _binomial_convolution(a: list, b: list) -> list:
@@ -149,7 +152,7 @@ def section_convolution(n_max: int, params: ParamSet) -> list:
     acc = [1]  # (gamma|alpha)_i
     for i in range(n_max):
         acc.append(acc[-1] * (g - i * a))
-    base = [_lambda1(a, b, 0, x, r, i) for i in range(n_max + 1)]
+    base = _lambda1(n_max, a, b, 0, x, r)
     for _ in range(lam):
         acc = _binomial_convolution(acc, base)
     return acc
@@ -173,8 +176,7 @@ def deranged_bell_classic(n: int, r: int) -> int:
     count of partitions of [n+r] into i+r blocks with 1..r separated."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
-    row = stirling.table(0, 1, r).row(n)  # integer weights: S(n, i; 0, 1, r) itself
-    return sum(r_derangement(i, r) * row[i] for i in range(n + 1))
+    return int(bell_lambda1(n, ParamSet.make(0, 1, r, 1, 1, r)))
 
 
 def bell_classic(n: int, params: ParamSet) -> int:

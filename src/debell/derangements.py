@@ -28,17 +28,16 @@ def derangement(n: int) -> int:
 
 
 def r_derangement_egf(k: int, r: int) -> int:
-    """k! times the t^k coefficient of t^r e^{-t} / (1-t)^{r+1}."""
+    """k! times the t^k coefficient of t^r e^{-t} / (1-t)^{r+1}: with
+    g = e^{-t} / (1-t)^{r+1} read at order k - r, that is k!/(k-r)! g_(k-r)."""
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
-    work = k + 1
-    if r > work:
+    if r > k:
         return 0
-    one_minus_t = TruncatedSeries.one(work) - TruncatedSeries.monomial(1, 1, work)
-    ser = one_minus_t.inverse().pow_int(r + 1) * binpow(0, -1, work)
-    if r:
-        ser = ser * TruncatedSeries.monomial(1, r, work)
-    value = ser.egf_coeff(k)
+    order = k - r
+    one_minus_t = TruncatedSeries([1, -1][: order + 1] + [0] * (order - 1))
+    g = one_minus_t.inverse().pow_int(r + 1) * binpow(0, -1, order)
+    value = perm(k, r) * g.egf_coeff(order)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"d_({k},{r}) not a nonnegative integer: {value}")
     return int(value)

@@ -63,14 +63,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1] + [0] * order)
 
-    @classmethod
-    def monomial(cls, coeff, degree: int, order: int) -> "TruncatedSeries":
-        if not 0 <= degree <= order:
-            raise ValueError(f"degree {degree} out of range for order {order}")
-        nums = [0] * (order + 1)
-        nums[degree] = narrow(factorial(degree) * as_rat(coeff))
-        return cls(nums)
-
     # -- basic protocol -------------------------------------------------------
 
     @property
@@ -95,10 +87,6 @@ class TruncatedSeries:
             raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
 
     # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._same_order(other)
-        return TruncatedSeries(map(add, self._a, other._a))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)

@@ -188,7 +188,7 @@ def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int)
     top = grid.top(n_max)
     if top <= f:
         return []
-    c = asymptotics.bell_base(params, max(top, 6))
+    c = bell.lambda1_sums(max(top, 6), params)
     return [
         _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
              asymptotics.w_explicit(c, n, f), "generic sum vs expanded form")
@@ -227,7 +227,7 @@ def claim_registry() -> dict:
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
               _LAM1,
-              partial(_vs_egf, route=lambda m, p: [bell.bell_lambda1(n, p) for n in range(m + 1)]),
+              partial(_vs_egf, route=lambda m, p: bell.lambda1_sums(m, p)),
               _everywhere),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam", (),
               partial(_vs_egf, route=lambda m, p: bell.general_closed_sums(m, p))),

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from debell.asymptotics import (
     bell_asymptotic_estimate,
-    bell_base,
     expansion,
     partitions_with_parts,
     w_explicit,
     w_from_base,
 )
-from debell.bell import bell_lambda1
+from debell.bell import bell_lambda1, lambda1_sums
 from debell.exact import ParamSet, binomial, falling
 
 
@@ -139,13 +138,13 @@ class TestWCoefficients:
     def test_all_ones_base_formula(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 0)
         b1 = bell_lambda1(1, p)
-        b = bell_base(p, 7)
+        b = lambda1_sums(7, p)
         for n in range(1, 8):
             assert w_from_base(b, n, 0) == b1**n / factorial(n)
 
     def test_derivative_kills_first_coefficient(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 0)
-        assert w_from_base(bell_base(p, 1), 1, 0) == 0  # the base has c_1 = gamma = 0 here
+        assert w_from_base(lambda1_sums(1, p), 1, 0) == 0  # the base has c_1 = gamma = 0 here
 
     def test_explicit_matches_generic_up_to_f3(self):
         for p in [
@@ -154,7 +153,7 @@ class TestWCoefficients:
             ParamSet.make(1, 2, 2, 1, 1, 2),
             ParamSet.make(2, 4, 0, 2, 1, 0),
         ]:
-            b = bell_base(p, 12)
+            b = lambda1_sums(12, p)
             for f in range(4):
                 for n in range(f + 1, 13):
                     assert w_from_base(b, n, f) == w_explicit(b, n, f), (p, f, n)
@@ -162,14 +161,14 @@ class TestWCoefficients:
     def test_expanded_f4_f5_divergence_is_stable(self):
         # frozen from the first oracle run: where the expanded f=4 and f=5
         # forms stop matching the generic partition sum
-        b = bell_base(ParamSet.make(0, 1, 1, 1, 1, 0), 12)
+        b = lambda1_sums(12, ParamSet.make(0, 1, 1, 1, 1, 0))
         agree4 = [n for n in range(5, 13) if w_from_base(b, n, 4) == w_explicit(b, n, 4)]
         agree5 = [n for n in range(6, 13) if w_from_base(b, n, 5) == w_explicit(b, n, 5)]
         assert agree4 == [5]
         assert agree5 == [6, 7]
 
     def test_bounds(self):
-        b = bell_base(ParamSet.make(0, 1, 1, 1, 1, 0), 6)
+        b = lambda1_sums(6, ParamSet.make(0, 1, 1, 1, 1, 0))
         with pytest.raises(ValueError):
             w_from_base(b, 3, 3)
         with pytest.raises(ValueError):
@@ -182,9 +181,9 @@ class TestWCoefficients:
 
 
 class TestBaseSequence:
-    def test_bell_base_values(self):
+    def test_lambda1_sums_values(self):
         p = ParamSet.make(0, 1, 1, 1, 1, 0)
-        c = bell_base(p, 4)
+        c = lambda1_sums(4, p)
         assert c[0] == 1
         for i in range(5):
             assert c[i] == bell_lambda1(i, p)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from debell import stirling
-from debell.asymptotics import bell_asymptotic_estimate, bell_base
+from debell.asymptotics import bell_asymptotic_estimate
 from debell.bell import (
     _bell_egf,
     _gamma_free,
@@ -19,10 +19,10 @@ from debell.bell import (
     bell_classic,
     bell_convolution,
     bell_egf,
-    bell_general_closed,
     bell_lambda1,
     deranged_bell_classic,
     general_closed_sums,
+    lambda1_sums,
     omega,
     omega_egf,
     omega_identity_rows,
@@ -31,6 +31,7 @@ from debell.bell import (
     product_power,
     section_convolution,
 )
+from debell.derangements import r_derangement
 from debell.enumeration import (
     ordered_partitions_count,
     r_deranged_partitions_enum,
@@ -71,7 +72,7 @@ def _compositions(n: int, parts: int):
 def _section_sum(n: int, total: int, params: ParamSet) -> Fraction:
     """Oracle for the section convolution: the explicit sum over weak
     compositions of `total` into lam+1 parts."""
-    base = params.replace(lam=1, gamma=Fraction(0))
+    base = lambda1_sums(total, params.replace(gamma=Fraction(0)))
     out = _ZERO
     for comp in _compositions(total, params.lam + 1):
         tail = gen_falling(params.gamma, params.alpha, comp[-1])
@@ -79,11 +80,19 @@ def _section_sum(n: int, total: int, params: ParamSet) -> Fraction:
             continue
         term = factorial(total) // prod(map(factorial, comp)) * tail
         for part in comp[:-1]:
-            term *= _lambda1(base.alpha, base.beta, base.gamma, base.x, base.r, part)
+            term *= base[part]
             if term == 0:
                 break
         out += term
     return out
+
+
+def _general_closed_sum(n: int, params: ParamSet) -> Fraction:
+    """Oracle for ``general_closed_sums``: its weighted Stirling sum at one n,
+    term by term in Fractions."""
+    a, b, g, x, lam, r = params.key
+    return sum(binomial(k + r + lam - 1, k + r) * r_derangement(k, r) * (x * b) ** k
+               * stirling_rec(n, k, a, b, g) for k in range(n + 1))
 
 
 def _omega_identity_oracle(n: int, params: ParamSet) -> tuple:
@@ -161,26 +170,24 @@ class TestLambdaOneRoute:
 class TestGeneralClosedRoute:
     def test_reduces_to_lambda_one(self):
         for p in small_grid():
-            for n in range(8):
-                assert bell_general_closed(n, p) == bell_lambda1(n, p)
+            assert general_closed_sums(7, p) == [bell_lambda1(n, p) for n in range(8)]
 
     def test_lambda_zero_convention(self):
         # the k = r = 0 term survives through binomial(-1, 0) = 1 when r = 0
         p = ParamSet.make(1, 2, 4, 1, 0, 0)
-        for n in range(6):
-            assert bell_general_closed(n, p) == gen_falling(4, 1, n)
+        assert general_closed_sums(5, p) == [gen_falling(4, 1, n) for n in range(6)]
         # and nothing survives when r >= 1
         p1 = ParamSet.make(1, 2, 4, 1, 0, 1)
-        assert [bell_general_closed(n, p1) for n in range(6)] == [0] * 6
+        assert general_closed_sums(5, p1) == [0] * 6
 
     def test_lambda_two_disagrees_with_egf_somewhere(self):
         # the binomially weighted sum overcounts for lam >= 2; the harness
         # records this, the module only pins that both routes stay computable
         p = ParamSet.make(0, 1, 0, 1, 2, 0)
         egf = bell_egf(5, p)
-        closed = [bell_general_closed(n, p) for n in range(6)]
+        closed = general_closed_sums(5, p)
         assert closed != egf
-        assert all(v.denominator == 1 for v in closed)
+        assert all(type(v) is int for v in closed)
 
 
 class TestConvolutionRoute:
@@ -269,7 +276,7 @@ class TestBellValueDispatch:
         p = ParamSet.make(0, 1, 1, 1, 1, 1)
         egf = bell_egf(4, p)[4]
         assert egf == bell_lambda1(4, p)
-        assert egf == bell_general_closed(4, p)
+        assert egf == general_closed_sums(4, p)[4]
         assert egf == bell_convolution(4, p)
         assert egf == bell_classic(4, p)
 
@@ -293,7 +300,6 @@ class TestPublicTypes:
         for n in range(6):
             values = [
                 bell_lambda1(n, p),
-                bell_general_closed(n, p),
                 bell_convolution(n, p),
                 omega(n, p),
                 gen_falling(p.gamma, p.alpha, n),
@@ -314,12 +320,12 @@ class TestPublicTypes:
             return [v for pair in omega_identity_rows(n_max, p) for v in pair]
 
         for route in (bell_egf, omega_egf, product_literal, product_power, section_convolution,
-                      both_sides):
+                      lambda1_sums, both_sides):
             values = route(7, p)
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
             ), (route.__name__, values)
-        base = bell_base(p, 7)  # the lam = 1 closed sums B[0..7], whatever p.lam is
+        base = lambda1_sums(7, p)  # the lam = 1 closed sums B[0..7], whatever p.lam is
         assert list(base) == [bell_lambda1(i, p.replace(lam=1)) for i in range(8)]
         assert all(
             type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in base
@@ -332,9 +338,8 @@ class TestPublicTypes:
 @pytest.mark.parametrize(
     "route",
     [bell_egf, omega_egf, product_literal, product_power, omega_identity_rows,
-     section_convolution, bell_convolution, lambda n_max, p: bell_base(p, n_max)],
-    ids=["bell_egf", "omega_egf", "product_literal", "product_power", "omega_identity_rows",
-         "section_convolution", "bell_convolution", "bell_base"],
+     section_convolution, bell_convolution, lambda1_sums, general_closed_sums, omega_sums],
+    ids=lambda route: route.__name__,
 )
 def test_vector_routes_reject_a_negative_n_max(route):
     # r = 1: omega_identity_rows would otherwise read B[0..n_max+r] and return []
@@ -564,8 +569,8 @@ class TestRouteIndependence:
     }
 
     # the closed sums and the convolution read the Stirling triangle alone
-    CLOSED = [bell_lambda1, bell_general_closed, general_closed_sums, omega, omega_sums,
-              section_convolution]
+    CLOSED = [bell_lambda1, lambda1_sums, general_closed_sums, omega, omega_sums,
+              section_convolution, deranged_bell_classic]
     POINTS = [
         ParamSet.make(1, 2, 2, 2, 2, 1),
         ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 3, 2),  # S = 6
@@ -584,7 +589,7 @@ class TestRouteIndependence:
     def test_closed_route_reaches_no_series_machinery(self, route, p):
         if route is bell_lambda1:
             p = p.replace(lam=1)  # its only point
-        reached = _reached(route, 6, p)
+        reached = _reached(route, 6, p.r if route is deranged_bell_classic else p)
         assert StirlingTable._grow.__code__ in reached
         series_file = binpow.__code__.co_filename  # every TruncatedSeries method's file too
         assert sorted(code.co_name for code in reached if code.co_filename == series_file) == []
@@ -627,9 +632,16 @@ class TestRationalRescaling:
         omegas = omega_sums(n_max, p)
         assert omega_egf(n_max, p) == omegas == [omega(n, p) for n in ns]
         closed = general_closed_sums(n_max, p)
-        assert closed == [bell_general_closed(n, p) for n in ns]
+        assert closed == [_general_closed_sum(n, p) for n in ns]
         for values in (closed, omegas):
             assert _typed(values) == _typed(map(narrow, values))
+
+    @given(rational_points().filter(lambda p: StirlingTable(p.alpha, p.beta, p.gamma).scale > 1),
+           st.integers(0, 8))
+    def test_lambda1_vector_matches_its_scalar(self, p, n_max):
+        # any lam: the vector reads lam = 1 whatever p.lam is
+        want = [narrow(bell_lambda1(n, p.replace(lam=1))) for n in range(n_max + 1)]
+        assert _typed(lambda1_sums(n_max, p)) == _typed(want)
 
     @given(rational_points(), st.integers(0, 8))
     def test_rescaled_inputs_are_integral(self, p, order):

@@ -359,6 +359,10 @@ PINNED_BYTES = {
         (0, "2c894eb63894b5a7d980a0c0b1d36b907dd6178916821843ba1251ba3303634b", ''),
     "rderange --k 6 --r 2 --s 1 --format csv":
         (0, "dbece52784aba7dc261fc39598330db849c9d7dc82daaaf2c786a13b89f90de7", ''),
+    "rderange --k 1 --r 3":  # k < r
+        (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", ''),
+    "rderange --k 2 --r 2":  # k = r
+        (0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3", ''),
     "bell --n 3 --x 1/3":
         (0, "2d9aacaed3e92faf94ff2bb574bef1b2df83a8eb7e7ee8b8a0aed772317ca8c6", ''),
     "bell --n 3 --x 1/3 --format json":
@@ -367,6 +371,13 @@ PINNED_BYTES = {
         (0, "ba7932e323d0587bbe5540332ed82fbfc565d379626b376f340b8b5e95668723", ''),
     "bell --n 5 --route closed --lambda 2 --alpha 1 --beta 2 --format json":
         (0, "e21914fdffa74506de6ddd491fa2073d11a4bc14b68220863272e67766bb2028", ''),
+    # S > 1: the closed sum divides the scaled row reads by S^n (prints 4638627/16)
+    "bell --n 6 --route closed --alpha 1/2 --x 3/2 --lambda 2 --r 1":
+        (0, "06aa8237ab1fc26454cd371f454dc0983ac6f7d7d17e8ed83884b989228c2aa1", ''),
+    "bell --n 6 --route closed --alpha 1/2 --x 3/2 --lambda 2 --r 1 --format json":
+        (0, "c086a963b2cd01126a0c8b10597ea7f97ec6dbfa271afe739e19a157d71a12e9", ''),
+    "bell --n 6 --route classic --r 2 --gamma 2":
+        (0, "0a35d14ccde55aca9afe66b2007017421935c9ead0e0658a190a5fc1d589ea42", ''),
     "omega --n 3":
         (0, "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17", ''),
     "omega --n 4 --lambda 2 --x 2 --format json":

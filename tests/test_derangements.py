@@ -38,6 +38,13 @@ class TestSeriesRoute:
         for k in range(9):
             assert r_derangement_egf(k, 0) == derangement(k)
 
+    def test_index_shift_matches_canonical_table(self):
+        # t^r is read by shifting the index, k = r (order 0) and k < r included
+        for r in range(5):
+            for k in range(12):
+                value = r_derangement_egf(k, r)
+                assert type(value) is int and value == r_derangement(k, r), (k, r)
+
 
 class TestRecurrence:
     def test_every_pivot_matches_series_route(self):

@@ -91,7 +91,7 @@ class TestRingOps:
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.one(3) + TruncatedSeries.one(4)
+            TruncatedSeries.one(3) - TruncatedSeries.one(4)
         with pytest.raises(ValueError):
             TruncatedSeries.one(3) * TruncatedSeries.one(2)
 
@@ -99,7 +99,7 @@ class TestRingOps:
         # a sparse operand would be cut to its degree; the orders are compared first
         dense = TruncatedSeries(range(1, 8))
         for sparse in (TruncatedSeries.zero(3), TruncatedSeries.one(3),
-                       TruncatedSeries.monomial(2, 1, 3)):
+                       TruncatedSeries([0, 2, 0, 0])):
             for a, b in ((sparse, dense), (dense, sparse)):
                 with pytest.raises(ValueError, match="order mismatch"):
                     a * b
@@ -191,7 +191,7 @@ class TestPowInt:
         assert s.pow_int(3) == s * s * s
 
     def test_high_valuation_shortcut(self):
-        t = TruncatedSeries.monomial(1, 1, 4)
+        t = TruncatedSeries([0, 1, 0, 0, 0])
         assert t.pow_int(5) == TruncatedSeries.zero(4)
 
     def test_negative_rejected(self):

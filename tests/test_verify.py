@@ -128,6 +128,14 @@ class TestPerPointEvaluation:
         regrown = [p for p, ns in requests.items() if max(ns) > ns[0]]
         assert regrown == []
 
+    def test_lambda1_vectors_are_shared_on_the_default_grid(self):
+        """A cold default round fills 512 lam = 1 vectors: 144 for T5, 144 for the
+        W claims, 32 for T3-nr's longer bases at r >= 1 and 192 for ASYMP-r0's
+        n = 1..4; T3-n's base is T5's vector at gamma = 0, shared across gamma and lam."""
+        bell._lambda1.cache_clear()
+        run_claims()
+        assert bell._lambda1.cache_info().misses == 512
+
     def test_t3_convolutions_stop_at_the_entries_they_compare(self, monkeypatch):
         route = bell.section_convolution
         sizes = []  # (n_max, r) of each call
@@ -174,9 +182,9 @@ class TestWClaims:
 
     def test_no_base_is_built_for_a_point_without_rows(self, monkeypatch):
         calls = []
-        base = asymptotics.bell_base
-        monkeypatch.setattr(asymptotics, "bell_base",
-                            lambda params, n_max: calls.append(n_max) or base(params, n_max))
+        base = bell.lambda1_sums
+        monkeypatch.setattr(bell, "lambda1_sums",
+                            lambda n_max, params: calls.append(n_max) or base(n_max, params))
         ids = ["W4-explicit", "W5-explicit"]
         assert run_claims(ids, GridSpec(max_n=3)).rows == ()
         assert calls == []
