@@ -8,20 +8,20 @@ extraction from the exponential generating function
         / (1 - x u)^((r+1) lam),
 
 and it is the single source of truth here.  Every alternative expression --
-the lam = 1 closed sum over r-derangements and generalized Stirling numbers,
-the binomially weighted closed sum for general lam, the section convolution,
+the closed sums over (higher-order) r-derangements and generalized Stirling
+numbers, the binomially weighted closed sum, the section convolution,
 the classical specialization, and the omega identities -- is computed
 independently so that agreement can be adjudicated point by point instead of
 assumed.
 
-Every series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free
-factor from one of two memoized builders, ``_gamma_free`` (B and omega) and
-``_product_factor`` (the product readings), built once for all the gammas
-that share the rescale S of ``_with_head``; S is in both keys.
-
-The closed sums ``lambda1_sums``, ``general_closed_sums`` and ``omega_sums``
-read every n off one Stirling ladder, ``_lambda1`` memoizing the lam = 1 vector
-per (n_max, point); the scalars ``bell_lambda1`` and ``omega`` read one row.
+Every vector route returns entries 0..n_max and builds nothing past them: a
+series route works at order n_max, and a memoized vector is a tuple keyed on
+(n_max, point) (``_bell_egf`` for B, ``_lambda1`` for the lam = 1 closed sums).
+A series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free factor
+from ``_gamma_free`` (B and omega) or ``_product_factor`` (the product
+readings), each keyed on the order and the rescale S of ``_with_head``, so the
+gammas that share S share one build.  The closed sums read every n off one
+Stirling ladder; the scalars ``bell_lambda1`` and ``omega`` read one row.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from . import stirling
-from .derangements import r_derangement
+from .derangements import r_derangement, r_derangement_lam
 from .exact import ParamSet, binomial, narrow
 from .series import TruncatedSeries, binpow
 
@@ -52,8 +52,8 @@ def _with_head(params: ParamSet, n_max: int, rest, *args) -> list:
     rest(alpha, beta, x, S, order, *args), read at t -> S t, S = lcm(den alpha, den beta,
     den gamma) * den x: every numerator is then an integer, and ``_unscale`` divides S^n out."""
     a, b, g, x, _, _ = params.key
-    s, order = lcm(a.denominator, b.denominator, g.denominator) * x.denominator, n_max + 1
-    return _unscale(binpow(a * s, g * s, order) * rest(a, b, x, s, order, *args), s, n_max)
+    s = lcm(a.denominator, b.denominator, g.denominator) * x.denominator
+    return _unscale(binpow(a * s, g * s, n_max) * rest(a, b, x, s, n_max, *args), s, n_max)
 
 
 def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
@@ -64,35 +64,28 @@ def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _bell_egf(params: ParamSet) -> list:
-    """The longest B vector ``bell_egf`` has built at ``params``; it grows in place."""
-    return []
-
-
-@lru_cache(maxsize=None)
 def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> TruncatedSeries:
     """X^p exp(-e X) / (1 - X)^c at X = x u, keyed on (alpha, beta, x, S, order,
-    p, e, c), gamma-free because gamma enters only the head; the quotient is
-    the single exponential exp(-c log(1 - X) - e X), so integer numerators stay ints."""
+    p, e, c), the order being its reader's n_max; gamma-free as gamma enters only
+    the head, and one exponential exp(-c log(1 - X) - e X), so ints stay ints."""
     xu = _xu(alpha, beta, x, s, order)
     section = ((TruncatedSeries.one(order) - xu).log().scale(-c) - xu.scale(e)).exp()
     return xu.pow_int(p) * section
 
 
+@lru_cache(maxsize=None)
+def _bell_egf(n_max: int, params: ParamSet) -> tuple:
+    """``bell_egf``'s memo: B[0..n_max] at ``params``, one tuple per (n_max, params)."""
+    lam, r = params.lam, params.r
+    return tuple(_with_head(params, n_max, _gamma_free, r * lam, lam, (r + 1) * lam))
+
+
 def bell_egf(n_max: int, params: ParamSet) -> list:
     """B[0..n_max] from the defining generating function: the head times
-    ``_gamma_free`` at (p, e, c) = (r lam, lam, (r+1) lam), read at order
-    n_max + 1 (a spare position past anything read).
-
-    B[n] does not depend on the truncation order, so each ParamSet keeps the
-    longest vector built so far, and a shorter request gets a copy of its
-    first n_max + 1 entries: exactly the values a build at n_max would give."""
+    ``_gamma_free`` at (p, e, c) = (r lam, lam, (r+1) lam), built at order n_max
+    and memoized per (n_max, params); each call returns its own copy."""
     _check_n_max(n_max)
-    held = _bell_egf(params)
-    if len(held) <= n_max:
-        lam, r = params.lam, params.r
-        held[:] = _with_head(params, n_max, _gamma_free, r * lam, lam, (r + 1) * lam)
-    return held[: n_max + 1]
+    return list(_bell_egf(n_max, params))
 
 
 @lru_cache(maxsize=None)
@@ -119,14 +112,19 @@ def bell_lambda1(n: int, params: ParamSet) -> Fraction:
     return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, d))
 
 
+def bell_closed_lam(n_max: int, params: ParamSet) -> list:
+    """B[0..n_max] as the closed sums sum_k d_lam(k, r) x^k beta^k S(n,k) over the
+    higher-order r-derangement numbers, held as ints where integral; every lam."""
+    _check_n_max(n_max)
+    a, b, g, x, lam, r = params.key
+    weights = (r_derangement_lam(k, r, lam) for k in range(n_max + 1))
+    return stirling.table(a, b, g).weighted_sums(n_max, x * b, weights)
+
+
 def general_closed_sums(n_max: int, params: ParamSet) -> list:
-    """The binomially weighted closed sums
-
-        sum_k C(k+r+lam-1, k+r) d_{k,r} x^k beta^k S(n,k)
-
-    at n = 0..n_max, held as ints where integral.  Their agreement with the
-    generating-function route is a recorded claim, not a postcondition, except
-    at lam = 1 where the weight is 1."""
+    """T33's binomially weighted closed sums sum_k C(k+r+lam-1, k+r) d_{k,r} x^k beta^k
+    S(n,k) at n = 0..n_max, ints where integral.  They equal B[n] at lam = 1, where the
+    weight is 1; elsewhere their agreement is a recorded claim, not a postcondition."""
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
     weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n_max + 1))

@@ -138,7 +138,7 @@ def rderange_cmd(k, r, s, fmt, out):
 _BELL_ROUTES = {
     "egf": lambda n, params: bell.bell_egf(n, params)[n],
     "lambda1": bell.bell_lambda1,
-    "closed": lambda n, params: bell.general_closed_sums(n, params)[n],
+    "closed": lambda n, params: bell.bell_closed_lam(n, params)[n],
     "convolution": bell.bell_convolution,
     "classic": bell.bell_classic,
 }

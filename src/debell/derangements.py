@@ -54,6 +54,17 @@ def r_derangement(k: int, r: int) -> int:
     return r_derangement_rec(k, r, 1)
 
 
+def r_derangement_lam(k: int, r: int, lam: int) -> int:
+    """Higher-order d_lam(k, r) = k! [t^k] (t^r e^{-t} / (1-t)^{r+1})^lam, the lam-fold
+    binomial convolution of d_{., r}: with m = k - r lam and c = (r+1) lam, the sum
+    over i = 0..m of C(i+c-1, i) (-lam)^(m-i) k!/(m-i)!, in ints (0 when m < 0)."""
+    if k < 0 or r < 0 or lam < 0:
+        raise ValueError("k, r and lam must be nonnegative")
+    m, c = k - r * lam, (r + 1) * lam
+    return sum(binomial(i + c - 1, i) * (-lam) ** (m - i) * perm(k, k - m + i)
+               for i in range(m + 1))
+
+
 def r_derangement_rec(k: int, r: int, s: int) -> int:
     """Pivot-s recurrence value; sub-values come from the canonical table."""
     if not 1 <= s <= r:

@@ -122,10 +122,10 @@ def stirling_egf(n: int, k: int, alpha, beta, gamma) -> Fraction:
     if beta == 0:
         raise ValueError("the series route divides by beta^k; use stirling_rec at beta = 0")
     # Read the series at t -> S t, S = lcm of the weight denominators, so every
-    # EGF numerator is an integer; the t^n numerator then carries S^n.
+    # EGF numerator is an integer; built at order n, the series ends at the t^n
+    # numerator, which carries S^n.
     s = lcm(alpha.denominator, beta.denominator, gamma.denominator)
-    work = n + 1  # one spare position past anything read
-    u = binpow(alpha * s, beta * s, work) - TruncatedSeries.one(work)
-    numer = u.pow_int(k) * binpow(alpha * s, gamma * s, work)
+    u = binpow(alpha * s, beta * s, n) - TruncatedSeries.one(n)
+    numer = u.pow_int(k) * binpow(alpha * s, gamma * s, n)
     return numer.egf_coeff(n) / (s**n * beta**k * factorial(k))
 

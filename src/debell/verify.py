@@ -137,8 +137,8 @@ def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = 
 
 
 def _b(params: ParamSet, grid: GridSpec) -> list:
-    """B[0..top + r], what OMEGA-ID reads: every ``_vs_egf`` and EX claim reads
-    this one vector, so each grid point builds B once."""
+    """B[0..top + r], what OMEGA-ID reads; B is memoized per (n_max, point), so
+    every ``_vs_egf`` and EX claim reads this length and a point builds B once."""
     return bell.bell_egf(grid.top() + params.r, params)
 
 
@@ -197,13 +197,10 @@ def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int)
 
 
 def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
-    ns = range(1, grid.top(n_max) + 1)
-    # from the top n down, so each scaled point's B vector is built at its longest first
-    cmps = {(n, delta): asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)
-            for n in reversed(ns) for delta in deltas}
-    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmps[n, delta].estimate,
-                 cmps[n, delta].exact, "full-order expansion vs exact")
-            for n in ns for delta in deltas]
+    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmp.estimate, cmp.exact,
+                 "full-order expansion vs exact")
+            for n in range(1, grid.top(n_max) + 1) for delta in deltas
+            for cmp in [asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)]]
 
 
 def _everywhere(point: dict) -> bool:

@@ -17,6 +17,7 @@ from debell.bell import (
     _unscale,
     _xu,
     bell_classic,
+    bell_closed_lam,
     bell_convolution,
     bell_egf,
     bell_lambda1,
@@ -320,7 +321,7 @@ class TestPublicTypes:
             return [v for pair in omega_identity_rows(n_max, p) for v in pair]
 
         for route in (bell_egf, omega_egf, product_literal, product_power, section_convolution,
-                      lambda1_sums, both_sides):
+                      lambda1_sums, bell_closed_lam, both_sides):
             values = route(7, p)
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
@@ -338,7 +339,8 @@ class TestPublicTypes:
 @pytest.mark.parametrize(
     "route",
     [bell_egf, omega_egf, product_literal, product_power, omega_identity_rows,
-     section_convolution, bell_convolution, lambda1_sums, general_closed_sums, omega_sums],
+     section_convolution, bell_convolution, lambda1_sums, bell_closed_lam, general_closed_sums,
+     omega_sums],
     ids=lambda route: route.__name__,
 )
 def test_vector_routes_reject_a_negative_n_max(route):
@@ -440,16 +442,16 @@ def _gamma_free_scale(p: ParamSet) -> int:
     a, b, _, x, lam, r = p.key
     for s in range(1, 13):
         hits = _gamma_free.cache_info().hits
-        _gamma_free(a, b, x, s, 4, r * lam, lam, (r + 1) * lam)
+        _gamma_free(a, b, x, s, 3, r * lam, lam, (r + 1) * lam)
         if _gamma_free.cache_info().hits > hits:
             return s
     raise AssertionError("no cached S in 1..12")
 
 
 class TestSharedWork:
-    """bell_egf keeps the longest B vector per ParamSet and serves a shorter
-    request from its prefix; the product readings share one factor F per order
-    and one power of it per exponent."""
+    """bell_egf memoizes one B tuple per (n_max, ParamSet) and returns a copy of
+    it; the product readings share one factor F per order and one power of it
+    per exponent."""
 
     POINTS = [
         ParamSet.make(1, 2, 2, 2, 2, 1),
@@ -457,7 +459,9 @@ class TestSharedWork:
     ]
 
     @pytest.mark.parametrize("p", POINTS)
-    def test_a_served_prefix_is_a_cold_build(self, p):
+    def test_a_longer_build_has_the_same_head(self, p):
+        """B[0..3] is the same, type for type, built cold, read off B[0..8] and
+        served from the memo: the truncation order changes no entry."""
         _bell_egf.cache_clear()
         cold = _typed(bell_egf(3, p))
         grown = _typed(bell_egf(8, p)[:4])
@@ -477,13 +481,15 @@ class TestSharedWork:
         assert bell_egf(5, p) == want
         assert bell_egf(6, p)[:6] == want
 
-    def test_one_vector_per_param_set(self):
+    def test_one_vector_per_n_max_and_param_set(self):
         _bell_egf.cache_clear()
-        for n_max in (3, 8, 5, 0):
-            for p in self.POINTS:
-                bell_egf(n_max, p)
-                bell_egf(n_max, p.replace(lam=3))
-        assert _bell_egf.cache_info().currsize == 2 * len(self.POINTS)
+        for _ in range(2):
+            for n_max in (3, 8, 5, 0):
+                for p in self.POINTS:
+                    bell_egf(n_max, p)
+                    bell_egf(n_max, p.replace(lam=3))
+        info = _bell_egf.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (16, 16, 16)
 
     @pytest.mark.parametrize("p", POINTS)
     def test_one_factor_per_order_for_every_lam(self, p):
@@ -569,8 +575,8 @@ class TestRouteIndependence:
     }
 
     # the closed sums and the convolution read the Stirling triangle alone
-    CLOSED = [bell_lambda1, lambda1_sums, general_closed_sums, omega, omega_sums,
-              section_convolution, deranged_bell_classic]
+    CLOSED = [bell_lambda1, lambda1_sums, bell_closed_lam, general_closed_sums, omega,
+              omega_sums, section_convolution, deranged_bell_classic]
     POINTS = [
         ParamSet.make(1, 2, 2, 2, 2, 1),
         ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 3, 2),  # S = 6
@@ -624,6 +630,7 @@ class TestRationalRescaling:
     def test_series_routes_match_closed_sums(self, p, n_max):
         ns = range(n_max + 1)
         egf = bell_egf(n_max, p)
+        assert _typed(bell_closed_lam(n_max, p)) == _typed(egf)  # every lam
         if p.lam == 1:
             assert egf == [bell_lambda1(n, p) for n in ns]
         if p.lam >= 1:
@@ -635,6 +642,18 @@ class TestRationalRescaling:
         assert closed == [_general_closed_sum(n, p) for n in ns]
         for values in (closed, omegas):
             assert _typed(values) == _typed(map(narrow, values))
+
+    @given(rational_points().filter(lambda p: _rescaled(p, 0)[0] > 1),
+           st.integers(0, 8), st.integers(1, 3))
+    def test_truncation_changes_no_entry(self, p, n_max, j):
+        """Each series route builds at order n_max; reading entries 0..n_max off
+        a longer build gives the same values, type for type."""
+        routes = [bell_egf, omega_egf]
+        if p.lam >= 1:
+            routes += [product_literal, product_power]
+        for route in routes:
+            want = _typed(route(n_max + j, p)[: n_max + 1])
+            assert _typed(route(n_max, p)) == want, route.__name__
 
     @given(rational_points().filter(lambda p: StirlingTable(p.alpha, p.beta, p.gamma).scale > 1),
            st.integers(0, 8))

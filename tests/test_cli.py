@@ -370,12 +370,12 @@ PINNED_BYTES = {
     "bell --n 4 --lambda 2 --r 1 --gamma 2 --format csv":
         (0, "ba7932e323d0587bbe5540332ed82fbfc565d379626b376f340b8b5e95668723", ''),
     "bell --n 5 --route closed --lambda 2 --alpha 1 --beta 2 --format json":
-        (0, "e21914fdffa74506de6ddd491fa2073d11a4bc14b68220863272e67766bb2028", ''),
-    # S > 1: the closed sum divides the scaled row reads by S^n (prints 4638627/16)
+        (0, "e2a5acfc3c66ceede669843c3d5122c6efe56ca973b64865c19f728cbba56946", ''),
+    # S > 1: the closed sum divides the scaled row reads by S^n (prints 2173635/16)
     "bell --n 6 --route closed --alpha 1/2 --x 3/2 --lambda 2 --r 1":
-        (0, "06aa8237ab1fc26454cd371f454dc0983ac6f7d7d17e8ed83884b989228c2aa1", ''),
+        (0, "e5eff3e92a06bd1bec617cd074e2fbf6efdbf3f788fba0600a16a41003a6db29", ''),
     "bell --n 6 --route closed --alpha 1/2 --x 3/2 --lambda 2 --r 1 --format json":
-        (0, "c086a963b2cd01126a0c8b10597ea7f97ec6dbfa271afe739e19a157d71a12e9", ''),
+        (0, "74d5f9e86070859dbdcb3b529fdde955a9ef4ab4d272ebebeb55de9d9d8aa59c", ''),
     "bell --n 6 --route classic --r 2 --gamma 2":
         (0, "0a35d14ccde55aca9afe66b2007017421935c9ead0e0658a190a5fc1d589ea42", ''),
     "omega --n 3":

@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 
 from debell.derangements import (
     derangement,
     r_derangement,
     r_derangement_egf,
+    r_derangement_lam,
     r_derangement_rec,
 )
 from debell.enumeration import r_derangements_enum
@@ -67,6 +70,43 @@ class TestRecurrence:
             r_derangement_rec(3, 2, 0)
         with pytest.raises(ValueError):
             r_derangement_rec(3, 2, 3)
+
+
+def _convolution_power(k_max: int, r: int, lam: int) -> list:
+    """d_lam(k, r) for k = 0..k_max as the lam-fold binomial convolution of d_{., r}."""
+    base = [r_derangement(k, r) for k in range(k_max + 1)]
+    acc = [1] + [0] * k_max  # the empty convolution: the EGF 1
+    for _ in range(lam):
+        acc = [sum(comb(m, k) * acc[k] * base[m - k] for k in range(m + 1))
+               for m in range(k_max + 1)]
+    return acc
+
+
+class TestHigherOrder:
+    def test_finite_sum_is_the_convolution_power(self):
+        for r in range(4):
+            for lam in range(6):
+                got = [r_derangement_lam(k, r, lam) for k in range(14)]
+                assert all(type(v) is int for v in got)
+                assert got == _convolution_power(13, r, lam), (r, lam)
+
+    def test_lambda_one_is_the_canonical_table(self):
+        for r in range(5):
+            assert [r_derangement_lam(k, r, 1) for k in range(12)] == [
+                r_derangement(k, r) for k in range(12)
+            ]
+
+    def test_hand_values(self):
+        assert [r_derangement_lam(k, 1, 2) for k in range(8)] == [
+            0, 0, 2, 12, 96, 800, 7440, 75936
+        ]
+        # lam = 0: binomial(-1, 0) = 1 leaves only k = 0
+        assert [r_derangement_lam(k, 2, 0) for k in range(4)] == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1), (2, -1, 1), (2, 1, -1)])
+    def test_negative_rejected(self, args):
+        with pytest.raises(ValueError):
+            r_derangement_lam(*args)
 
 
 class TestOracleAgreement:

@@ -111,9 +111,10 @@ class TestPerPointEvaluation:
             "product_power": with_lam,
         }
 
-    def test_each_b_vector_grows_once_on_the_default_grid(self, monkeypatch):
-        """Every claim reads B[0..top + r] at a grid point and ASYMP-r0 reads its
-        scaled points from the top n down, so no request outgrows the first."""
+    def test_one_b_build_per_request_on_the_default_grid(self, monkeypatch):
+        """B is memoized per (n_max, point), so a cold default round builds each
+        distinct request once: every claim at a grid point reads B[0..top + r],
+        and only ASYMP-r0's 96 scaled points read B at several n_max (1..4)."""
         requests = {}  # params -> the n_max of each bell_egf call, in order
         route = bell.bell_egf
 
@@ -123,10 +124,14 @@ class TestPerPointEvaluation:
 
         monkeypatch.setattr(bell, "bell_egf", counted)
         monkeypatch.setattr(asymptotics, "bell_egf", counted)
+        bell._bell_egf.cache_clear()
+        bell._gamma_free.cache_clear()
         run_claims()
-        assert len(requests) == 972
-        regrown = [p for p, ns in requests.items() if max(ns) > ns[0]]
-        assert regrown == []
+        distinct = {(n_max, p) for p, ns in requests.items() for n_max in ns}
+        assert bell._bell_egf.cache_info().misses == len(distinct) == 1260
+        assert bell._gamma_free.cache_info().misses == 420
+        several = {p for p, ns in requests.items() if len(set(ns)) > 1}
+        assert len(several) == 96 and all(p.lam in (100, 1000) for p in several)
 
     def test_lambda1_vectors_are_shared_on_the_default_grid(self):
         """A cold default round fills 512 lam = 1 vectors: 144 for T5, 144 for the
