@@ -56,10 +56,6 @@ class TruncatedSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1] + [0] * order)
 
@@ -113,13 +109,6 @@ class TruncatedSeries:
             row = _next_row(row)[:width]
         return TruncatedSeries(out)
 
-    def valuation(self):
-        """Index of the lowest nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._a):
-            if c != 0:
-                return i
-        return None
-
     # -- multiplicative transcendentals ---------------------------------------
 
     def inverse(self) -> "TruncatedSeries":
@@ -165,19 +154,13 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def pow_int(self, m: int) -> "TruncatedSeries":
-        """Nonnegative integer power, truncated to the series order."""
+        """Nonnegative integer power, squared and multiplied from the unit series."""
         if m < 0:
             raise ValueError("pow_int needs a nonnegative exponent")
-        if m == 0:
-            return TruncatedSeries.one(self.order)
-        v = self.valuation()
-        if v is None or v * m > self.order:
-            return TruncatedSeries.zero(self.order)
-        result = None
-        base = self
+        result, base = TruncatedSeries.one(self.order), self
         while m:
             if m & 1:
-                result = base if result is None else result * base
+                result = result * base
             m >>= 1
             if m:
                 base = base * base

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _js
+from math import factorial
 from typing import Callable, Iterator
 
 from . import asymptotics, bell
@@ -188,7 +189,7 @@ def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int)
     top = grid.top(n_max)
     if top <= f:
         return []
-    c = bell.lambda1_sums(max(top, 6), params)
+    c = bell.lambda1_sums(top, params)
     return [
         _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
              asymptotics.w_explicit(c, n, f), "generic sum vs expanded form")
@@ -197,10 +198,15 @@ def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int)
 
 
 def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
-    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1), cmp.estimate, cmp.exact,
+    top = grid.top(n_max)
+    if top < 1:
+        return []
+    c = bell.lambda1_sums(top, params)
+    exact = [asymptotics.scaled_bell(top, delta, params) for delta in deltas]
+    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1),
+                 asymptotics.expansion(c, delta, n, n - 1), Fraction(b[n], factorial(n)),
                  "full-order expansion vs exact")
-            for n in range(1, grid.top(n_max) + 1) for delta in deltas
-            for cmp in [asymptotics.bell_asymptotic_estimate(n, n - 1, delta, params)]]
+            for n in range(1, top + 1) for delta, b in zip(deltas, exact)]
 
 
 def _everywhere(point: dict) -> bool:

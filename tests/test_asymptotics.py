@@ -6,14 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from debell.asymptotics import (
+    _excess_partitions,
     bell_asymptotic_estimate,
     expansion,
-    partitions_with_parts,
     w_explicit,
     w_from_base,
 )
 from debell.bell import bell_lambda1, lambda1_sums
 from debell.exact import ParamSet, binomial, falling
+from debell.series import TruncatedSeries
 
 
 def partition_count(n, k):
@@ -25,29 +26,23 @@ def partition_count(n, k):
     return partition_count(n - 1, k - 1) + partition_count(n - k, k)
 
 
-class TestPartitions:
+class TestExcessPartitions:
     def test_hand_cases(self):
-        two_parts = set(partitions_with_parts(4, 2))
-        assert two_parts == {(0, 2, 0, 0), (1, 0, 1, 0)}  # 2+2 and 3+1
-        assert partitions_with_parts(5, 5) == ((5, 0, 0, 0, 0),)
-        assert partitions_with_parts(5, 1) == ((0, 0, 0, 0, 1),)
-        assert partitions_with_parts(3, 5) == ()
-        assert partitions_with_parts(0, 0) == ((),)
+        assert set(_excess_partitions(4, 4)) == {
+            ((4, 1),), ((3, 1), (1, 1)), ((2, 2),), ((2, 1), (1, 2)), ((1, 4),)
+        }
+        assert _excess_partitions(0, 0) == ((),)
+        assert _excess_partitions(3, 1) == (((1, 3),),)  # parts of at most 1
 
-    def test_invariants(self):
-        for n in range(9):
-            for k in range(n + 1):
-                parts = partitions_with_parts(n, k)
-                assert len(set(parts)) == len(parts)
-                for mult in parts:
-                    assert len(mult) == n and min(mult, default=0) >= 0
-                    assert sum((i + 1) * m for i, m in enumerate(mult)) == n
-                    assert sum(mult) == k
-
-    def test_cardinality_matches_recurrence(self):
-        for n in range(11):
-            for k in range(n + 1):
-                assert len(partitions_with_parts(n, k)) == partition_count(n, k)
+    def test_each_partition_of_f_once(self):
+        for f in range(11):
+            parts = _excess_partitions(f, f)
+            assert len(set(parts)) == len(parts) == sum(partition_count(f, k) for k in range(f + 1))
+            for excess in parts:
+                assert sum(part * k for part, k in excess) == f
+                assert all(k >= 1 for _, k in excess)
+                parts_in_order = [part for part, _ in excess]
+                assert parts_in_order == sorted(set(parts_in_order), reverse=True)
 
 
 def _numerators(b) -> list:
@@ -56,16 +51,10 @@ def _numerators(b) -> list:
 
 
 def _w_oracle(b, n: int, f: int) -> Fraction:
-    """W(n, f) summed factor by factor in Fractions over the ordinary base
-    b_i = c_i / i!: prod b_i^{k_i} / k_i! over the partitions of n with n-f parts."""
-    total = Fraction(0)
-    for mult in partitions_with_parts(n, n - f):
-        term = Fraction(1)
-        for i, k in enumerate(mult):
-            if k:
-                term *= Fraction(b[i + 1] ** k, factorial(k))
-        total += term
-    return total
+    """W(n, f) off the series route, over no partition list: n! [t^n] g^(n-f) /
+    ((n-f)! n!), with g = sum_{i>=1} b_i t^i, b_i = c_i / i! the ordinary base."""
+    g = TruncatedSeries([0] + _numerators(b)[1 : n + 1])
+    return Fraction(g.pow_int(n - f).egf_coeff(n), factorial(n - f) * factorial(n))
 
 
 @st.composite

@@ -1,14 +1,20 @@
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debell import stirling
-from debell.asymptotics import bell_asymptotic_estimate
+from debell import asymptotics, bell, derangements, series, stirling
+from debell.asymptotics import (
+    _excess_partitions,
+    bell_asymptotic_estimate,
+    expansion,
+    w_explicit,
+    w_from_base,
+)
 from debell.bell import (
     _bell_egf,
     _gamma_free,
@@ -34,6 +40,8 @@ from debell.bell import (
 )
 from debell.derangements import r_derangement
 from debell.enumeration import (
+    FAMILIES,
+    _r_stirling_tally,
     ordered_partitions_count,
     r_deranged_partitions_enum,
 )
@@ -542,10 +550,11 @@ class TestGammaSharing:
         assert _gamma_free.cache_info().currsize == 3 + 3  # omega's factor, one per S
 
 
-def _reached(route, n_max: int, p: ParamSet) -> set:
-    """The code of every Python function that route(n_max, p) runs from cleared
+def _reached(call, *args) -> set:
+    """The code of every Python function that call(*args) runs from cleared
     caches; a memo is seen through its wrapped function, which runs on a miss."""
-    for cache in (_bell_egf, _gamma_free, _product_factor, _lambda1):
+    for cache in (_bell_egf, _gamma_free, _product_factor, _lambda1, _excess_partitions,
+                  _r_stirling_tally, r_derangement):
         cache.cache_clear()
     stirling._TABLES.clear()
     codes, previous = set(), sys.getprofile()
@@ -556,7 +565,7 @@ def _reached(route, n_max: int, p: ParamSet) -> set:
 
     sys.setprofile(probe)
     try:
-        route(n_max, p)
+        call(*args)
     finally:
         sys.setprofile(previous)
     return codes
@@ -601,6 +610,44 @@ class TestRouteIndependence:
         assert sorted(code.co_name for code in reached if code.co_filename == series_file) == []
         memos = (_gamma_free, _product_factor, _bell_egf)
         assert [memo.__name__ for memo in memos if memo.__wrapped__.__code__ in reached] == []
+
+    # the generic W and the expansion sum over the partitions of the excess, the
+    # expanded W over its fixed forms: no series arithmetic, and neither W reaches
+    # the other's machinery
+    ASYMPTOTIC = {  # route: (a call at the base c, what it must reach, what it must never)
+        w_from_base: (lambda c: [w_from_base(c, 6, f) for f in range(6)],
+                      _excess_partitions.__wrapped__, (w_explicit,)),
+        expansion: (lambda c: expansion(c, 100, 6, 5),
+                    _excess_partitions.__wrapped__, (w_explicit,)),
+        w_explicit: (lambda c: [w_explicit(c, 6, f) for f in range(6)],
+                     w_explicit, (_excess_partitions.__wrapped__, w_from_base)),
+    }
+
+    @pytest.mark.parametrize("route", list(ASYMPTOTIC), ids=lambda route: route.__name__)
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
+    def test_asymptotic_route_reaches_no_series_and_not_the_other_w(self, route, p):
+        call, own, forbidden = self.ASYMPTOTIC[route]
+        reached = _reached(call, lambda1_sums(6, p))
+        assert own.__code__ in reached
+        assert sorted(code.co_name for code in reached if code.co_filename == series.__file__) == []
+        assert [fn.__name__ for fn in forbidden if fn.__code__ in reached] == []
+
+    # each brute-force counter and lister at a small point; the oracles share
+    # nothing with the formula modules
+    FAMILY_POINTS = {"set-partitions": (5, 2), "r-stirling": (4, 2, 1), "ordered": (4,),
+                     "barred": (4, 2), "r-derangements": (3, 2), "r-deranged-partitions": (4, 1)}
+    FORMULA_FILES = {module.__file__
+                     for module in (bell, stirling, series, derangements, asymptotics)}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_enumerator_reaches_no_formula_module(self, family):
+        spec, args = FAMILIES[family], self.FAMILY_POINTS[family]
+        for call in (spec.count, lambda *point: list(spec.lines(*point))):
+            reached = _reached(call, *args)
+            assert call.__code__ in reached
+            formula = sorted(code.co_name for code in reached
+                             if code.co_filename in self.FORMULA_FILES)
+            assert formula == [], (family, formula)
 
 
 class TestRegimeProperties:
@@ -668,6 +715,32 @@ class TestRationalRescaling:
         assert all((w * s).denominator == 1 for w in (p.alpha, p.beta, p.gamma))
         for series in (head, xu):
             assert all(series.egf_coeff(n).denominator == 1 for n in range(order + 1))
+
+
+class TestMetamorphicIdentities:
+    """Two identities of the defining EGF at rational points, where the series
+    routes rescale (S > 1): the EGF at (c alpha, c beta, c gamma) is the EGF
+    read at c t, and the head is multiplicative in gamma while the rest is a
+    lam-th power.  The memos are not cleared between examples, so a memo key
+    that loses part of its point shows up as a mismatch."""
+
+    @settings(derandomize=True, max_examples=60)
+    @given(rational_points(), weights.filter(bool), st.integers(0, 7))
+    def test_homogeneity(self, p, c, n_max):
+        scaled = p.replace(alpha=p.alpha * c, beta=p.beta * c, gamma=p.gamma * c)
+        for route in (bell_egf, omega_egf):
+            assert route(n_max, scaled) == [c**n * v for n, v in enumerate(route(n_max, p))]
+
+    @settings(derandomize=True, max_examples=60)
+    @given(rational_points(), st.integers(0, 3), weights, st.integers(0, 7))
+    def test_additivity(self, p, lam, gamma, n_max):
+        other = p.replace(lam=lam, gamma=gamma)
+        both = p.replace(lam=p.lam + lam, gamma=p.gamma + gamma)
+        for route in (bell_egf, omega_egf):
+            a, b = route(n_max, p), route(n_max, other)
+            convolution = [sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
+                           for m in range(n_max + 1)]
+            assert route(n_max, both) == convolution
 
 
 def _chain_section(xu, e, c):

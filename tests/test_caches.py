@@ -9,12 +9,12 @@ import debell
 ALLOWED = [
     "_at",
     "_bell_egf",
+    "_excess_partitions",
     "_gamma_free",
     "_lambda1",
     "_product_factor",
     "_r_stirling_tally",
     "claim_registry",
-    "partitions_with_parts",
     "r_derangement",
 ]
 

@@ -114,7 +114,7 @@ class TestPerPointEvaluation:
     def test_one_b_build_per_request_on_the_default_grid(self, monkeypatch):
         """B is memoized per (n_max, point), so a cold default round builds each
         distinct request once: every claim at a grid point reads B[0..top + r],
-        and only ASYMP-r0's 96 scaled points read B at several n_max (1..4)."""
+        and ASYMP-r0 reads each of its 96 scaled points once, at n_max = 4."""
         requests = {}  # params -> the n_max of each bell_egf call, in order
         route = bell.bell_egf
 
@@ -128,18 +128,19 @@ class TestPerPointEvaluation:
         bell._gamma_free.cache_clear()
         run_claims()
         distinct = {(n_max, p) for p, ns in requests.items() for n_max in ns}
-        assert bell._bell_egf.cache_info().misses == len(distinct) == 1260
-        assert bell._gamma_free.cache_info().misses == 420
-        several = {p for p, ns in requests.items() if len(set(ns)) > 1}
-        assert len(several) == 96 and all(p.lam in (100, 1000) for p in several)
+        assert bell._bell_egf.cache_info().misses == len(distinct) == 972
+        assert bell._gamma_free.cache_info().misses == 324
+        assert [p for p, ns in requests.items() if len(set(ns)) > 1] == []
+        scaled = {p: ns for p, ns in requests.items() if p.lam in (100, 1000)}
+        assert len(scaled) == 96 and {n for ns in scaled.values() for n in ns} == {4}
 
     def test_lambda1_vectors_are_shared_on_the_default_grid(self):
-        """A cold default round fills 512 lam = 1 vectors: 144 for T5, 144 for the
-        W claims, 32 for T3-nr's longer bases at r >= 1 and 192 for ASYMP-r0's
-        n = 1..4; T3-n's base is T5's vector at gamma = 0, shared across gamma and lam."""
+        """A cold default round fills 368 lam = 1 vectors: 144 for T5, 144 for the
+        W claims, 32 for T3-nr's longer bases at r >= 1 and 48 for ASYMP-r0, one
+        per point; T3-n's base is T5's vector at gamma = 0, shared across gamma and lam."""
         bell._lambda1.cache_clear()
         run_claims()
-        assert bell._lambda1.cache_info().misses == 512
+        assert bell._lambda1.cache_info().misses == 368
 
     def test_t3_convolutions_stop_at_the_entries_they_compare(self, monkeypatch):
         route = bell.section_convolution
@@ -187,14 +188,20 @@ class TestWClaims:
 
     def test_no_base_is_built_for_a_point_without_rows(self, monkeypatch):
         calls = []
-        base = bell.lambda1_sums
+        base, scaled = bell.lambda1_sums, asymptotics.scaled_bell
         monkeypatch.setattr(bell, "lambda1_sums",
                             lambda n_max, params: calls.append(n_max) or base(n_max, params))
+        monkeypatch.setattr(asymptotics, "scaled_bell",
+                            lambda n_max, delta, p: calls.append(n_max) or scaled(n_max, delta, p))
         ids = ["W4-explicit", "W5-explicit"]
         assert run_claims(ids, GridSpec(max_n=3)).rows == ()
+        assert run_claims(["ASYMP-r0"], GridSpec(max_n=0)).rows == ()
         assert calls == []
         assert fixture_summary(run_claims(ids, GridSpec(max_n=6))) == self.AT_MAX_N_6
-        assert calls
+        assert calls and set(calls) == {6}  # one base length per point: the top n
+        calls.clear()
+        assert run_claims(["ASYMP-r0"], GridSpec(max_n=1)).rows
+        assert calls and set(calls) == {1}
 
 
 class TestOutcomes:
