@@ -22,6 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 
 def as_rat(value) -> Fraction:
@@ -58,13 +59,20 @@ def format_point(pairs, sep: str = ";") -> str:
     return sep.join(f"{k}={v}" for k, v in pairs)
 
 
-def csv_text(header, rows) -> str:
-    """``header`` and ``rows`` as CSV: standard quoting, "\\n" line ends, None as an empty cell."""
+def csv_lines(header, rows) -> Iterator[str]:
+    """``header``, then each of the iterable ``rows``, as CSV lines made as they
+    are read: standard quoting, "\\n" line ends, None as an empty cell."""
     import csv  # loaded on the first call, so a command that writes no CSV never loads it
-    import io
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+    from types import SimpleNamespace
+    # writerow returns what the file's write returns: here, the line itself
+    writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
+    yield writer.writerow(header)
+    yield from map(writer.writerow, rows)
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text: the join of ``csv_lines``."""
+    return "".join(csv_lines(header, rows))
 
 
 def binomial(n: int, k: int) -> int:

@@ -66,27 +66,29 @@ class StirlingTable:
         """sum_k weights[k] c^k S(n, k), read off the scaled row as
         S^-n sum_k weights[k] (c S)^k T(n, k); an int where integral.
         ``weights`` yields the k-th weight at k = 0, 1, ..."""
-        return self._read(n, self._ladder(n, c, weights))
+        return self._read(n, *self._ladder(n, c, weights))
 
     def weighted_sums(self, n_max: int, c, weights) -> list:
         """``weighted_sum`` at n = 0..n_max, the ladder built once for all n."""
-        self.row(n_max)  # rejects a negative n_max; grows the table once
-        ladder = self._ladder(n_max, c, weights)
-        return [self._read(n, ladder) for n in range(n_max + 1)]
+        ladder, denominator = self._ladder(n_max, c, weights)
+        return [self._read(n, ladder, denominator) for n in range(n_max + 1)]
 
-    def _ladder(self, n_max: int, c, weights) -> list:
-        """weights[k] (c S)^k for k = 0..n_max."""
-        cs = narrow(c * self.scale)
+    def _ladder(self, n_max: int, c, weights) -> tuple:
+        """q^n_max weights[k] (c S)^k = weights[k] p^k q^(n_max-k) for k = 0..n_max with
+        c S = p/q, so ints (for int weights) whatever c is, and q^n_max to divide by."""
+        self.row(n_max)  # rejects a negative n_max before the ladder is built; grows the table once
+        p, q = (c * self.scale).as_integer_ratio()
         ladder, power = [], 1
-        for _, w in zip(range(n_max + 1), weights):
-            ladder.append(w * power)
-            power *= cs
-        return ladder
+        for k, w in zip(range(n_max + 1), weights):
+            ladder.append(w * power * q ** (n_max - k))
+            power *= p
+        return ladder, q**n_max
 
-    def _read(self, n: int, ladder: list) -> int | Fraction:
-        """S^-n sum_k ladder[k] T(n, k), narrowed."""
+    def _read(self, n: int, ladder: list, denominator: int) -> int | Fraction:
+        """S^-n sum_k ladder[k] T(n, k) / denominator, narrowed."""
         total = sum(map(mul, ladder, self.row(n)))
-        return narrow(total if self.scale == 1 else Fraction(total, self.scale**n))
+        denominator *= self.scale**n
+        return narrow(total if denominator == 1 else Fraction(total, denominator))
 
     def _grow(self):
         n = len(self._rows) - 1

@@ -11,17 +11,18 @@ those rows alone drive the harness exit code.
 from __future__ import annotations
 
 import hashlib
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import product
+from itertools import groupby, product
 from json.encoder import encode_basestring_ascii as _js
 from math import factorial
 from typing import Callable, Iterator
 
 from . import asymptotics, bell
-from .exact import ParamSet, as_rat, binomial, csv_text, falling, format_point, format_rat
+from .exact import ParamSet, as_rat, binomial, csv_lines, falling, format_point, format_rat
 
 EQUAL = "EQUAL"
 UNEQUAL = "UNEQUAL"
@@ -32,7 +33,7 @@ class UnknownClaimError(ValueError):
     """A requested claim id is not in the registry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     claim: str
     point: tuple
@@ -301,11 +302,11 @@ def _point_json(point: tuple) -> str:
     return "[\n" + pairs + "\n      ]"
 
 
-def _json_rows(rows) -> Iterator[bytes]:
+def _json_chunks(rows) -> Iterator[bytes]:
     """The JSON report in pieces: each row as json.dumps(..., sort_keys=True,
     indent=2) lays it out, led by the text that precedes it, then the closing
-    text.  A claim's, note's and status's text is formatted once, and a
-    point's once per distinct point."""
+    text (the whole text of an empty report).  A claim's, note's and status's
+    text is formatted once, and a point's once per distinct point."""
     claim_text = cache(lambda claim: f'    {{\n      "claim": {_js(claim)},\n      "lhs": ')
     note_text = cache(lambda note: f',\n      "note": {_js(note)},\n      "point": ')
     status_text = cache(lambda status: f',\n      "status": {_js(status)}\n    }}')
@@ -316,33 +317,41 @@ def _json_rows(rows) -> Iterator[bytes]:
                f'{point_json(row.point)},\n      "rhs": {_js(row.rhs)}{status_text(row.status)}'
                ).encode()
         lead = ",\n"
-    yield b"\n  ]\n}\n"
+    yield b"\n  ]\n}\n" if lead == ",\n" else b'{\n  "rows": []\n}\n'
+
+
+def _csv_chunks(rows) -> Iterator[bytes]:
+    """The CSV report, one line per chunk."""
+    cells = ([row.claim, format_point(row.point), row.lhs, row.rhs, row.status, row.note]
+             for row in rows)
+    return map(str.encode, csv_lines(["claim", "point", "lhs", "rhs", "status", "note"], cells))
+
+
+def _markdown_chunks(rows) -> Iterator[bytes]:
+    """The markdown report: a title, then a table per claim, one line per chunk."""
+    yield b"# Verification report\n\n"
+    for claim, claim_rows in groupby(rows, lambda row: row.claim):
+        yield (f"## {claim}\n\n| point | lhs | rhs | status | note |\n"
+               "| --- | --- | --- | --- | --- |\n").encode()
+        for row in claim_rows:
+            point = format_point(row.point, "; ")
+            yield f"| {point} | {row.lhs} | {row.rhs} | {row.status} | {row.note} |\n".encode()
+
+
+def report_chunks(report: VerificationReport, fmt: str) -> Iterator[bytes]:
+    """The report in ``fmt`` (json, csv or markdown) as byte chunks, made as they are read."""
+    emit = {"json": _json_chunks, "csv": _csv_chunks, "markdown": _markdown_chunks}.get(fmt)
+    if emit is None:
+        raise ValueError(f"unknown report format: {fmt}")
+    return emit(report.rows)
 
 
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
-    """The report as bytes; the JSON form is byte-identical to
-    ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
-    if fmt == "json":
-        if not report.rows:
-            return b'{\n  "rows": []\n}\n'
-        return b"".join(_json_rows(report.rows))
-    if fmt == "csv":
-        rows = ([row.claim, format_point(row.point), row.lhs, row.rhs, row.status, row.note]
-                for row in report.rows)
-        return csv_text(["claim", "point", "lhs", "rhs", "status", "note"], rows).encode()
-    if fmt == "markdown":
-        lines = ["# Verification report", ""]
-        current = None
-        for row in report.rows:
-            if row.claim != current:
-                current = row.claim
-                lines += [f"## {current}", "", "| point | lhs | rhs | status | note |",
-                          "| --- | --- | --- | --- | --- |"]
-            point = format_point(row.point, "; ")
-            lines.append(f"| {point} | {row.lhs} | {row.rhs} | {row.status} | {row.note} |")
-        lines.append("")
-        return "\n".join(lines).encode()
-    raise ValueError(f"unknown report format: {fmt}")
+    """``report_chunks`` written into one buffer; the JSON form is byte-identical
+    to ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
+    buf = io.BytesIO()
+    buf.writelines(report_chunks(report, fmt))
+    return buf.getvalue()
 
 
 def fixture_summary(report: VerificationReport) -> dict:

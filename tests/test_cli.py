@@ -281,6 +281,18 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert json.loads(target.read_text())["rows"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_streamed_report_is_emit_report(self, fmt, tmp_path):
+        """stdout and ``--out`` both get the chunks of ``emit_report``'s own emitter."""
+        args = ["verify", "--claims", "T5,OMEGA-ID", "--max-n", "3", "--format", fmt]
+        report = verify.run_claims(["T5", "OMEGA-ID"], verify.GridSpec(max_n=3))
+        result = invoke(*args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == verify.emit_report(report, fmt)
+        target = tmp_path / f"report.{fmt}"
+        assert invoke(*args, "--out", str(target)).stdout_bytes == b""
+        assert target.read_bytes() == result.stdout_bytes
+
 
 class TestTableCommand:
     def test_csv(self):

@@ -10,6 +10,7 @@ from debell import exact
 from debell.exact import (
     ParamSet,
     binomial,
+    csv_lines,
     csv_text,
     falling,
     format_point,
@@ -135,6 +136,22 @@ class TestTextCells:
             'n,value,note\n1,p/q,\n"a,b","say ""hi""","two\nlines"\n'
         )
         assert csv_text(["n", "value"], []) == "n,value\n"
+
+    def test_csv_lines_reads_rows_as_it_goes(self):
+        """``csv_lines`` yields one line per row and reads an iterable lazily;
+        ``csv_text`` is their join."""
+        read = []
+        rows = (read.append(i) or [i, "a,b" * i] for i in range(3))
+        lines = csv_lines(["n", "cell"], rows)
+        assert next(lines) == "n,cell\n"
+        assert read == []
+        assert next(lines) == "0,\n"
+        assert read == [0]
+        assert list(lines) == ['1,"a,b"\n', '2,"a,ba,b"\n']
+        assert csv_text(["n", "cell"], ([i, "a,b" * i] for i in range(3))) == (
+            'n,cell\n0,\n1,"a,b"\n2,"a,ba,b"\n'
+        )
+
 
 class TestParamSet:
     def test_coercion_and_validation(self):

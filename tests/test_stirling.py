@@ -99,10 +99,11 @@ class TestScaledTriangle:
 
 
 class TestWeightedSums:
-    """``weighted_sums`` builds the ladder w_k (c S)^k once for every n; each
-    entry equals the scalar ``weighted_sum`` and the sum taken in Fraction."""
+    """``weighted_sums`` builds the ladder w_k (c S)^k once for n = 0..20, in
+    ints even where c S is not integral; each entry equals the scalar
+    ``weighted_sum`` and the sum taken in Fraction."""
 
-    WEIGHTS = [3, 0, -1, 2, 5, 0, 7, -4, 1, 2]
+    WEIGHTS = [3, 0, -1, 2, 5, 0, 7, -4, 1, 2, 6, -2, 0, 1, 9, -5, 3, 4, 0, 8, -1]  # n <= 20
 
     @pytest.mark.parametrize(
         "triple, c",
@@ -124,6 +125,8 @@ class TestWeightedSums:
         assert [type(v) for v in sums] == [
             int if Fraction(v).denominator == 1 else Fraction for v in sums
         ]
+        # the ladder is ints at a rational c S too, so each dot product runs in ints
+        assert all(type(v) is int for v in tab._ladder(n_max, c, w)[0])
         # an unbounded weight iterator is read only to k = n_max
         assert tab.weighted_sums(4, c, count(1)) == tab.weighted_sums(4, c, [1, 2, 3, 4, 5])
 

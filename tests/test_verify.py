@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from debell.verify import (
     claim_registry,
     emit_report,
     fixture_summary,
+    report_chunks,
     run_claims,
 )
 
@@ -351,6 +353,34 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(VerificationReport(()), "xml")
+        with pytest.raises(ValueError):
+            report_chunks(VerificationReport(()), "xml")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_chunks_join_to_the_report_bytes(self, fmt):
+        """``debell verify`` writes ``report_chunks`` one by one; their join is
+        ``emit_report``'s bytes, on a grid and on the empty report."""
+        for report in (run_claims(["T5", "EX-B1x2", "W4-explicit"], SMALL_GRID),
+                       VerificationReport(())):
+            chunks = list(report_chunks(report, fmt))
+            assert all(type(chunk) is bytes for chunk in chunks)
+            assert b"".join(chunks) == emit_report(report, fmt)
+            # one chunk per row, plus the header and closing text around them
+            assert len(chunks) >= len(report.rows) + 1
+
+    def test_json_report_is_held_about_once(self):
+        """``emit_report`` writes the chunks into one buffer: no list of row
+        strings, and no second copy of the output, so the traced peak stays
+        near the output's length (a join over the rows held it about 2.25x)."""
+        report = run_claims(grid=SMALL_GRID)
+        tracemalloc.start()
+        try:
+            size = len(emit_report(report, "json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 10**6
+        assert peak <= 1.5 * size, peak / size
 
     def test_fixture_summary_shape(self):
         report = run_claims(["T5"], SMALL_GRID)
