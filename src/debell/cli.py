@@ -3,12 +3,13 @@
 All numeric flags accept integers or exact rationals written as "p/q".
 Plain output is the canonical rational string followed by a newline; json
 and csv outputs are byte-deterministic for identical invocations.  Usage
-errors exit with 2, computation errors with 1.
+errors exit with 2, computation errors with 1, a closed stdout with 141.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -64,10 +65,14 @@ _output_options = _options(
 
 def _write(chunks, out: str | None) -> None:
     """Write the byte ``chunks`` one by one to the file ``out``, or to stdout when it is None."""
-    with nullcontext(click.get_binary_stream("stdout")) if out is None else open(out, "wb") as sink:
-        for chunk in chunks:  # click's test runner copies write() to its output, not writelines()
-            sink.write(chunk)
-        sink.flush()
+    try:
+        with nullcontext(click.get_binary_stream("stdout")) if out is None else open(out, "wb") as sink:
+            for chunk in chunks:  # click's test runner copies write() to its output, not writelines()
+                sink.write(chunk)
+            sink.flush()
+    except BrokenPipeError:  # the reader left: exit quietly with the shell's SIGPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # unflushed bytes to null
+        sys.exit(141)
 
 
 def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
@@ -239,7 +244,7 @@ def verify_cmd(claims, fmt, out, max_n):
     """Run the claim registry and report per-point outcomes.
 
     Exits 0 when every claim that is required to hold reports EQUAL on all
-    its points, 1 otherwise.
+    its points, 1 otherwise, and 141 if stdout closes before the report ends.
     """
     from . import verify
 

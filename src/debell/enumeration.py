@@ -11,12 +11,13 @@ blocks when asked for separated partitions and opening only k blocks when
 asked for a block count; it feeds the listings and
 ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
 growth strings iteratively, one list updated in place, and feeds the count
-tallies; there a partition's block count is its running maximum plus one,
-and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
-r-1.  ``r_deranged_partitions_enum`` checks the two generators against
-each other at every block count.  Derangements are the permutations of
-``itertools.permutations`` with any fixed point filtered out in C; the
-deranged-partition counter and lister generate them once per block count.
+tallies, one walk per size for every r: a partition's block count is its
+running maximum plus one, and 1..r lie in distinct blocks exactly when the
+string starts 0, 1, ..., r-1, as the walk's last strings do.
+``r_deranged_partitions_enum`` checks the two generators against each other
+at every block count.  Derangements come from two generators too: the
+listers filter ``itertools.permutations``, dropping fixed points in C; the
+counters build each by cycle insertion, with 1..r each opening a cycle.
 
 A family is a counter plus one lister: ``FAMILIES`` states each family's
 point fields, hard size cap, counter and the function that checks the sizes
@@ -157,22 +158,24 @@ def set_partitions_count(n: int, k: int) -> int:
     return _r_stirling_tally(n, 0).get(k, 0)
 
 
-@lru_cache(maxsize=None)
 def _r_stirling_tally(total: int, r: int) -> dict:
     """Block-count tally of the partitions of [total] with 1..r in distinct
-    blocks, one growth string at a time."""
-    if r > total:
-        return {}
-    if total == 0:
-        return {0: 1}
-    counts: dict = {}
-    head = list(range(r))
-    last = total - 1
-    for a, top in _growth_strings(total):
-        if a[:r] == head:
-            k = top[last] + 1
-            counts[k] = counts.get(k, 0) + 1
-    return counts
+    blocks: the levels of ``_tally_by_run`` from r up."""
+    return {k: c for k, c in enumerate(map(sum, zip(*_tally_by_run(total)[r:]))) if c}
+
+
+@lru_cache(maxsize=None)
+def _tally_by_run(total: int) -> tuple:
+    """Entry [s][k]: the partitions of [total] into k blocks whose growth
+    string starts with exactly 0..s-1, walked one at a time.  Those starting
+    0..r-1 end the walk for every r, so s never falls: one test a string."""
+    levels = [[0] * (total + 1) for _ in range(total + 1)]
+    s = 0
+    for _, top in _growth_strings(total):
+        if s < total and top[s] == s:
+            s += 1
+        levels[s][top[-1] + 1 if top else 0] += 1
+    return tuple(map(tuple, levels))
 
 
 def r_stirling_count(n: int, k: int, r: int) -> int:
@@ -230,11 +233,35 @@ def _cycles_apart(sigma, r: int) -> bool:
     return True
 
 
+def _derangement_count(m: int, r: int) -> int:
+    """How many ``_derangements(m, r)`` yields, counted one at a time as they
+    are built by cycle insertion: element j follows one of 0..j-1 in its cycle
+    or opens a cycle, so each permutation is built once and j opens one exactly
+    when it is its cycle's least, which each j < r must be.  A branch stops
+    once its fixed points outnumber the elements still to place."""
+    fixed = [False] * m
+
+    def grow(j, f):
+        if f > m - j:
+            return 0
+        if j == m:  # a leaf: one derangement
+            return 1
+        count = 0
+        for i in range(0 if j >= r else j, j + 1):  # i = j: j opens a cycle, a fixed point
+            was = fixed[i]
+            fixed[i] = i == j
+            count += grow(j + 1, f - was + fixed[i])
+            fixed[i] = was
+        return count
+
+    return grow(0, 0)
+
+
 def r_derangements_enum(k: int, r: int) -> int:
     """Permutations of [k+r] with no fixed point and 1..r in pairwise
     distinct cycles, counted by explicit generation."""
     _check("r-derangements", k + r, k=k, r=r)
-    return sum(1 for _ in _derangements(k + r, r))
+    return _derangement_count(k + r, r)
 
 
 # -- deranged partitions ------------------------------------------------------
@@ -247,8 +274,8 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
 
     For each block count k the separated k-block partitions are walked and
     their number must equal the growth-string tally of k-block partitions;
-    each is then counted once per derangement of its k blocks, generated once
-    per k since their number depends on k and r alone.
+    each is then counted once per derangement of its k blocks, built once per
+    k by cycle insertion since their number depends on k and r alone.
     """
     _check("r-deranged-partitions", n + r, n=n, r=r)
     total = n + r
@@ -261,7 +288,7 @@ def r_deranged_partitions_enum(n: int, r: int) -> int:
                 f"partition walkers disagree at (n={n}, r={r}), k={k}: "
                 f"block walk {walked} vs growth strings {tally.get(k, 0)}"
             )
-        count += walked * sum(1 for _ in _derangements(k, r))
+        count += walked * _derangement_count(k, r)
     return count
 
 

@@ -321,20 +321,22 @@ def _json_chunks(rows) -> Iterator[bytes]:
 
 
 def _csv_chunks(rows) -> Iterator[bytes]:
-    """The CSV report, one line per chunk."""
-    cells = ([row.claim, format_point(row.point), row.lhs, row.rhs, row.status, row.note]
+    """The CSV report, one line per chunk; a point's cell is formatted once."""
+    point_text = cache(format_point)
+    cells = ([row.claim, point_text(row.point), row.lhs, row.rhs, row.status, row.note]
              for row in rows)
     return map(str.encode, csv_lines(["claim", "point", "lhs", "rhs", "status", "note"], cells))
 
 
 def _markdown_chunks(rows) -> Iterator[bytes]:
     """The markdown report: a title, then a table per claim, one line per chunk."""
+    point_text = cache(partial(format_point, sep="; "))
     yield b"# Verification report\n\n"
     for claim, claim_rows in groupby(rows, lambda row: row.claim):
         yield (f"## {claim}\n\n| point | lhs | rhs | status | note |\n"
                "| --- | --- | --- | --- | --- |\n").encode()
         for row in claim_rows:
-            point = format_point(row.point, "; ")
+            point = point_text(row.point)
             yield f"| {point} | {row.lhs} | {row.rhs} | {row.status} | {row.note} |\n".encode()
 
 
@@ -359,8 +361,9 @@ def fixture_summary(report: VerificationReport) -> dict:
     status plus a hash of the claim's serialized rows."""
     counts = report.counts()
     digests = {cid: hashlib.sha256() for cid in counts}
+    point_text = cache(format_point)  # once per distinct point
     for row in report.rows:
-        line = f"{row.claim}|{format_point(row.point)}|{row.lhs}|{row.rhs}|{row.status}\n"
+        line = f"{row.claim}|{point_text(row.point)}|{row.lhs}|{row.rhs}|{row.status}\n"
         digests[row.claim].update(line.encode())
     return {
         cid: {"rows": sum(per.values()), "equal": per[EQUAL], "unequal": per[UNEQUAL],

@@ -4,16 +4,17 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-It checks 487 points: every counter against its formula route (set
+It checks 491 points: every counter against its formula route (set
 partitions for n <= 10; r-Stirling for n+r <= 10 with r <= 3; ordered and
 barred arrangements, lam 1..3, for n <= 9; r-derangements for k+r <= 9 with
 r <= 3; deranged partitions for n+r <= 8 with r <= 3), then every family's
 listing length against its counter (set partitions at n = 10 and every k;
 r-Stirling at n+r = 9 with r <= 2; ordered for n <= 7; barred for n <= 6,
 lam 1..3; r-derangements for k+r <= 8 with r <= 3; deranged partitions for
-n+r <= 6 with r <= 2).  It prints every mismatch and exits 1 if there is
-any.  pytest does not collect this file: the full sweep is too slow for
-tier-1.
+n+r <= 6 with r <= 2), then the cycle-insertion derangement counter against
+the permutation filter at 9 elements with r <= 3.  It prints every mismatch
+and exits 1 if there is any.  pytest does not collect this file: the full
+sweep is too slow for tier-1.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ def sweep():
     for r in range(3):
         for n in range(7 - r):
             yield listed("r-deranged-partitions", n, r)
+    for r in range(4):  # the counters' generator against the listers', at the cap
+        yield (f"_derangement_count(9, {r})", enumeration._derangement_count(9, r),
+               sum(1 for _ in enumeration._derangements(9, r)))
 
 
 def listed(family: str, *point):

@@ -41,7 +41,7 @@ from debell.bell import (
 from debell.derangements import r_derangement
 from debell.enumeration import (
     FAMILIES,
-    _r_stirling_tally,
+    _tally_by_run,
     ordered_partitions_count,
     r_deranged_partitions_enum,
 )
@@ -554,7 +554,7 @@ def _reached(call, *args) -> set:
     """The code of every Python function that call(*args) runs from cleared
     caches; a memo is seen through its wrapped function, which runs on a miss."""
     for cache in (_bell_egf, _gamma_free, _product_factor, _lambda1, _excess_partitions,
-                  _r_stirling_tally, r_derangement):
+                  _tally_by_run, r_derangement):
         cache.cache_clear()
     stirling._TABLES.clear()
     codes, previous = set(), sys.getprofile()

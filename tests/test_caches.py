@@ -13,7 +13,7 @@ ALLOWED = [
     "_gamma_free",
     "_lambda1",
     "_product_factor",
-    "_r_stirling_tally",
+    "_tally_by_run",
     "claim_registry",
     "r_derangement",
 ]

@@ -4,6 +4,9 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -292,6 +295,20 @@ class TestVerifyCommand:
         target = tmp_path / f"report.{fmt}"
         assert invoke(*args, "--out", str(target)).stdout_bytes == b""
         assert target.read_bytes() == result.stdout_bytes
+
+
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that leaves early gets the shell's SIGPIPE status, which no
+        failed claim shares, and nothing on stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(debell.__file__).resolve().parents[1]))
+        args = ["verify", "--claims", "T5", "--max-n", "3", "--format", "json"]  # 289 kB
+        child = subprocess.Popen([sys.executable, "-m", "debell.cli", *args], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.read(100).startswith(b'{\n  "rows": [')
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert child.stderr.read() == b""
+        child.stderr.close()
 
 
 class TestTableCommand:

@@ -7,6 +7,7 @@ from debell import enumeration
 from debell.enumeration import (
     FAMILIES,
     EnumerationCapError,
+    _derangement_count,
     _derangements,
     _partitions_raw,
     _r_stirling_tally,
@@ -149,6 +150,8 @@ class TestRDerangements:
         assert r_derangements_enum(2, 2) == 2
         assert r_derangements_enum(4, 0) == 9
         assert r_derangements_enum(0, 0) == 1
+        assert r_derangements_enum(7, 2) == 50988  # at the cap, k + r = 9
+        assert r_derangements_enum(9, 0) == 133496
 
     def test_zero_when_k_below_r(self):
         for r in range(1, 4):
@@ -265,7 +268,7 @@ class TestGenerators:
         # the block-membership test is an independent route to the same counts
         for total in range(10):
             partitions = list(_partitions_raw(total))
-            for r in range(4):
+            for r in range(total + 2):
                 expected = {}
                 for p in partitions:
                     if first_r_separated(p, r):
@@ -294,6 +297,12 @@ class TestGenerators:
         for m in range(9):
             for r in range(min(3, m) + 1):
                 assert list(_derangements(m, r)) == list(labelled(m, r)), (m, r)
+
+    def test_cycle_insertion_counts_the_permutation_filter(self):
+        # two independent generators: cycle insertion against the filtered permutations
+        for m in range(9):
+            for r in range(m + 2):
+                assert _derangement_count(m, r) == sum(1 for _ in _derangements(m, r)), (m, r)
 
 
 NEGATIVE_SIZES = [
