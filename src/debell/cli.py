@@ -8,6 +8,7 @@ errors exit with 2, computation errors with 1, a closed stdout with 141.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from click.core import ParameterSource
 
 from . import __version__, bell, enumeration, stirling
 from .derangements import r_derangement_egf, r_derangement_rec
-from .exact import ParamSet, as_rat, csv_text, format_point, format_rat
+from .exact import ParamSet, as_rat, csv_lines, format_point, format_rat
 
 
 class _RationalType(click.ParamType):
@@ -57,18 +58,25 @@ _lambda_option = click.option("--lambda", "lam", type=click.IntRange(min=0), def
 
 _param_options = _options(_weight_options, _x_option, _lambda_option, _r_option)
 
+_out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 _output_options = _options(
     click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"),
-    click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None),
+    _out_option,
 )
 
 
 def _write(chunks, out: str | None) -> None:
-    """Write the byte ``chunks`` one by one to the file ``out``, or to stdout when it is None."""
+    """Write the byte ``chunks`` as they come to the file ``out``, or to stdout when it is
+    None, gathered into 8 KiB writes, so even an unbuffered stdout is not written per line."""
     try:
         with nullcontext(click.get_binary_stream("stdout")) if out is None else open(out, "wb") as sink:
-            for chunk in chunks:  # click's test runner copies write() to its output, not writelines()
-                sink.write(chunk)
+            buf = io.BytesIO()
+            for chunk in chunks:
+                buf.write(chunk)
+                if buf.tell() >= io.DEFAULT_BUFFER_SIZE:
+                    sink.write(buf.getvalue())  # click's test runner copies write(), not writelines
+                    buf = io.BytesIO()
+            sink.write(buf.getvalue())
             sink.flush()
     except BrokenPipeError:  # the reader left: exit quietly with the shell's SIGPIPE status
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # unflushed bytes to null
@@ -76,15 +84,15 @@ def _write(chunks, out: str | None) -> None:
 
 
 def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
-    """Write ``doc`` as sorted, indented JSON for fmt "json", ``header`` and ``rows``
-    as CSV for "csv", and each row's last cell (value, count or line) for "plain"."""
+    """Write ``doc`` as sorted, indented JSON for fmt "json", and the iterable ``rows``, read
+    as written, as CSV after ``header`` for "csv" or as each row's last cell for "plain"."""
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        chunks = [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()]
     elif fmt == "csv":
-        text = csv_text(header, rows)
+        chunks = map(str.encode, csv_lines(header, rows))
     else:
-        text = "".join(f"{row[-1]}\n" for row in rows)
-    _write([text.encode()], out)
+        chunks = (f"{row[-1]}\n".encode() for row in rows)
+    _write(chunks, out)
 
 
 def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
@@ -198,7 +206,8 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     if list_items:
         if fmt != "plain":
             raise click.UsageError("--list prints plain lines only; drop --format")
-        _emit("plain", out, None, None, _run(lambda: [[line] for line in spec.lines(**point)]))
+        lines = _run(spec.lines, *point.values())  # checks the sizes: a cap error writes no byte
+        _emit("plain", out, None, None, zip(lines))  # each line a one-cell row
         return
     count = _run(spec.count, *point.values())
     doc = {"command": "enumerate", "family": family, "point": point, "count": count}
@@ -214,7 +223,7 @@ def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
 @_x_option
 @_r_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, r, fmt, out):
     """Convergence table (delta, estimate, exact, rel_error) for B[n]/n!;
     the exponent is delta, so there is no --lambda."""
@@ -237,7 +246,7 @@ def asymp_cmd(n, m, deltas, alpha, beta, gamma, x, r, fmt, out):
 @main.command("verify")
 @click.option("--claims", default=None, help="comma-separated claim ids (default: all)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="csv")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 @click.option("--max-n", type=click.IntRange(min=0), default=None,
               help="largest n of any row (default: 8, and 12 for the W claims)")
 def verify_cmd(claims, fmt, out, max_n):
@@ -255,7 +264,6 @@ def verify_cmd(claims, fmt, out, max_n):
         report = verify.run_claims(ids, verify.GridSpec.default(max_n))
     except verify.UnknownClaimError as exc:
         raise click.UsageError(str(exc))
-    # streamed from the emitter that emit_report joins, so the whole report is never held
     _write(verify.report_chunks(report, fmt), out)
     failures = report.required_failures()
     if failures:
@@ -269,11 +277,11 @@ def verify_cmd(claims, fmt, out, max_n):
 @main.command("table")
 @click.option("--max-n", type=click.IntRange(min=0), required=True)
 @_param_options
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out_option
 def table_cmd(max_n, alpha, beta, gamma, x, lam, r, out):
     """CSV table of B[n] for n = 0..max-n."""
     values = _run(bell.bell_egf, max_n, ParamSet.make(alpha, beta, gamma, x, lam, r))
-    _emit("csv", out, None, ["n", "value"], [(n, format_rat(v)) for n, v in enumerate(values)])
+    _emit("csv", out, None, ["n", "value"], ((n, format_rat(v)) for n, v in enumerate(values)))
 
 
 if __name__ == "__main__":

@@ -70,11 +70,6 @@ def csv_lines(header, rows) -> Iterator[str]:
     yield from map(writer.writerow, rows)
 
 
-def csv_text(header, rows) -> str:
-    """``header`` and ``rows`` as CSV text: the join of ``csv_lines``."""
-    return "".join(csv_lines(header, rows))
-
-
 def binomial(n: int, k: int) -> int:
     """Extended binomial coefficient.
 

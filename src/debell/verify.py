@@ -19,7 +19,7 @@ from functools import cache, lru_cache, partial
 from itertools import groupby, product
 from json.encoder import encode_basestring_ascii as _js
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import asymptotics, bell
 from .exact import ParamSet, as_rat, binomial, csv_lines, falling, format_point, format_rat
@@ -111,19 +111,21 @@ class GridSpec:
 @dataclass(frozen=True)
 class Claim:
     """A named identity, evaluated at the grid's points with the (axis, values)
-    pairs of ``points`` replacing those axes; ``evaluate(claim_id, params,
-    grid)`` returns one point's rows in ascending n (then delta, then m), and
-    ``claim_registry()`` binds each claim's own id as ``claim_id``.
-    ``required(point)`` is true for a row that must be EQUAL, ``point`` being
-    the row's point as a dict; a claim whose ``required`` is None is recorded
-    only (the variant-form and worked-example claims are expected to differ
-    at many points, and the fixture regression pins their exact outcomes)."""
+    pairs of ``points`` replacing those axes: ``values(params, grid)`` gives a
+    point's (point, lhs, rhs) triples in ascending n (then delta, then m), and
+    ``evaluate``, the row writer ``_rows`` bound by ``claim_registry()``, its
+    rows.  ``required(point)``, ``point`` a row's point as a dict, is true for a
+    row that must be EQUAL; a claim whose ``required`` is None is recorded only
+    (variant forms and worked examples, whose outcomes the fixture pins)."""
 
     id: str
     description: str
     points: tuple
-    evaluate: Callable[..., list]
+    values: Callable[..., Iterable[tuple]]
     required: Callable[[dict], bool] | None = None
+    note: str = ""
+    needs_lam: bool = False
+    evaluate: Callable[..., list] | None = None
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +135,16 @@ def _at(params: ParamSet, n: int, **extra) -> tuple:
     return params.as_pairs() + (("n", str(n)),) + tuple((k, str(v)) for k, v in extra.items())
 
 
-def _row(claim_id: str, point: tuple, lhs: Fraction, rhs: Fraction, note: str = "") -> ReportRow:
-    status = EQUAL if lhs == rhs else UNEQUAL
-    return ReportRow(claim_id, point, format_rat(lhs), format_rat(rhs), status, note)
+def _rows(claim: Claim, params: ParamSet, grid: GridSpec) -> list:
+    """The row writer: one point's rows of ``claim``, each side formatted and
+    judged EQUAL or UNEQUAL with the claim's note, or, for a claim that
+    ``needs_lam`` >= 1, SKIPPED rows n = 0..top at lam = 0."""
+    if claim.needs_lam and params.lam < 1:
+        return [ReportRow(claim.id, _at(params, n), "", "", SKIPPED, "needs lam >= 1")
+                for n in range(grid.top() + 1)]
+    return [ReportRow(claim.id, point, format_rat(lhs), format_rat(rhs),
+                      EQUAL if lhs == rhs else UNEQUAL, claim.note)
+            for point, lhs, rhs in claim.values(params, grid)]
 
 
 def _b(params: ParamSet, grid: GridSpec) -> list:
@@ -144,24 +153,19 @@ def _b(params: ParamSet, grid: GridSpec) -> list:
     return bell.bell_egf(grid.top() + params.r, params)
 
 
-def _vs_egf(claim_id: str, params: ParamSet, grid: GridSpec, route, needs_lam=False) -> list:
-    """Rows n = 0..top comparing the series route B[n] with ``route(top,
-    params)[n]``, or SKIPPED rows at lam = 0 for a route that ``needs_lam`` >= 1."""
+def _vs_egf(params: ParamSet, grid: GridSpec, route) -> list:
+    """n = 0..top: the series route B[n] against ``route(top, params)[n]``."""
     top = grid.top()
-    points = [_at(params, n) for n in range(top + 1)]
-    if needs_lam and params.lam < 1:
-        return [ReportRow(claim_id, point, "", "", SKIPPED, "needs lam >= 1") for point in points]
-    rhs = route(top, params)
-    lhs = _b(params, grid)
-    return [_row(claim_id, point, lhs[n], rhs[n]) for n, point in enumerate(points)]
+    rhs, lhs = route(top, params), _b(params, grid)
+    return [(_at(params, n), lhs[n], rhs[n]) for n in range(top + 1)]
 
 
 # -- individual claims ---------------------------------------------------------
 
 
-def _eval_omega_id(claim_id: str, params: ParamSet, grid: GridSpec) -> list:
+def _omega_id(params: ParamSet, grid: GridSpec) -> list:
     rows = bell.omega_identity_rows(grid.top(), params)
-    return [_row(claim_id, _at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
+    return [(_at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
 
 
 def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -177,36 +181,30 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
     return binomial(lam + 5, 6) * falling(6, 3) * x**6 * beta**6
 
 
-def _eval_ex(claim_id: str, params: ParamSet, grid: GridSpec, poly, n: int) -> list:
+def _ex(params: ParamSet, grid: GridSpec, poly, n: int) -> list:
     if grid.top(n) < n:
         return []
     _, beta, _, x, lam, _ = params.key
-    lhs = _b(params, grid)[n]
-    rhs = poly(lam, x, beta)
-    return [_row(claim_id, _at(params, n), lhs, rhs, "candidate polynomial")]
+    return [(_at(params, n), _b(params, grid)[n], poly(lam, x, beta))]
 
 
-def _eval_w(claim_id: str, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
+def _w(params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
     top = grid.top(n_max)
     if top <= f:
         return []
     c = bell.lambda1_sums(top, params)
-    return [
-        _row(claim_id, _at(params, n), asymptotics.w_from_base(c, n, f),
-             asymptotics.w_explicit(c, n, f), "generic sum vs expanded form")
-        for n in range(f + 1, top + 1)
-    ]
+    return [(_at(params, n), asymptotics.w_from_base(c, n, f), asymptotics.w_explicit(c, n, f))
+            for n in range(f + 1, top + 1)]
 
 
-def _eval_asymp(claim_id: str, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
+def _asymp(params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
     top = grid.top(n_max)
     if top < 1:
         return []
     c = bell.lambda1_sums(top, params)
     exact = [asymptotics.scaled_bell(top, delta, params) for delta in deltas]
-    return [_row(claim_id, _at(params, n, delta=delta, m=n - 1),
-                 asymptotics.expansion(c, delta, n, n - 1), Fraction(b[n], factorial(n)),
-                 "full-order expansion vs exact")
+    return [(_at(params, n, delta=delta, m=n - 1), asymptotics.expansion(c, delta, n, n - 1),
+             Fraction(b[n], factorial(n)))
             for n in range(1, top + 1) for delta, b in zip(deltas, exact)]
 
 
@@ -230,39 +228,37 @@ def claim_registry() -> dict:
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              _LAM1,
-              partial(_vs_egf, route=lambda m, p: bell.lambda1_sums(m, p)),
-              _everywhere),
+              _LAM1, partial(_vs_egf, route=lambda m, p: bell.lambda1_sums(m, p)), _everywhere),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam", (),
               partial(_vs_egf, route=lambda m, p: bell.general_closed_sums(m, p))),
         Claim("T3-n", "section convolution over compositions of n vs the series route", (),
-              partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.section_convolution(m, p)),
-              _everywhere),
-        Claim("T3-nr", "section convolution with the n+r upper index vs the series route",
-              (), partial(_vs_egf, needs_lam=True,
-                          route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:])),
+              partial(_vs_egf, route=lambda m, p: bell.section_convolution(m, p)), _everywhere,
+              needs_lam=True),
+        Claim("T3-nr", "section convolution with the n+r upper index vs the series route", (),
+              partial(_vs_egf, route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:]),
+              needs_lam=True),
         Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
-              (), _eval_omega_id, _at_r0),
+              (), _omega_id, _at_r0),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              (), partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.product_literal(m, p))),
+              (), partial(_vs_egf, route=lambda m, p: bell.product_literal(m, p)), needs_lam=True),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route", (),
-              partial(_vs_egf, needs_lam=True, route=lambda m, p: bell.product_power(m, p)),
-              _everywhere),
+              partial(_vs_egf, route=lambda m, p: bell.product_power(m, p)), _everywhere,
+              needs_lam=True),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
-              _EX + (("rs", (1,)),), partial(_eval_ex, poly=_ex_b1x2, n=2)),
+              _EX + (("rs", (1,)),), partial(_ex, poly=_ex_b1x2, n=2), note="candidate polynomial"),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
-              _EX + (("rs", (2,)),), partial(_eval_ex, poly=_ex_b2x4, n=4)),
+              _EX + (("rs", (2,)),), partial(_ex, poly=_ex_b2x4, n=4), note="candidate polynomial"),
         Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
-              _EX + (("rs", (2,)),), partial(_eval_ex, poly=_ex_b2x6, n=6)),
+              _EX + (("rs", (2,)),), partial(_ex, poly=_ex_b2x6, n=6), note="candidate polynomial"),
         Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
-              _LAM1, partial(_eval_w, f=4, n_max=12)),
+              _LAM1, partial(_w, f=4, n_max=12), note="generic sum vs expanded form"),
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
-              _LAM1, partial(_eval_w, f=5, n_max=12)),
+              _LAM1, partial(_w, f=5, n_max=12), note="generic sum vs expanded form"),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              _LAM1 + (("rs", (0,)),), partial(_eval_asymp, n_max=4, deltas=(100, 1000)),
-              _everywhere),
+              _LAM1 + (("rs", (0,)),), partial(_asymp, n_max=4, deltas=(100, 1000)), _everywhere,
+              note="full-order expansion vs exact"),
     ]
-    return {c.id: replace(c, evaluate=partial(c.evaluate, c.id)) for c in claims}
+    return {c.id: replace(c, evaluate=partial(_rows, c)) for c in claims}
 
 
 def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:

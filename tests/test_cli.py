@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import select
 import subprocess
 import sys
 import textwrap
@@ -143,6 +144,32 @@ class TestEnumerateCommand:
     def test_listing(self):
         result = invoke("enumerate", "--family", "r-derangements", "--k", "2", "--r", "2", "--list")
         assert result.output.splitlines() == ["(1 3)(2 4)", "(1 4)(2 3)"]
+
+    def test_listing_past_the_cap_creates_no_out_file(self, tmp_path):
+        target = tmp_path / "listing.txt"
+        result = invoke("enumerate", "--family", "ordered", "--n", "10", "--list", "--out", str(target))
+        assert (result.exit_code, result.stderr) == (1, "error: ordered: size 10 exceeds cap 9\n")
+        assert not target.exists()
+
+    def test_listing_at_the_cap_streams(self):
+        """The 7,087,261 lines of the ordered listing at its cap are written as
+        they are made: the first comes within seconds, not after the whole
+        listing is built, and a reader that leaves ends the run with 141."""
+        env = dict(os.environ, PYTHONPATH=str(Path(debell.__file__).resolve().parents[1]))
+        args = ["enumerate", "--family", "ordered", "--n", "9", "--list"]
+        child = subprocess.Popen([sys.executable, "-m", "debell.cli", *args], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert select.select([child.stdout], [], [], 30)[0], "no output within 30 s"
+            assert child.stdout.readline() == b"{1,2,3,4,5,6,7,8,9}\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == 141
+            assert child.stderr.read() == b""
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            child.stderr.close()
 
     def test_missing_flag_is_usage_error(self):
         result = invoke("enumerate", "--family", "set-partitions", "--n", "4")
@@ -447,6 +474,8 @@ PINNED_BYTES = {
         (0, "d0f3f819369e55167b57a35802ece994ae51eaaeead4bfeabc32cce7d9882515", ''),
     "enumerate --family ordered --n 11":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: ordered: size 11 exceeds cap 9\n'),
+    "enumerate --family ordered --n 10 --list":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: ordered: size 10 exceeds cap 9\n'),
     "bell --n 3 --route convolution --lambda 0":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 'error: the convolution route requires lam >= 1\n'),
     "asymp --n 4 --delta 2 --gamma 1":

@@ -11,7 +11,6 @@ from debell.exact import (
     ParamSet,
     binomial,
     csv_lines,
-    csv_text,
     falling,
     format_point,
     format_rat,
@@ -132,14 +131,14 @@ class TestTextCells:
 
     def test_csv_quotes_only_what_needs_it(self):
         rows = [[1, "p/q", None], ["a,b", 'say "hi"', "two\nlines"]]
-        assert csv_text(["n", "value", "note"], rows) == (
+        assert "".join(csv_lines(["n", "value", "note"], rows)) == (
             'n,value,note\n1,p/q,\n"a,b","say ""hi""","two\nlines"\n'
         )
-        assert csv_text(["n", "value"], []) == "n,value\n"
+        assert "".join(csv_lines(["n", "value"], [])) == "n,value\n"
 
     def test_csv_lines_reads_rows_as_it_goes(self):
         """``csv_lines`` yields one line per row and reads an iterable lazily;
-        ``csv_text`` is their join."""
+        their join is the whole CSV text."""
         read = []
         rows = (read.append(i) or [i, "a,b" * i] for i in range(3))
         lines = csv_lines(["n", "cell"], rows)
@@ -148,7 +147,7 @@ class TestTextCells:
         assert next(lines) == "0,\n"
         assert read == [0]
         assert list(lines) == ['1,"a,b"\n', '2,"a,ba,b"\n']
-        assert csv_text(["n", "cell"], ([i, "a,b" * i] for i in range(3))) == (
+        assert "".join(csv_lines(["n", "cell"], ([i, "a,b" * i] for i in range(3)))) == (
             'n,cell\n0,\n1,"a,b"\n2,"a,ba,b"\n'
         )
 
