@@ -214,22 +214,14 @@ def omega_egf(n_max: int, params: ParamSet) -> list:
     return _with_head(params, n_max, _gamma_free, 0, 0, params.lam)
 
 
-def omega_identity_rows(n_max: int, params: ParamSet) -> list:
-    """Both sides of the fixed-block decomposition at r = params.r,
-
-        omega[n+r] =? sum_i C(n+r, i) B[i]
-                      * sum_l beta^l S(n+r-i, l; alpha, beta, 0) x^l lam^l,
-
-    for n = 0..n_max: the left side from ``omega_sums``, the right from one
-    B[0..n_max+r] vector, the inner sums of one ``weighted_sums`` call and one
-    binomial convolution.  Equality is not asserted; the harness records it.
-    Both sides are exact rationals, held as ints where integral."""
+def fixed_block_sums(n_max: int, params: ParamSet) -> list:
+    """The fixed-block sums sum_i C(n, i) B[i] sum_l beta^l S(n-i, l; alpha, beta, 0) x^l lam^l
+    at n = 0..n_max, OMEGA-ID's side against ``omega_sums``: one B[0..n_max] vector, the inner
+    sums of one ``weighted_sums`` call and one binomial convolution; ints where integral."""
     _check_n_max(n_max)
-    a, b, _, x, lam, r = params.key
-    top = n_max + r
-    inner = stirling.table(a, b, 0).weighted_sums(top, b * x * lam, [1] * (top + 1))
-    rhs = _binomial_convolution(bell_egf(top, params), inner)
-    return list(zip(omega_sums(top, params)[r:], rhs[r:]))
+    a, b, _, x, lam, _ = params.key
+    inner = stirling.table(a, b, 0).weighted_sums(n_max, b * x * lam, [1] * (n_max + 1))
+    return _binomial_convolution(bell_egf(n_max, params), inner)
 
 
 # -- the per-section product, read two ways ------------------------------------

@@ -81,6 +81,9 @@ def _write(chunks, out: str | None) -> None:
     except BrokenPipeError:  # the reader left: exit quietly with the shell's SIGPIPE status
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # unflushed bytes to null
         sys.exit(141)
+    except OSError as exc:  # an --out path that cannot be opened or written: one line, status 1
+        click.echo(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", err=True)
+        sys.exit(1)
 
 
 def _emit(fmt: str, out: str | None, doc, header, rows) -> None:

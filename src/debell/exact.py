@@ -8,9 +8,9 @@ is 1), with the sign carried by the numerator.
 Convention: ``int`` inside; ``Fraction`` only from the scalar routes.  Inner
 sums, series numerators and every vector route (``bell_egf``, ``omega_egf``,
 the product forms, the section convolution, ``general_closed_sums``,
-``omega_sums``, the omega-identity rows, ``lambda1_sums``) hold an integral
-value as an ``int`` (``narrow``), which multiplies, adds and hashes far
-faster than a ``Fraction``; the public scalar routes (``bell_lambda1``,
+``bell_closed_lam``, ``omega_sums``, ``fixed_block_sums``, ``lambda1_sums``)
+hold an integral value as an ``int`` (``narrow``), which multiplies, adds and
+hashes far faster than a ``Fraction``; the public scalar routes (``bell_lambda1``,
 ``bell_convolution``, ``omega``, ``w_from_base``, ...) return ``Fraction``.
 Mixing the two is exact except for ``/``: an ``int / int`` is a float, so
 code that divides a vector entry writes ``Fraction(p, q)``.

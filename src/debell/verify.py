@@ -108,31 +108,43 @@ class GridSpec:
                 yield ParamSet.make(a, b, g, x, lam, r)
 
 
-@dataclass(frozen=True)
-class Claim:
-    """A named identity, evaluated at the grid's points with the (axis, values)
-    pairs of ``points`` replacing those axes: ``values(params, grid)`` gives a
-    point's (point, lhs, rhs) triples in ascending n (then delta, then m), and
-    ``evaluate``, the row writer ``_rows`` bound by ``claim_registry()``, its
-    rows.  ``required(point)``, ``point`` a row's point as a dict, is true for a
-    row that must be EQUAL; a claim whose ``required`` is None is recorded only
-    (variant forms and worked examples, whose outcomes the fixture pins)."""
-
-    id: str
-    description: str
-    points: tuple
-    values: Callable[..., Iterable[tuple]]
-    required: Callable[[dict], bool] | None = None
-    note: str = ""
-    needs_lam: bool = False
-    evaluate: Callable[..., list] | None = None
-
-
 @lru_cache(maxsize=None)
 def _at(params: ParamSet, n: int, **extra) -> tuple:
     """A row's point: the parameters, n, then ``extra`` in the order given;
     built once, so every claim's rows at one point share one tuple."""
     return params.as_pairs() + (("n", str(n)),) + tuple((k, str(v)) for k, v in extra.items())
+
+
+def _vs(claim: Claim, params: ParamSet, grid: GridSpec, lhs_r=False, rhs_r=False) -> list:
+    """n = 0..top: the vector routes ``claim.lhs`` and ``claim.rhs``, read off ``bell`` when
+    called (a patched route is the one that runs), a side flagged ``*_r`` read at n + r.  The
+    lhs is built to top + r, the length every B reader asks for, so a point builds B once."""
+    top, r = grid.top(), params.r
+    rhs = getattr(bell, claim.rhs)(top + r if rhs_r else top, params)
+    lhs = getattr(bell, claim.lhs)(top + r, params)
+    return [(_at(params, n), lhs[r * lhs_r + n], rhs[r * rhs_r + n]) for n in range(top + 1)]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A named identity between the functions named ``lhs`` and ``rhs`` (in ``bell``,
+    ``asymptotics`` or this module), evaluated at the grid's points with the (axis, values)
+    pairs of ``points`` replacing those axes: ``values(claim, params, grid)`` gives a point's
+    (point, lhs, rhs) triples in ascending n (then delta, then m), and ``evaluate``, the row
+    writer ``_rows`` bound by ``claim_registry()``, its rows.  ``required(point)``, ``point`` a
+    row's point as a dict, is true for a row that must be EQUAL; a claim whose ``required`` is
+    None is recorded only (variant forms and worked examples, whose outcomes the fixture pins)."""
+
+    id: str
+    description: str
+    points: tuple
+    lhs: str
+    rhs: str
+    required: Callable[[dict], bool] | None = None
+    values: Callable[..., Iterable[tuple]] = _vs
+    note: str = ""
+    needs_lam: bool = False
+    evaluate: Callable[..., list] | None = None
 
 
 def _rows(claim: Claim, params: ParamSet, grid: GridSpec) -> list:
@@ -144,28 +156,10 @@ def _rows(claim: Claim, params: ParamSet, grid: GridSpec) -> list:
                 for n in range(grid.top() + 1)]
     return [ReportRow(claim.id, point, format_rat(lhs), format_rat(rhs),
                       EQUAL if lhs == rhs else UNEQUAL, claim.note)
-            for point, lhs, rhs in claim.values(params, grid)]
-
-
-def _b(params: ParamSet, grid: GridSpec) -> list:
-    """B[0..top + r], what OMEGA-ID reads; B is memoized per (n_max, point), so
-    every ``_vs_egf`` and EX claim reads this length and a point builds B once."""
-    return bell.bell_egf(grid.top() + params.r, params)
-
-
-def _vs_egf(params: ParamSet, grid: GridSpec, route) -> list:
-    """n = 0..top: the series route B[n] against ``route(top, params)[n]``."""
-    top = grid.top()
-    rhs, lhs = route(top, params), _b(params, grid)
-    return [(_at(params, n), lhs[n], rhs[n]) for n in range(top + 1)]
+            for point, lhs, rhs in claim.values(claim, params, grid)]
 
 
 # -- individual claims ---------------------------------------------------------
-
-
-def _omega_id(params: ParamSet, grid: GridSpec) -> list:
-    rows = bell.omega_identity_rows(grid.top(), params)
-    return [(_at(params, n), lhs, rhs) for n, (lhs, rhs) in enumerate(rows)]
 
 
 def _ex_b1x2(lam: int, x: Fraction, beta: Fraction) -> Fraction:
@@ -181,29 +175,32 @@ def _ex_b2x6(lam: int, x: Fraction, beta: Fraction) -> Fraction:
     return binomial(lam + 5, 6) * falling(6, 3) * x**6 * beta**6
 
 
-def _ex(params: ParamSet, grid: GridSpec, poly, n: int) -> list:
+def _ex(claim: Claim, params: ParamSet, grid: GridSpec, n: int) -> list:
+    """B[n] against the candidate polynomial named ``claim.rhs`` in this module."""
     if grid.top(n) < n:
         return []
-    _, beta, _, x, lam, _ = params.key
-    return [(_at(params, n), _b(params, grid)[n], poly(lam, x, beta))]
+    _, beta, _, x, lam, r = params.key
+    b = getattr(bell, claim.lhs)(grid.top() + r, params)
+    return [(_at(params, n), b[n], globals()[claim.rhs](lam, x, beta))]
 
 
-def _w(params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
+def _w(claim: Claim, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
     top = grid.top(n_max)
     if top <= f:
         return []
     c = bell.lambda1_sums(top, params)
-    return [(_at(params, n), asymptotics.w_from_base(c, n, f), asymptotics.w_explicit(c, n, f))
-            for n in range(f + 1, top + 1)]
+    lhs, rhs = getattr(asymptotics, claim.lhs), getattr(asymptotics, claim.rhs)
+    return [(_at(params, n), lhs(c, n, f), rhs(c, n, f)) for n in range(f + 1, top + 1)]
 
 
-def _asymp(params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
+def _asymp(claim: Claim, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
     top = grid.top(n_max)
     if top < 1:
         return []
     c = bell.lambda1_sums(top, params)
-    exact = [asymptotics.scaled_bell(top, delta, params) for delta in deltas]
-    return [(_at(params, n, delta=delta, m=n - 1), asymptotics.expansion(c, delta, n, n - 1),
+    lhs, rhs = getattr(asymptotics, claim.lhs), getattr(asymptotics, claim.rhs)
+    exact = [rhs(top, delta, params) for delta in deltas]
+    return [(_at(params, n, delta=delta, m=n - 1), lhs(c, delta, n, n - 1),
              Fraction(b[n], factorial(n)))
             for n in range(1, top + 1) for delta, b in zip(deltas, exact)]
 
@@ -223,40 +220,40 @@ _EX = (("lambdas", tuple(range(9))), ("betas", (1, 2)))
 
 @lru_cache(maxsize=1)
 def claim_registry() -> dict:
-    # Each route reads its function off ``bell`` when called, so a rebound or
-    # patched route is the one that runs.
     claims = [
         Claim("T5",
               "lam=1 closed sum over r-derangements and Stirling numbers equals the series route",
-              _LAM1, partial(_vs_egf, route=lambda m, p: bell.lambda1_sums(m, p)), _everywhere),
+              _LAM1, "bell_egf", "lambda1_sums", _everywhere),
         Claim("T33", "binomially weighted closed sum vs the series route, all lam", (),
-              partial(_vs_egf, route=lambda m, p: bell.general_closed_sums(m, p))),
+              "bell_egf", "general_closed_sums"),
         Claim("T3-n", "section convolution over compositions of n vs the series route", (),
-              partial(_vs_egf, route=lambda m, p: bell.section_convolution(m, p)), _everywhere,
-              needs_lam=True),
+              "bell_egf", "section_convolution", _everywhere, needs_lam=True),
         Claim("T3-nr", "section convolution with the n+r upper index vs the series route", (),
-              partial(_vs_egf, route=lambda m, p: bell.section_convolution(m + p.r, p)[p.r:]),
-              needs_lam=True),
-        Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum",
-              (), _omega_id, _at_r0),
+              "bell_egf", "section_convolution", values=partial(_vs, rhs_r=True), needs_lam=True),
+        Claim("OMEGA-ID", "fixed-block decomposition of omega[n+r] vs its closed sum", (),
+              "omega_sums", "fixed_block_sums", _at_r0, partial(_vs, lhs_r=True, rhs_r=True)),
         Claim("EQ40-literal", "per-section product with index-scaled exponents vs the series route",
-              (), partial(_vs_egf, route=lambda m, p: bell.product_literal(m, p)), needs_lam=True),
+              (), "bell_egf", "product_literal", needs_lam=True),
         Claim("EQ40-power", "lam-th power of the single-section factor vs the series route", (),
-              partial(_vs_egf, route=lambda m, p: bell.product_power(m, p)), _everywhere,
-              needs_lam=True),
+              "bell_egf", "product_power", _everywhere, needs_lam=True),
         Claim("EX-B1x2", "candidate polynomial for n=2, r=1 evaluated at many points",
-              _EX + (("rs", (1,)),), partial(_ex, poly=_ex_b1x2, n=2), note="candidate polynomial"),
+              _EX + (("rs", (1,)),), "bell_egf", "_ex_b1x2", values=partial(_ex, n=2),
+              note="candidate polynomial"),
         Claim("EX-B2x4", "candidate polynomial for n=4, r=2 evaluated at many points",
-              _EX + (("rs", (2,)),), partial(_ex, poly=_ex_b2x4, n=4), note="candidate polynomial"),
+              _EX + (("rs", (2,)),), "bell_egf", "_ex_b2x4", values=partial(_ex, n=4),
+              note="candidate polynomial"),
         Claim("EX-B2x6", "candidate polynomial for n=6, r=2 evaluated at many points",
-              _EX + (("rs", (2,)),), partial(_ex, poly=_ex_b2x6, n=6), note="candidate polynomial"),
-        Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum",
-              _LAM1, partial(_w, f=4, n_max=12), note="generic sum vs expanded form"),
-        Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum",
-              _LAM1, partial(_w, f=5, n_max=12), note="generic sum vs expanded form"),
+              _EX + (("rs", (2,)),), "bell_egf", "_ex_b2x6", values=partial(_ex, n=6),
+              note="candidate polynomial"),
+        Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum", _LAM1,
+              "w_from_base", "w_explicit", values=partial(_w, f=4, n_max=12),
+              note="generic sum vs expanded form"),
+        Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum", _LAM1,
+              "w_from_base", "w_explicit", values=partial(_w, f=5, n_max=12),
+              note="generic sum vs expanded form"),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              _LAM1 + (("rs", (0,)),), partial(_asymp, n_max=4, deltas=(100, 1000)), _everywhere,
-              note="full-order expansion vs exact"),
+              _LAM1 + (("rs", (0,)),), "expansion", "scaled_bell", _everywhere,
+              partial(_asymp, n_max=4, deltas=(100, 1000)), note="full-order expansion vs exact"),
     ]
     return {c.id: replace(c, evaluate=partial(_rows, c)) for c in claims}
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debell import asymptotics, bell, derangements, series, stirling
+import debell
+from debell import asymptotics, bell, derangements, series, stirling, verify
 from debell.asymptotics import (
     _excess_partitions,
     bell_asymptotic_estimate,
@@ -18,7 +21,6 @@ from debell.asymptotics import (
 from debell.bell import (
     _bell_egf,
     _gamma_free,
-    _lambda1,
     _product_factor,
     _unscale,
     _xu,
@@ -28,11 +30,11 @@ from debell.bell import (
     bell_egf,
     bell_lambda1,
     deranged_bell_classic,
+    fixed_block_sums,
     general_closed_sums,
     lambda1_sums,
     omega,
     omega_egf,
-    omega_identity_rows,
     omega_sums,
     product_literal,
     product_power,
@@ -41,13 +43,13 @@ from debell.bell import (
 from debell.derangements import r_derangement
 from debell.enumeration import (
     FAMILIES,
-    _tally_by_run,
     ordered_partitions_count,
     r_deranged_partitions_enum,
 )
 from debell.exact import ParamSet, binomial, gen_falling, narrow
 from debell.series import TruncatedSeries, binpow
 from debell.stirling import StirlingTable, stirling_rec
+from debell.verify import _vs, claim_registry
 
 _ZERO = Fraction(0)
 
@@ -104,8 +106,14 @@ def _general_closed_sum(n: int, params: ParamSet) -> Fraction:
                * stirling_rec(n, k, a, b, g) for k in range(n + 1))
 
 
+def _omega_id_sides(n_max: int, params: ParamSet) -> list:
+    """OMEGA-ID's (omega, fixed-block) pairs at n = 0..n_max, each side read at n + r."""
+    top, r = n_max + params.r, params.r
+    return list(zip(omega_sums(top, params)[r:], fixed_block_sums(top, params)[r:]))
+
+
 def _omega_identity_oracle(n: int, params: ParamSet) -> tuple:
-    """Oracle for the omega identity rows: both sides of the fixed-block
+    """Oracle for ``_omega_id_sides``: both sides of the fixed-block
     decomposition at r = params.r, summed term by term,
 
         omega[n+r] and sum_i C(n+r, i) B[i] sum_l (beta x lam)^l S(n+r-i, l; alpha, beta, 0).
@@ -325,11 +333,8 @@ class TestPublicTypes:
     def test_vector_routes_hold_exact_values(self, p):
         """Vector entries are ints where integral and Fractions otherwise, never
         floats; a caller dividing one by n! must write Fraction(v, n!)."""
-        def both_sides(n_max, p):
-            return [v for pair in omega_identity_rows(n_max, p) for v in pair]
-
         for route in (bell_egf, omega_egf, product_literal, product_power, section_convolution,
-                      lambda1_sums, bell_closed_lam, both_sides):
+                      lambda1_sums, bell_closed_lam, omega_sums, fixed_block_sums):
             values = route(7, p)
             assert all(
                 type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
@@ -346,13 +351,12 @@ class TestPublicTypes:
 
 @pytest.mark.parametrize(
     "route",
-    [bell_egf, omega_egf, product_literal, product_power, omega_identity_rows,
+    [bell_egf, omega_egf, product_literal, product_power, fixed_block_sums,
      section_convolution, bell_convolution, lambda1_sums, bell_closed_lam, general_closed_sums,
      omega_sums],
     ids=lambda route: route.__name__,
 )
 def test_vector_routes_reject_a_negative_n_max(route):
-    # r = 1: omega_identity_rows would otherwise read B[0..n_max+r] and return []
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         route(-1, ParamSet.make(1, 2, 2, 2, 2, 1))
 
@@ -381,24 +385,24 @@ class TestOmega:
 class TestOmegaIdentity:
     def test_holds_at_r_zero(self):
         for p in small_grid(lambdas=(0, 1, 2), rs=(0,), gammas=(0, 2)):
-            for lhs, rhs in omega_identity_rows(6, p):
+            for lhs, rhs in _omega_id_sides(6, p):
                 assert lhs == rhs
 
     def test_lambda_zero_gives_head_on_both_sides(self):
         p = ParamSet.make(1, 2, 2, 1, 0, 0)
-        lhs, rhs = omega_identity_rows(4, p)[4]
+        lhs, rhs = _omega_id_sides(4, p)[4]
         assert lhs == rhs == gen_falling(2, 1, 4)
 
     def test_rows_match_scalar_check(self):
         for p in small_grid(lambdas=(0, 1, 2, 3), rs=(0, 1, 2), gammas=(0, 2)):
-            rows = omega_identity_rows(6, p)
+            rows = _omega_id_sides(6, p)
             assert len(rows) == 7
             for n, row in enumerate(rows):
                 assert row == _omega_identity_oracle(n, p), (p, n)
 
     def test_smallest_positive_r_case_is_recorded_not_assumed(self):
         p = ParamSet.make(0, 1, 0, 1, 1, 1)
-        lhs, rhs = omega_identity_rows(1, p)[1]
+        lhs, rhs = _omega_id_sides(1, p)[1]
         # frozen observation from the first harness run: the sides differ
         assert (lhs, rhs) == (3, 5)
 
@@ -550,12 +554,19 @@ class TestGammaSharing:
         assert _gamma_free.cache_info().currsize == 3 + 3  # omega's factor, one per S
 
 
+# every memoized builder in debell: the functions with ``cache_info``, each once
+MEMOS = list({id(value): value
+              for info in pkgutil.iter_modules(debell.__path__)
+              for value in vars(importlib.import_module(f"debell.{info.name}")).values()
+              if hasattr(value, "cache_info")}.values())
+
+
 def _reached(call, *args) -> set:
     """The code of every Python function that call(*args) runs from cleared
     caches; a memo is seen through its wrapped function, which runs on a miss."""
-    for cache in (_bell_egf, _gamma_free, _product_factor, _lambda1, _excess_partitions,
-                  _tally_by_run, r_derangement):
-        cache.cache_clear()
+    for memo in MEMOS:
+        if memo is not claim_registry:  # no route builds claims; keep the registry tests hold
+            memo.cache_clear()
     stirling._TABLES.clear()
     codes, previous = set(), sys.getprofile()
 
@@ -610,6 +621,26 @@ class TestRouteIndependence:
         assert sorted(code.co_name for code in reached if code.co_filename == series_file) == []
         memos = (_gamma_free, _product_factor, _bell_egf)
         assert [memo.__name__ for memo in memos if memo.__wrapped__.__code__ in reached] == []
+
+    # every claim the default evaluator runs, read off the registry: the memoized
+    # builders its two sides reach share nothing, so neither side is the other
+    VS_CLAIMS = sorted(cid for cid, claim in claim_registry().items()
+                       if getattr(claim.values, "func", claim.values) is _vs)
+
+    @pytest.mark.parametrize("cid", VS_CLAIMS)
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
+    def test_claim_sides_share_no_memoized_builder(self, cid, p):
+        claim = claim_registry()[cid]
+        reached = [_reached(getattr(bell, side), 6, p) for side in (claim.lhs, claim.rhs)]
+        lhs, rhs = ({memo.__name__ for memo in MEMOS if memo.__wrapped__.__code__ in codes}
+                    for codes in reached)
+        assert lhs | rhs and lhs & rhs == set(), (lhs, rhs)
+
+    @pytest.mark.parametrize("cid", sorted(claim_registry()))
+    def test_claim_sides_name_functions(self, cid):
+        claim = claim_registry()[cid]
+        for side in (claim.lhs, claim.rhs):
+            assert [m for m in (bell, asymptotics, verify) if callable(getattr(m, side, None))]
 
     # the generic W and the expansion sum over the partitions of the excess, the
     # expanded W over its fixed forms: no series arithmetic, and neither W reaches

@@ -338,6 +338,20 @@ class TestVerifyCommand:
         child.stderr.close()
 
 
+@pytest.mark.parametrize("args", [["omega", "--n", "3"], ["table", "--max-n", "2"],
+                                  ["verify", "--claims", "T5", "--max-n", "1"]],
+                         ids=lambda args: args[0])
+def test_unwritable_out_is_one_error_line(args, tmp_path):
+    """An --out path whose directory is missing exits 1 with one stderr line."""
+    target = tmp_path / "no-such-dir" / "x"
+    env = dict(os.environ, PYTHONPATH=str(Path(debell.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-m", "debell.cli", *args, "--out", str(target)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+    assert child.stdout == "" and not target.parent.exists()
+
+
 class TestTableCommand:
     def test_csv(self):
         result = invoke("table", "--max-n", "3", "--gamma", "0")

@@ -93,7 +93,8 @@ class TestRegistry:
 
 class TestPerPointEvaluation:
     def test_vectors_built_once_per_point(self, monkeypatch):
-        names = ["omega_identity_rows", "section_convolution", "product_literal", "product_power"]
+        ids = ["OMEGA-ID", "T3-n", "EQ40-literal", "EQ40-power"]
+        names = [claim_registry()[cid].rhs for cid in ids]
         calls = {name: [] for name in names}  # the point of each call, in order
         for name in names:
             def counted(n_max, params, _name=name, _route=getattr(bell, name)):
@@ -101,17 +102,12 @@ class TestPerPointEvaluation:
                 return _route(n_max, params)
 
             monkeypatch.setattr(bell, name, counted)
-        report = run_claims(["OMEGA-ID", "T3-n", "EQ40-literal", "EQ40-power"], SMALL_GRID)
+        report = run_claims(ids, SMALL_GRID)
         points = list(SMALL_GRID.param_sets())
         assert len(report.rows) == 4 * len(points) * (SMALL_GRID.max_n + 1)
         with_lam = [p for p in points if p.lam >= 1]
         assert 0 < len(with_lam) < len(points)  # the lam = 0 points skip
-        assert calls == {
-            "omega_identity_rows": points,
-            "section_convolution": with_lam,
-            "product_literal": with_lam,
-            "product_power": with_lam,
-        }
+        assert calls == dict(zip(names, [points, with_lam, with_lam, with_lam]))
 
     def test_one_b_build_per_request_on_the_default_grid(self, monkeypatch):
         """B is memoized per (n_max, point), so a cold default round builds each
