@@ -58,9 +58,8 @@ def _with_head(params: ParamSet, n_max: int, rest, *args) -> list:
 
 def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
     """a_n / S^n for n = 0..n_max, held as an int where integral (a_n itself at S = 1)."""
-    if s == 1:
-        return [ser.egf_coeff(n) for n in range(n_max + 1)]
-    return [narrow(Fraction(ser.egf_coeff(n), s**n)) for n in range(n_max + 1)]
+    nums = ser.egf_coeffs[: n_max + 1]
+    return nums if s == 1 else [narrow(Fraction(a, s**n)) for n, a in enumerate(nums)]
 
 
 @lru_cache(maxsize=None)

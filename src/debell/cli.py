@@ -12,7 +12,7 @@ import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import click
@@ -65,18 +65,12 @@ _output_options = _options(
 )
 
 
-def _write(chunks, out: str | None) -> None:
-    """Write the byte ``chunks`` as they come to the file ``out``, or to stdout when it is
-    None, gathered into 8 KiB writes, so even an unbuffered stdout is not written per line."""
+@contextmanager
+def _sink(out: str | None):
+    """The file ``out``, opened on entry so a bad path fails before any work, or stdout if None."""
     try:
         with nullcontext(click.get_binary_stream("stdout")) if out is None else open(out, "wb") as sink:
-            buf = io.BytesIO()
-            for chunk in chunks:
-                buf.write(chunk)
-                if buf.tell() >= io.DEFAULT_BUFFER_SIZE:
-                    sink.write(buf.getvalue())  # click's test runner copies write(), not writelines
-                    buf = io.BytesIO()
-            sink.write(buf.getvalue())
+            yield sink
             sink.flush()
     except BrokenPipeError:  # the reader left: exit quietly with the shell's SIGPIPE status
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # unflushed bytes to null
@@ -84,6 +78,17 @@ def _write(chunks, out: str | None) -> None:
     except OSError as exc:  # an --out path that cannot be opened or written: one line, status 1
         click.echo(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", err=True)
         sys.exit(1)
+
+
+def _write(chunks, sink) -> None:
+    """Write the byte ``chunks`` to ``sink`` as they come, in 8 KiB writes even when unbuffered."""
+    buf = io.BytesIO()
+    for chunk in chunks:
+        buf.write(chunk)
+        if buf.tell() >= io.DEFAULT_BUFFER_SIZE:
+            sink.write(buf.getvalue())  # click's test runner copies write(), not writelines
+            buf = io.BytesIO()
+    sink.write(buf.getvalue())
 
 
 def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
@@ -95,7 +100,8 @@ def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
         chunks = map(str.encode, csv_lines(header, rows))
     else:
         chunks = (f"{row[-1]}\n".encode() for row in rows)
-    _write(chunks, out)
+    with _sink(out) as sink:
+        _write(chunks, sink)
 
 
 def _emit_scalar(command: str, params: ParamSet, fmt: str, out, extras: dict, value) -> None:
@@ -264,10 +270,12 @@ def verify_cmd(claims, fmt, out, max_n):
     if ids == []:
         raise click.UsageError("--claims names no claim id")
     try:
-        report = verify.run_claims(ids, verify.GridSpec.default(max_n))
+        ids = verify.claim_ids(ids)
     except verify.UnknownClaimError as exc:
         raise click.UsageError(str(exc))
-    _write(verify.report_chunks(report, fmt), out)
+    with _sink(out) as sink:  # opened first: an unwritable --out fails before any claim runs
+        report = verify.run_claims(ids, verify.GridSpec.default(max_n))
+        _write(verify.report_chunks(report, fmt), sink)
     failures = report.required_failures()
     if failures:
         click.echo(f"required-equal failures: {len(failures)}", err=True)

@@ -13,8 +13,8 @@ integer numerators stay ``int`` and no gcd is paid; other entries are
 ``Fraction``s.  There is deliberately no asymptotically fast multiplication.
 Reading a series at t -> S t multiplies a_n by S^n; the family routes in
 ``bell`` use this to make rational weights integral.  ``egf_coeff(n)``
-reads a_n back (an ``int`` where integral), and ``coeffs`` gives the
-ordinary coefficients c_n as ``Fraction``s.
+reads a_n back (an ``int`` where integral), ``egf_coeffs`` every a_n at once,
+and ``coeffs`` gives the ordinary coefficients c_n as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -174,6 +174,11 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"index {n} outside 0..{self.order}")
         return narrow(self._a[n])
+
+    @property
+    def egf_coeffs(self) -> list:
+        """egf_coeff(n) for every n = 0..order, in one pass."""
+        return list(map(narrow, self._a))
 
 
 def binpow(alpha, c, order: int) -> TruncatedSeries:

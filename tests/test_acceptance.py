@@ -141,9 +141,9 @@ def test_c08_w_coefficients(grid, full_report):
                             assert asymptotics.w_from_base(b, n, f) == (
                                 asymptotics.w_explicit(b, n, f)
                             ), (params, f, n)
-        counts = full_report.counts()
-        assert counts["W4-explicit"]["EQUAL"] + counts["W4-explicit"]["UNEQUAL"] > 0
-        assert counts["W5-explicit"]["EQUAL"] + counts["W5-explicit"]["UNEQUAL"] > 0
+        summary = verify.fixture_summary(full_report)
+        assert summary["W4-explicit"]["equal"] + summary["W4-explicit"]["unequal"] > 0
+        assert summary["W5-explicit"]["equal"] + summary["W5-explicit"]["unequal"] > 0
 
 
 def test_c09a_asymptotic_first_order_exact():
@@ -218,13 +218,13 @@ def test_c11_harness_completeness_and_determinism(full_report):
 def test_c12_claim_adjudication_regression(full_report):
     with crit("C12", "required claims EQUAL; recorded outcomes match the fixture"):
         assert full_report.all_required_equal, full_report.required_failures()[:5]
-        counts = full_report.counts()
+        summary = verify.fixture_summary(full_report)
         for cid in ("T5", "T3-n", "EQ40-power", "ASYMP-r0"):
-            assert counts[cid]["UNEQUAL"] == 0
+            assert summary[cid]["unequal"] == 0
         for row in full_report.rows:
             if row.claim == "OMEGA-ID" and dict(row.point)["r"] == "0":
                 assert row.status == "EQUAL"
         expected = json.loads(FIXTURE.read_text())
-        assert verify.fixture_summary(full_report) == expected
+        assert summary == expected
         for cid in RECORDED_ONLY_CLAIMS:
             assert cid in expected

@@ -12,6 +12,7 @@ ALLOWED = [
     "_excess_partitions",
     "_gamma_free",
     "_lambda1",
+    "_points",
     "_product_factor",
     "_tally_by_run",
     "claim_registry",

@@ -236,7 +236,7 @@ class TestVerifyCommand:
         def evaluate(params, grid):
             rows = t5.evaluate(params, grid)
             if params == ParamSet.make(r=1):
-                rows[2] = dataclasses.replace(rows[2], rhs="-1", status=verify.UNEQUAL)
+                rows[2] = rows[2]._replace(rhs="-1", status=verify.UNEQUAL)
             return rows
 
         monkeypatch.setitem(registry, "T5", dataclasses.replace(t5, evaluate=evaluate))
@@ -252,6 +252,25 @@ class TestVerifyCommand:
     def test_unknown_claim_is_usage_error(self):
         result = invoke("verify", "--claims", "NOPE")
         assert result.exit_code == 2
+
+    def test_unknown_claim_with_out_writes_no_file(self, tmp_path):
+        target = tmp_path / "report.csv"
+        result = invoke("verify", "--claims", "T5,NOPE", "--out", str(target))
+        assert result.exit_code == 2
+        assert "unknown claim ids: NOPE" in result.stderr
+        assert not target.exists()
+
+    def test_unwritable_out_fails_before_any_claim_runs(self, monkeypatch, tmp_path):
+        """The --out file is opened before the round, which takes about a second."""
+        def run_claims(*args):
+            pytest.fail("run_claims was called before --out was opened")
+
+        monkeypatch.setattr(verify, "run_claims", run_claims)
+        target = tmp_path / "no-such-dir" / "x"
+        result = invoke("verify", "--out", str(target))
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+        assert result.stdout == "" and not target.parent.exists()
 
     @pytest.mark.parametrize("claims", [",", ""])
     def test_empty_claim_list_is_usage_error(self, claims):

@@ -254,6 +254,10 @@ class TestEgfCoeff:
         with pytest.raises(ValueError):
             TruncatedSeries([1, 2]).egf_coeff(5)
 
+    def test_egf_coeffs_reads_every_entry_narrowed(self):
+        ser = TruncatedSeries([Fraction(4, 2), Fraction(1, 3), 5, 0])
+        assert ser.egf_coeffs == [ser.egf_coeff(n) for n in range(4)]
+        assert [type(c) for c in ser.egf_coeffs] == [int, Fraction, int, int]
 
 
 class TestIntegerNumerators:

@@ -205,20 +205,20 @@ class TestWClaims:
 class TestOutcomes:
     def test_t5_all_equal(self):
         report = run_claims(["T5"], SMALL_GRID)
-        counts = report.counts()["T5"]
-        assert counts[UNEQUAL] == 0 and counts[EQUAL] > 0
+        counts = fixture_summary(report)["T5"]
+        assert counts["unequal"] == 0 and counts["equal"] > 0
 
     def test_eq40_power_equal_with_skips_at_lambda_zero(self):
         report = run_claims(["EQ40-power"], SMALL_GRID)
-        counts = report.counts()["EQ40-power"]
-        assert counts[UNEQUAL] == 0
-        assert counts[SKIPPED] > 0  # the lam = 0 rows
+        counts = fixture_summary(report)["EQ40-power"]
+        assert counts["unequal"] == 0
+        assert counts["skipped"] > 0  # the lam = 0 rows
         assert report.all_required_equal
 
     def test_omega_id_required_only_at_r_zero(self):
         report = run_claims(["OMEGA-ID"], SMALL_GRID)
-        counts = report.counts()["OMEGA-ID"]
-        assert counts[UNEQUAL] > 0  # r >= 1 rows differ
+        counts = fixture_summary(report)["OMEGA-ID"]
+        assert counts["unequal"] > 0  # r >= 1 rows differ
         assert report.all_required_equal  # but none of them at r = 0
         for row in report.rows:
             if row.status == UNEQUAL:
@@ -241,6 +241,22 @@ class TestOutcomes:
                 assert (row.status == EQUAL) == predicates[row.claim](n, lam, r), row
                 checked[row.claim] += 1
         assert checked == {"T3-nr": 3888, "EQ40-literal": 3888}
+
+    def test_equal_exactly_when_the_texts_agree(self):
+        """The row writer gives an EQUAL row its lhs text as rhs text, as ``format_rat``
+        is canonical: a judged row is EQUAL exactly when its two texts are the same."""
+        judged = [row for row in run_claims(grid=SMALL_GRID).rows if row.status != SKIPPED]
+        assert {row.claim for row in judged} == set(ALL_CLAIM_IDS)
+        assert {row.status for row in judged} == {EQUAL, UNEQUAL}
+        for row in judged:
+            assert (row.status == EQUAL) == (row.lhs == row.rhs), row
+
+    def test_rows_are_immutable_and_hashable(self):
+        row = run_claims(["T5"], SMALL_GRID).rows[0]
+        with pytest.raises(AttributeError):
+            row.lhs = "0"
+        assert row == ReportRow(*row) and hash(row) == hash(ReportRow(*row))
+        assert row._replace(note="x").note == "x" and row.note == ""
 
     def test_recorded_claims_do_not_fail_the_run(self):
         report = run_claims(["EX-B1x2", "T3-nr"], SMALL_GRID)
