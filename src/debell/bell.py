@@ -20,7 +20,10 @@ series route works at order n_max, and a memoized vector is a tuple keyed on
 A series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free factor
 from ``_gamma_free`` (B and omega) or ``_product_factor`` (the product
 readings), each keyed on the order and the rescale S of ``_with_head``, so the
-gammas that share S share one build.  The closed sums read every n off one
+gammas that share S share one build.  Every ``_gamma_free`` series at one
+X = x u, B's at any lam and r and omega's, reads X and log(1 - X) from one
+``_xu_and_log`` entry; the product readings build their own log, so EQ40 checks
+the log and exp kernel independently.  The closed sums read every n off one
 Stirling ladder; the scalars ``bell_lambda1`` and ``omega`` read one row.
 """
 
@@ -63,13 +66,22 @@ def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _xu_and_log(alpha, beta, x, s: int, order: int) -> tuple:
+    """X = x u and log(1 - X), keyed on (alpha, beta, x, S, order): both are free of
+    p, e and c, so every ``_gamma_free`` series at one X, B's at any lam and r and
+    omega's, reads one X and one log."""
+    xu = _xu(alpha, beta, x, s, order)
+    return xu, (TruncatedSeries.one(order) - xu).log()
+
+
+@lru_cache(maxsize=None)
 def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> TruncatedSeries:
     """X^p exp(-e X) / (1 - X)^c at X = x u, keyed on (alpha, beta, x, S, order,
     p, e, c), the order being its reader's n_max; gamma-free as gamma enters only
-    the head, and one exponential exp(-c log(1 - X) - e X), so ints stay ints."""
-    xu = _xu(alpha, beta, x, s, order)
-    section = ((TruncatedSeries.one(order) - xu).log().scale(-c) - xu.scale(e)).exp()
-    return xu.pow_int(p) * section
+    the head, and one exponential exp(-c log(1 - X) - e X), so ints stay ints.
+    X and log(1 - X) come from ``_xu_and_log``, shared by every (p, e, c)."""
+    xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
+    return xu.pow_int(p) * (log_one_minus.scale(-c) - xu.scale(e)).exp()
 
 
 @lru_cache(maxsize=None)

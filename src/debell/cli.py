@@ -149,6 +149,8 @@ def stirling_cmd(n, k, route, alpha, beta, gamma, fmt, out):
 @_output_options
 def rderange_cmd(k, r, s, fmt, out):
     """r-derangement number d_{k,r} (recurrence route when --s is given)."""
+    if s is not None and r == 0:
+        raise click.BadParameter("--s needs --r >= 1 (at --r 0 there is no pivot)", param_hint="--s")
     if s is not None and not 1 <= s <= r:
         raise click.BadParameter(f"{s} is outside the pivot range 1..r = 1..{r}", param_hint="--s")
     if s is None:

@@ -4,7 +4,9 @@ A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N, and the
 constructor takes these numerators a_0..a_N.  Every operation truncates at
 that order, and binary operations require equal orders.  A product is the
 binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse
-use the EGF forms of the O(N^2) differential recurrences.  A product sums
+use the EGF forms of the O(N^2) differential recurrences, and exp sums the
+terms k and m-k of its recurrence as one pair under their common binomial
+C(m,k) = C(m,m-k), which halves its binomial products.  A product sums
 only up to the degree d (the last nonzero numerator) of its lower-degree
 operand, and log only up to the degree of its argument, so with a degree-d
 polynomial, the unit series included, each costs O(N d) coefficient products
@@ -127,14 +129,21 @@ class TruncatedSeries:
 
     def exp(self) -> "TruncatedSeries":
         """Formal exponential; requires constant term 0.
-        h = exp(g): h_{m+1} = sum_{k=0}^m C(m,k) g_{k+1} h_{m-k}."""
+        h = exp(g): h_{m+1} = sum_{k=0}^m C(m,k) g_{k+1} h_{m-k}.  As C(m,k) = C(m,m-k),
+        the terms k and m-k share one binomial: k < m/2 sums C(m,k) (g_{k+1} h_{m-k}
+        + g_{m-k+1} h_k), and an even m adds its middle term C(m,m/2) g_{m/2+1} h_{m/2}."""
         g = self._a
         if g[0] != 0:
             raise ValueError("exp requires constant term 0")
         tail = g[1:]
         out, row = [1], [1]
-        for _ in tail:
-            out.append(_dot3(row, tail, out[::-1]))
+        for m in range(len(tail)):
+            half = (m + 1) // 2  # the pairs k = 0..half-1; map stops at row[:half]
+            pairs = map(add, map(mul, tail, reversed(out)), map(mul, tail[m::-1], out))
+            total = sum(map(mul, row[:half], pairs))
+            if not m & 1:
+                total += row[half] * tail[half] * out[half]
+            out.append(total)
             row = _next_row(row)
         return TruncatedSeries(out)
 

@@ -24,6 +24,7 @@ from debell.bell import (
     _product_factor,
     _unscale,
     _xu,
+    _xu_and_log,
     bell_classic,
     bell_closed_lam,
     bell_convolution,
@@ -552,6 +553,33 @@ class TestGammaSharing:
             _, w = _chain_vectors(8, p)
             assert _typed(omega_egf(8, p)) == _typed(w)
         assert _gamma_free.cache_info().currsize == 3 + 3  # omega's factor, one per S
+
+
+class TestSharedLog:
+    """X = x u and log(1 - X) are free of p, e and c, so B at any lam and r and omega
+    read one ``_xu_and_log`` entry per (alpha, beta, x, S, order)."""
+
+    def test_bell_then_omega_build_one_log(self):
+        """At a table-deep point (S = 6, n = 200) cold B builds the log and omega reads it."""
+        p = ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 1, 2)
+        for cache in (_bell_egf, _gamma_free, _xu_and_log):
+            cache.cache_clear()
+        bell_egf(200, p)
+        omega_egf(200, p)
+        info = _xu_and_log.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _gamma_free.cache_info().misses == 2
+
+    def test_points_that_differ_in_lam_and_r_share_the_log(self):
+        for cache in (_bell_egf, _gamma_free, _xu_and_log):
+            cache.cache_clear()
+        for lam, r in ((1, 0), (2, 1), (3, 2)):
+            p = ParamSet.make(0, 1, 0, 1, lam, r)
+            bell_egf(8, p)
+            omega_egf(8, p)
+        assert _gamma_free.cache_info().misses == 3 + 3  # B's per (lam, r), omega's per lam
+        info = _xu_and_log.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
 
 # every memoized builder in debell: the functions with ``cache_info``, each once

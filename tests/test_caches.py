@@ -15,6 +15,7 @@ ALLOWED = [
     "_points",
     "_product_factor",
     "_tally_by_run",
+    "_xu_and_log",
     "claim_registry",
     "r_derangement",
 ]

@@ -46,6 +46,15 @@ def dense_log(f):
     return out
 
 
+def dense_exp(g):
+    """EGF numerators of exp g from h_{m+1} = sum_{k=0}^m C(m,k) g_{k+1} h_{m-k}, term
+    by term: the oracle for the paired sum in ``exp``."""
+    out = [1]
+    for m in range(len(g) - 1):
+        out.append(sum(comb(m, k) * g[k + 1] * out[m - k] for k in range(m + 1)))
+    return out
+
+
 def operands(order):
     """Numerator lists at ``order``: the unit, the zero series (int and
     Fraction zeros), monomials, polynomials of degree 1..3 with int and
@@ -171,6 +180,17 @@ class TestExpLog:
             for f in operands(order):
                 if f[0] == 1:
                     assert_matches_oracle(TruncatedSeries(f).log(), dense_log(f))
+
+    def test_exp_matches_term_by_term_oracle(self):
+        """Orders 0..30 cover odd m and even m, whose middle term has no partner;
+        the numerators agree value for value and type for type."""
+        for order in range(31):
+            ints = [0] + [(-1) ** n * (n * n + 1) for n in range(1, order + 1)]
+            quotients = [Fraction(0)] + [Fraction(n - 7, n + 2) for n in range(1, order + 1)]
+            for g in [ints, quotients, *(f for f in operands(order) if f[0] == 0)]:
+                got, want = TruncatedSeries(g).exp()._a, dense_exp(g)
+                assert got == tuple(want)
+                assert list(map(type, got)) == list(map(type, want))
 
     @given(series_strategy(5, constant=Fraction(1)))
     def test_exp_log_round_trip(self, a):
