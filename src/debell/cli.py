@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-All numeric flags accept integers or exact rationals written as "p/q".
+All numeric flags accept integers or exact rationals written as "p/q"; a
+decimal or exponent form ("0.5", "1e3") is read exactly, as Fraction reads it.
 Plain output is the canonical rational string followed by a newline; json
 and csv outputs are byte-deterministic for identical invocations.  Usage
 errors exit with 2, computation errors with 1, a closed stdout with 141.
@@ -58,7 +59,7 @@ _lambda_option = click.option("--lambda", "lam", type=click.IntRange(min=0), def
 
 _param_options = _options(_weight_options, _x_option, _lambda_option, _r_option)
 
-_out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+_out_option = click.option("--out", metavar="FILE", default=None)  # _sink judges the path
 _output_options = _options(
     click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]), default="plain"),
     _out_option,

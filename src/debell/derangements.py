@@ -1,30 +1,23 @@
-"""Derangement numbers d_n and r-derangement numbers d_{k,r}.
+"""r-derangement numbers d_{k,r} and their higher-order form d_lam(k, r).
 
 d_{k,r} counts derangements of [k+r] whose first r elements lie in pairwise
-distinct cycles.  Three independent routes are provided: the classical
-closed form (for the r = 0 row), extraction from the generating function
+distinct cycles (r = 0 gives the classical derangement numbers d_k).  The
+canonical table is the finite sum at lam = 1, held for every r; two routes
+independent of it check it: extraction from the generating function
 t^r e^{-t} / (1-t)^{r+1}, and the pivot recurrence
 
     d_{k,r} = sum_{j=s}^{k} C(j-1, s-1) * k!/(k-j)! * d_{k-j, r-s}
 
-valid for every pivot s in 1..r, with the r = 0 base row supplied by the
-classical numbers (d_{k,0} = d_k, d_{0,0} = 1).
+valid for every pivot s in 1..r, whose sub-values it reads from the table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, perm
+from math import perm
 
 from .exact import binomial
 from .series import TruncatedSeries, binpow
-
-
-def derangement(n: int) -> int:
-    """d_n = n! * sum_{i<=n} (-1)^i / i!, summed in ints: n!/i! = perm(n, n - i)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum((-1) ** i * perm(n, n - i) for i in range(n + 1))
 
 
 def r_derangement_egf(k: int, r: int) -> int:
@@ -45,13 +38,8 @@ def r_derangement_egf(k: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def r_derangement(k: int, r: int) -> int:
-    """Canonical d_{k,r}: the classical closed form for r = 0, otherwise the
-    pivot recurrence at s = 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if r == 0:
-        return derangement(k)
-    return r_derangement_rec(k, r, 1)
+    """Canonical d_{k,r}: the finite sum d_1(k, r), memoized."""
+    return r_derangement_lam(k, r, 1)
 
 
 def r_derangement_lam(k: int, r: int, lam: int) -> int:
@@ -67,10 +55,9 @@ def r_derangement_lam(k: int, r: int, lam: int) -> int:
 
 def r_derangement_rec(k: int, r: int, s: int) -> int:
     """Pivot-s recurrence value; sub-values come from the canonical table."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if not 1 <= s <= r:
         raise ValueError(f"pivot s={s} outside 1..{r}")
-    total = 0
-    fk = factorial(k)
-    for j in range(s, k + 1):
-        total += binomial(j - 1, s - 1) * (fk // factorial(k - j)) * r_derangement(k - j, r - s)
-    return total
+    return sum(binomial(j - 1, s - 1) * perm(k, j) * r_derangement(k - j, r - s)
+               for j in range(s, k + 1))

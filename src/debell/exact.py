@@ -26,7 +26,8 @@ from typing import Iterator
 
 
 def as_rat(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a Fraction."""
+    """Coerce an int, Fraction, or string to a Fraction; a string is read as Fraction
+    reads it, so "p/q" and the decimal and exponent forms ("0.5", "1e3") are exact."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

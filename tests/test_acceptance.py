@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from debell import asymptotics, bell, enumeration, verify
-from debell.derangements import derangement, r_derangement_egf, r_derangement_rec
+from debell.derangements import r_derangement, r_derangement_egf, r_derangement_rec
 from debell.exact import ParamSet
 from debell.stirling import stirling_egf, stirling_rec
 
@@ -82,7 +82,7 @@ def test_c03_derangement_triple_equality():
                 reference = r_derangement_egf(k, r)
                 assert reference == enumeration.r_derangements_enum(k, r)
                 if r == 0:
-                    assert reference == derangement(k)
+                    assert reference == r_derangement(k, 0)
                 for s in range(1, r + 1):
                     assert reference == r_derangement_rec(k, r, s), (k, r, s)
 

@@ -162,6 +162,9 @@ class TestWCoefficients:
             w_from_base(b, 3, 3)
         with pytest.raises(ValueError):
             w_explicit(b, 4, 6)
+        for n, f in ((-1, 3), (4, -1)):
+            with pytest.raises(ValueError, match="n and f must be nonnegative"):
+                w_explicit(b, n, f)
         # W(5, 3) reads b_0..b_4
         with pytest.raises(ValueError, match="base sequence too short"):
             w_from_base((1, Fraction(1, 2)), 5, 3)

@@ -281,6 +281,11 @@ class TestClassicSpecialization:
             for n in range(r):
                 assert deranged_bell_classic(n, r) == 0
 
+    @pytest.mark.parametrize("n, r", [(-1, 0), (2, -1)])
+    def test_negative_rejected(self, n, r):
+        with pytest.raises(ValueError, match="n and r must be nonnegative"):
+            deranged_bell_classic(n, r)
+
     def test_equals_egf_specialization(self):
         for r in range(3):
             p = ParamSet.make(0, 1, r, 1, 1, r)

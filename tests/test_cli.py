@@ -95,6 +95,20 @@ class TestScalarCommands:
         assert result.exit_code == 0
         assert "/" in result.output or result.output.strip().lstrip("-").isdigit()
 
+    def test_decimal_flag_reads_the_same_rational(self):
+        # "0.5" is read exactly as 1/2: the same output bytes
+        half = invoke("bell", "--n", "4", "--alpha", "1/2", "--x", "1/2", "--format", "json")
+        decimal = invoke("bell", "--n", "4", "--alpha", "0.5", "--x", "5e-1", "--format", "json")
+        assert half.exit_code == decimal.exit_code == 0
+        assert decimal.stdout_bytes == half.stdout_bytes
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "abc"), ("--x", "1/0")])
+    def test_unreadable_rational_is_usage_error(self, flag, value):
+        result = invoke("bell", "--n", "2", flag, value)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"{value!r} is not an integer or p/q rational" in result.stderr
+
     def test_json_schema(self):
         result = invoke("bell", "--n", "4", "--gamma", "2", "--format", "json")
         doc = json.loads(result.output)
@@ -361,18 +375,27 @@ class TestVerifyCommand:
         child.stderr.close()
 
 
-@pytest.mark.parametrize("args", [["omega", "--n", "3"], ["table", "--max-n", "2"],
-                                  ["verify", "--claims", "T5", "--max-n", "1"]],
-                         ids=lambda args: args[0])
-def test_unwritable_out_is_one_error_line(args, tmp_path):
-    """An --out path whose directory is missing exits 1 with one stderr line."""
-    target = tmp_path / "no-such-dir" / "x"
+_OUT_COMMANDS = [["omega", "--n", "3"], ["table", "--max-n", "2"],
+                 ["verify", "--claims", "T5", "--max-n", "1"]]
+
+
+@pytest.mark.parametrize(
+    "args, is_dir",
+    [pytest.param(args, False, id=args[0]) for args in _OUT_COMMANDS]
+    + [pytest.param(args, True, id=f"{args[0]}-directory") for args in _OUT_COMMANDS],
+)
+def test_unwritable_out_is_one_error_line(args, is_dir, tmp_path):
+    """An --out path whose directory is missing, or that is a directory, exits 1 with one
+    stderr line: the open in _sink judges it, not click, whose usage error would exit 2."""
+    target = tmp_path if is_dir else tmp_path / "no-such-dir" / "x"
+    reason = "Is a directory" if is_dir else "No such file or directory"
     env = dict(os.environ, PYTHONPATH=str(Path(debell.__file__).resolve().parents[1]))
     child = subprocess.run([sys.executable, "-m", "debell.cli", *args, "--out", str(target)],
                            env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 1
-    assert child.stderr.splitlines() == [f"error: cannot write {target}: No such file or directory"]
-    assert child.stdout == "" and not target.parent.exists()
+    assert child.stderr.splitlines() == [f"error: cannot write {target}: {reason}"]
+    assert child.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # no directory made, nothing written into one
 
 
 class TestTableCommand:

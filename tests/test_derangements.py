@@ -3,7 +3,6 @@ from math import comb
 import pytest
 
 from debell.derangements import (
-    derangement,
     r_derangement,
     r_derangement_egf,
     r_derangement_lam,
@@ -14,17 +13,17 @@ from debell.enumeration import r_derangements_enum
 
 class TestClassical:
     def test_hand_values(self):
-        assert derangement(0) == 1
-        assert derangement(1) == 0
-        assert derangement(4) == 9  # all 24 permutations of [4] checked by the oracle
+        assert r_derangement(0, 0) == 1
+        assert r_derangement(1, 0) == 0
+        assert r_derangement(4, 0) == 9  # all 24 permutations of [4] checked by the oracle
         assert r_derangements_enum(4, 0) == 9
 
     def test_known_prefix(self):
-        assert [derangement(n) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
+        assert [r_derangement(n, 0) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            derangement(-1)
+            r_derangement(-1, 0)
 
 
 class TestSeriesRoute:
@@ -39,7 +38,14 @@ class TestSeriesRoute:
 
     def test_r_zero_matches_closed_form(self):
         for k in range(9):
-            assert r_derangement_egf(k, 0) == derangement(k)
+            assert r_derangement_egf(k, 0) == r_derangement(k, 0)
+
+    def test_negative_rejected(self):
+        # without the guard, k = -1 would read as 0 (r > k)
+        with pytest.raises(ValueError):
+            r_derangement_egf(-1, 0)
+        with pytest.raises(ValueError):
+            r_derangement_egf(2, -1)
 
     def test_index_shift_matches_canonical_table(self):
         # t^r is read by shifting the index, k = r (order 0) and k < r included
@@ -61,11 +67,15 @@ class TestRecurrence:
         assert r_derangement_rec(2, 2, 1) == 2
         assert r_derangement_rec(2, 2, 2) == 2
 
-    def test_base_row_is_classical(self):
-        for k in range(8):
-            assert r_derangement(k, 0) == derangement(k)
+    def test_pivot_one_matches_canonical_table(self):
+        # the table is the finite sum; the recurrence reads it only at r - 1
+        for r in range(1, 5):
+            for k in range(12):
+                assert r_derangement_rec(k, r, 1) == r_derangement(k, r), (k, r)
 
     def test_pivot_bounds(self):
+        with pytest.raises(ValueError):
+            r_derangement_rec(-1, 2, 1)
         with pytest.raises(ValueError):
             r_derangement_rec(3, 2, 0)
         with pytest.raises(ValueError):
@@ -73,8 +83,10 @@ class TestRecurrence:
 
 
 def _convolution_power(k_max: int, r: int, lam: int) -> list:
-    """d_lam(k, r) for k = 0..k_max as the lam-fold binomial convolution of d_{., r}."""
-    base = [r_derangement(k, r) for k in range(k_max + 1)]
+    """d_lam(k, r) for k = 0..k_max as the lam-fold binomial convolution of d_{., r},
+    with d_{., r} read from the series route so the finite sum is checked against
+    a route it does not share."""
+    base = [r_derangement_egf(k, r) for k in range(k_max + 1)]
     acc = [1] + [0] * k_max  # the empty convolution: the EGF 1
     for _ in range(lam):
         acc = [sum(comb(m, k) * acc[k] * base[m - k] for k in range(m + 1))
@@ -89,12 +101,6 @@ class TestHigherOrder:
                 got = [r_derangement_lam(k, r, lam) for k in range(14)]
                 assert all(type(v) is int for v in got)
                 assert got == _convolution_power(13, r, lam), (r, lam)
-
-    def test_lambda_one_is_the_canonical_table(self):
-        for r in range(5):
-            assert [r_derangement_lam(k, r, 1) for k in range(12)] == [
-                r_derangement(k, r) for k in range(12)
-            ]
 
     def test_hand_values(self):
         assert [r_derangement_lam(k, 1, 2) for k in range(8)] == [

@@ -143,6 +143,8 @@ class TestOrderedAndBarred:
             barred_count(10, 2)
         with pytest.raises(ValueError):
             barred_count(3, 0)
+        with pytest.raises(ValueError, match="lam must be at least 1"):
+            FAMILIES["barred"].lines(3, 0)
 
 
 class TestRDerangements:

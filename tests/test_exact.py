@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from debell import exact
 from debell.exact import (
     ParamSet,
+    as_rat,
     binomial,
     csv_lines,
     falling,
@@ -61,6 +62,10 @@ class TestBinomial:
 
 
 class TestGenFalling:
+    def test_negative_factor_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gen_falling(2, 1, -1)
+
     def test_hand_values(self):
         assert gen_falling(6, 2, 3) == 48
         assert gen_falling(5, 1, 3) == 60
@@ -104,6 +109,16 @@ class TestGenFalling:
 
 
 class TestRationals:
+    def test_string_grammar(self):
+        # Fraction's string forms: p/q, and decimal and exponent forms read exactly
+        assert as_rat("1/2") == as_rat("0.5") == as_rat(" 5e-1 ") == Fraction(1, 2)
+        assert as_rat("1e3") == 1000
+        assert as_rat("-2.5e-1") == Fraction(-1, 4)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            as_rat(1.5)
+
     def test_canonical_strings(self):
         assert format_rat(Fraction(3, 4)) == "3/4"
         assert format_rat(Fraction(-3, 4)) == "-3/4"

@@ -98,6 +98,10 @@ class TestRingOps:
         s = TruncatedSeries([3, 1, 4])
         assert s.scale(0) == TruncatedSeries([0] * 3)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least the constant coefficient"):
+            TruncatedSeries(())
+
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries.one(3) - TruncatedSeries.one(4)
