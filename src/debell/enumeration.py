@@ -11,13 +11,17 @@ blocks when asked for separated partitions and opening only k blocks when
 asked for a block count; it feeds the listings and
 ``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
 growth strings iteratively, one list updated in place, and feeds the count
-tallies, one walk per size for every r: a partition's block count is its
-running maximum plus one, and 1..r lie in distinct blocks exactly when the
-string starts 0, 1, ..., r-1, as the walk's last strings do.
-``r_deranged_partitions_enum`` checks the two generators against each other
-at every block count.  Derangements come from two generators too: the
-listers filter ``itertools.permutations``, dropping fixed points in C; the
-counters build each by cycle insertion, with 1..r each opening a cycle.
+tallies, one walk per size for every r.  The tally walks only the prefixes
+of length n-1: the strings ending in one of a prefix's open blocks are the
+iterations of an inner loop, and the one string ending in a new block is
+filed after it.  A partition's block count is its running maximum plus one,
+and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
+r-1, as the walk's last strings do.  ``r_deranged_partitions_enum`` checks
+the two generators against each other at every block count.  Derangements
+come from two generators too: the listers filter ``itertools.permutations``,
+dropping fixed points in C; the counters build each by cycle insertion, with
+1..r each opening a cycle and the last element's choices looped over in its
+parent's frame.  Both counting walkers add one per structure they visit.
 
 A family is a counter plus one lister: ``FAMILIES`` states each family's
 point fields, hard size cap, counter and the function that checks the sizes
@@ -167,14 +171,32 @@ def _r_stirling_tally(total: int, r: int) -> dict:
 @lru_cache(maxsize=None)
 def _tally_by_run(total: int) -> tuple:
     """Entry [s][k]: the partitions of [total] into k blocks whose growth
-    string starts with exactly 0..s-1, walked one at a time.  Those starting
-    0..r-1 end the walk for every r, so s never falls: one test a string."""
+    string starts with exactly 0..s-1, counted one string at a time.
+
+    The odometer walks only the prefixes of length total-1, and each string
+    is a prefix plus its last element v.  With t the prefix's running
+    maximum (-1 for the empty prefix), v <= t is the variable of an inner
+    loop that files each of those t+1 strings under t+1 blocks; the one
+    string with v = t+1 is filed under t+2 after it.  Every string adds one:
+    the loop is never folded into ``+= t + 1``, which would be the
+    recurrence step k S(n-1, k) and no longer an enumeration.  A string sits
+    at its prefix's level, except that 0..total-1 sits one above 0..total-2.
+    Prefixes starting 0..r-1 end the walk for every r, so s never falls: one
+    test a prefix."""
     levels = [[0] * (total + 1) for _ in range(total + 1)]
+    if total == 0:
+        levels[0][0] = 1  # the empty string
+        return tuple(map(tuple, levels))
+    last = total - 1
     s = 0
-    for _, top in _growth_strings(total):
-        if s < total and top[s] == s:
+    for _, top in _growth_strings(last):
+        if s < last and top[s] == s:
             s += 1
-        levels[s][top[-1] + 1 if top else 0] += 1
+        t = top[-1] if top else -1
+        row = levels[s]
+        for v in range(t + 1):  # prefix + [v] joins open block v
+            row[t + 1] += 1
+        levels[s + (s == last)][t + 2] += 1  # prefix + [t + 1] opens a block
     return tuple(map(tuple, levels))
 
 
@@ -237,17 +259,26 @@ def _derangement_count(m: int, r: int) -> int:
     """How many ``_derangements(m, r)`` yields, counted one at a time as they
     are built by cycle insertion: element j follows one of 0..j-1 in its cycle
     or opens a cycle, so each permutation is built once and j opens one exactly
-    when it is its cycle's least, which each j < r must be.  A branch stops
-    once its fixed points outnumber the elements still to place."""
+    when it is its cycle's least, which each j < r must be.  The last element's
+    choice is the loop variable in its parent's frame: each permutation is one
+    iteration that tests its own fixed-point count, with no call per leaf.  A
+    branch stops once its fixed points outnumber the elements still to place."""
+    if m == 0:
+        return 1  # the empty permutation
     fixed = [False] * m
+    last = m - 1
 
     def grow(j, f):
         if f > m - j:
             return 0
-        if j == m:  # a leaf: one derangement
-            return 1
         count = 0
-        for i in range(0 if j >= r else j, j + 1):  # i = j: j opens a cycle, a fixed point
+        choices = range(0 if j >= r else j, j + 1)  # i = j: j opens a cycle, a fixed point
+        if j == last:  # each choice completes one permutation
+            for i in choices:
+                if f - fixed[i] + (i == j) == 0:
+                    count += 1
+            return count
+        for i in choices:
             was = fixed[i]
             fixed[i] = i == j
             count += grow(j + 1, f - was + fixed[i])

@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-It checks 491 points: every counter against its formula route (set
+It checks 495 points: every counter against its formula route (set
 partitions for n <= 10; r-Stirling for n+r <= 10 with r <= 3; ordered and
 barred arrangements, lam 1..3, for n <= 9; r-derangements for k+r <= 9 with
 r <= 3; deranged partitions for n+r <= 8 with r <= 3), then every family's
@@ -12,7 +12,9 @@ listing length against its counter (set partitions at n = 10 and every k;
 r-Stirling at n+r = 9 with r <= 2; ordered for n <= 7; barred for n <= 6,
 lam 1..3; r-derangements for k+r <= 8 with r <= 3; deranged partitions for
 n+r <= 6 with r <= 2), then the cycle-insertion derangement counter against
-the permutation filter at 9 elements with r <= 3.  It prints every mismatch
+the permutation filter at 9 elements with r <= 3, then the block walker's
+count at each block count against the growth-string tally at 10 elements
+with r <= 3.  It prints every mismatch
 and exits 1 if there is any.  pytest does not collect this file: the full
 sweep is too slow for tier-1.
 """
@@ -72,6 +74,11 @@ def sweep():
     for r in range(4):  # the counters' generator against the listers', at the cap
         yield (f"_derangement_count(9, {r})", enumeration._derangement_count(9, r),
                sum(1 for _ in enumeration._derangements(9, r)))
+    for r in range(4):  # the block walker against the growth-string tally, k = 0..10
+        tally = enumeration._r_stirling_tally(10, r)
+        yield (f"_partitions_raw(10, k, {r}) per k",
+               [sum(1 for _ in enumeration._partitions_raw(10, k, r)) for k in range(11)],
+               [tally.get(k, 0) for k in range(11)])
 
 
 def listed(family: str, *point):
