@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from . import stirling
-from .derangements import r_derangement, r_derangement_lam
+from .derangements import r_derangement
 from .exact import ParamSet, binomial, narrow
 from .series import TruncatedSeries, binpow
 
@@ -128,7 +128,7 @@ def bell_closed_lam(n_max: int, params: ParamSet) -> list:
     higher-order r-derangement numbers, held as ints where integral; every lam."""
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
-    weights = (r_derangement_lam(k, r, lam) for k in range(n_max + 1))
+    weights = (r_derangement(k, r, lam) for k in range(n_max + 1))
     return stirling.table(a, b, g).weighted_sums(n_max, x * b, weights)
 
 

@@ -1,9 +1,10 @@
 """r-derangement numbers d_{k,r} and their higher-order form d_lam(k, r).
 
 d_{k,r} counts derangements of [k+r] whose first r elements lie in pairwise
-distinct cycles (r = 0 gives the classical derangement numbers d_k).  The
-canonical table is the finite sum at lam = 1, held for every r; two routes
-independent of it check it: extraction from the generating function
+distinct cycles (r = 0 gives the classical derangement numbers d_k).  One
+memoized table, ``r_derangement(k, r, lam)``, holds the finite sum for d_lam(k, r)
+at every (k, r, lam); its lam = 1 entries are d_{k,r}.  Two routes independent
+of it check those: extraction from the generating function
 t^r e^{-t} / (1-t)^{r+1}, and the pivot recurrence
 
     d_{k,r} = sum_{j=s}^{k} C(j-1, s-1) * k!/(k-j)! * d_{k-j, r-s}
@@ -37,15 +38,11 @@ def r_derangement_egf(k: int, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def r_derangement(k: int, r: int) -> int:
-    """Canonical d_{k,r}: the finite sum d_1(k, r), memoized."""
-    return r_derangement_lam(k, r, 1)
-
-
-def r_derangement_lam(k: int, r: int, lam: int) -> int:
-    """Higher-order d_lam(k, r) = k! [t^k] (t^r e^{-t} / (1-t)^{r+1})^lam, the lam-fold
-    binomial convolution of d_{., r}: with m = k - r lam and c = (r+1) lam, the sum
-    over i = 0..m of C(i+c-1, i) (-lam)^(m-i) k!/(m-i)!, in ints (0 when m < 0)."""
+def r_derangement(k: int, r: int, lam: int = 1) -> int:
+    """Canonical d_lam(k, r) = k! [t^k] (t^r e^{-t} / (1-t)^{r+1})^lam, memoized; lam = 1
+    gives d_{k,r}.  It is the lam-fold binomial convolution of d_{., r}: with m = k - r lam
+    and c = (r+1) lam, the sum over i = 0..m of C(i+c-1, i) (-lam)^(m-i) k!/(m-i)!, in
+    ints (0 when m < 0)."""
     if k < 0 or r < 0 or lam < 0:
         raise ValueError("k, r and lam must be nonnegative")
     m, c = k - r * lam, (r + 1) * lam

@@ -5,23 +5,25 @@ formula routes are judged against, so they share no machinery with the
 series or closed-sum modules.  Every structure is generated explicitly and
 visited once; no count comes from a recurrence or a closed form.
 
-Set partitions come from two independent generators.  ``_partitions_raw``
-builds the blocks recursively, starting with 1..r already in their own
-blocks when asked for separated partitions and opening only k blocks when
-asked for a block count; it feeds the listings and
-``r_deranged_partitions_enum``.  ``_growth_strings`` walks restricted
-growth strings iteratively, one list updated in place, and feeds the count
-tallies, one walk per size for every r.  The tally walks only the prefixes
-of length n-1: the strings ending in one of a prefix's open blocks are the
-iterations of an inner loop, and the one string ending in a new block is
-filed after it.  A partition's block count is its running maximum plus one,
-and 1..r lie in distinct blocks exactly when the string starts 0, 1, ...,
-r-1, as the walk's last strings do.  ``r_deranged_partitions_enum`` checks
-the two generators against each other at every block count.  Derangements
-come from two generators too: the listers filter ``itertools.permutations``,
-dropping fixed points in C; the counters build each by cycle insertion, with
-1..r each opening a cycle and the last element's choices looped over in its
-parent's frame.  Both counting walkers add one per structure they visit.
+Set partitions come from two independent generators, and both yield their
+live state: one list updated in place, read before the walk advances (Knuth,
+TAOCP 4A, 7.2.1.5).  ``_partitions_raw`` builds the blocks recursively,
+starting with 1..r already in their own blocks when asked for separated
+partitions and opening only k blocks when asked for a block count; its block
+list feeds the listings and ``r_deranged_partitions_enum``.
+``_growth_strings`` walks restricted growth strings iteratively, and their
+running maxima feed the count tallies, one walk per size for every r.  The
+tally walks only the prefixes of length n-1: the strings ending in one of a
+prefix's open blocks are the iterations of an inner loop, and the one string
+ending in a new block is filed after it.  A partition's block count is its
+running maximum plus one, and 1..r lie in distinct blocks exactly when the
+string starts 0, 1, ..., r-1, as the walk's last strings do.
+``r_deranged_partitions_enum`` checks the two generators against each other
+at every block count.  Derangements come from two generators too: the
+listers filter ``itertools.permutations``, dropping fixed points in C; the
+counters build each by cycle insertion, with 1..r each opening a cycle and
+the last element's choices looped over in its parent's frame.  Both counting
+walkers add one per structure they visit.
 
 A family is a counter plus one lister: ``FAMILIES`` states each family's
 point fields, hard size cap, counter and the function that checks the sizes
@@ -92,8 +94,9 @@ def format_cycles(perm) -> str:
 
 
 def _partitions_raw(n: int, k: int | None = None, r: int = 0):
-    """All partitions of [n] with 1..r in distinct blocks, as tuples of
-    tuples in standard form; only those with exactly k blocks when k is given.
+    """All partitions of [n] with 1..r in distinct blocks, in standard form,
+    each as the walk's live list of blocks (read it before advancing, copy it
+    to keep it); only those with exactly k blocks when k is given.
 
     The walk starts from the blocks [1], ..., [r] and inserts r+1..n in
     increasing order, so blocks are born sorted and the block list is
@@ -112,7 +115,7 @@ def _partitions_raw(n: int, k: int | None = None, r: int = 0):
 
     def rec(i):
         if i > n:
-            yield tuple(tuple(b) for b in blocks)
+            yield blocks
             return
         if n - i >= least - len(blocks):
             for b in blocks:
@@ -131,18 +134,17 @@ def _growth_strings(n: int):
     """Every restricted growth string of length n, in lexicographic order.
 
     a[i] is the block of element i+1 (blocks numbered by their minima) and
-    top[i] = max(a[:i+1]).  Yields the same (a, top) pair each time, updated
-    in place; read it before advancing.
+    top[i] = max(a[:i+1]).  Yields top, the same list each time,
+    updated in place; read it before advancing.
     """
     a = [0] * n
     top = [0] * n
-    state = (a, top)
     if n < 2:
-        yield state
+        yield top
         return
     last = n - 1
     while True:
-        yield state
+        yield top
         # the rightmost position that can still grow: a[i] <= top[i-1]
         i = last
         while a[i] > top[i - 1]:
@@ -189,7 +191,7 @@ def _tally_by_run(total: int) -> tuple:
         return tuple(map(tuple, levels))
     last = total - 1
     s = 0
-    for _, top in _growth_strings(last):
+    for top in _growth_strings(last):
         if s < last and top[s] == s:
             s += 1
         t = top[-1] if top else -1

@@ -143,7 +143,7 @@ class ParamSet:
 
     @classmethod
     def make(cls, alpha=0, beta=1, gamma=0, x=1, lam=1, r=0) -> "ParamSet":
-        return cls(as_rat(alpha), as_rat(beta), as_rat(gamma), as_rat(x), lam, r)
+        return cls(alpha, beta, gamma, x, lam, r)
 
     def replace(self, **changes) -> "ParamSet":
         return dataclasses.replace(self, **changes)

@@ -101,16 +101,11 @@ class GridSpec:
 
 
 @lru_cache(maxsize=None)
-def _at(params: ParamSet, n: int, **extra) -> tuple:
-    """A row's point: the parameters, n, then ``extra`` in the order given;
-    built once, so every claim's rows at one point share one tuple."""
-    return params.as_pairs() + (("n", str(n)),) + tuple((k, str(v)) for k, v in extra.items())
-
-
-@lru_cache(maxsize=None)
 def _points(params: ParamSet, top: int) -> tuple:
-    """``_at(params, n)`` for n = 0..top, looked up once per claim at a point, not per row."""
-    return tuple(_at(params, n) for n in range(top + 1))
+    """A row's point, the parameters then n, for n = 0..top: built once per (point, top),
+    so every claim's rows at one point share one tuple per n, with no lookup per row."""
+    pairs = params.as_pairs()
+    return tuple(pairs + (("n", str(n)),) for n in range(top + 1))
 
 
 def _vs(claim: Claim, params: ParamSet, grid: GridSpec, lhs_r=False, rhs_r=False) -> list:
@@ -179,7 +174,7 @@ def _ex(claim: Claim, params: ParamSet, grid: GridSpec, n: int) -> list:
         return []
     _, beta, _, x, lam, r = params.key
     b = getattr(bell, claim.lhs)(grid.top() + r, params)
-    return [(_at(params, n), b[n], globals()[claim.rhs](lam, x, beta))]
+    return [(_points(params, grid.top())[n], b[n], globals()[claim.rhs](lam, x, beta))]
 
 
 def _w(claim: Claim, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
@@ -199,7 +194,8 @@ def _asymp(claim: Claim, params: ParamSet, grid: GridSpec, n_max: int, deltas: t
     c = bell.lambda1_sums(top, params)
     lhs, rhs = getattr(asymptotics, claim.lhs), getattr(asymptotics, claim.rhs)
     exact = [rhs(top, delta, params) for delta in deltas]
-    return [(_at(params, n, delta=delta, m=n - 1), lhs(c, delta, n, n - 1),
+    points = _points(params, top)
+    return [(points[n] + (("delta", str(delta)), ("m", str(n - 1))), lhs(c, delta, n, n - 1),
              Fraction(b[n], factorial(n)))
             for n in range(1, top + 1) for delta, b in zip(deltas, exact)]
 

@@ -655,6 +655,24 @@ class TestRouteIndependence:
         memos = (_gamma_free, _product_factor, _bell_egf)
         assert [memo.__name__ for memo in memos if memo.__wrapped__.__code__ in reached] == []
 
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
+    def test_closed_routes_read_one_weight_table_at_lam_one(self, p):
+        # the CLI's closed and lambda1 routes: d_1(k, r) is the canonical d_{k,r}
+        p = p.replace(lam=1)
+        for n in range(13):
+            assert _typed(bell_closed_lam(n, p)) == _typed(lambda1_sums(n, p)), n
+
+    @pytest.mark.parametrize("p", POINTS, ids=["integer", "rational"])
+    def test_repeated_closed_sum_only_hits_the_weight_table(self, p):
+        p = p.replace(lam=2)
+        r_derangement.cache_clear()
+        bell_closed_lam(10, p)
+        before = r_derangement.cache_info()
+        bell_closed_lam(10, p)
+        after = r_derangement.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize) == (11, 11)
+        assert after.hits - before.hits == 11
+
     # every claim the default evaluator runs, read off the registry: the memoized
     # builders its two sides reach share nothing, so neither side is the other
     VS_CLAIMS = sorted(cid for cid, claim in claim_registry().items()

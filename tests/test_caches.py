@@ -7,7 +7,6 @@ import pkgutil
 import debell
 
 ALLOWED = [
-    "_at",
     "_bell_egf",
     "_excess_partitions",
     "_gamma_free",

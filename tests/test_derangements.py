@@ -5,7 +5,6 @@ import pytest
 from debell.derangements import (
     r_derangement,
     r_derangement_egf,
-    r_derangement_lam,
     r_derangement_rec,
 )
 from debell.enumeration import r_derangements_enum
@@ -98,21 +97,21 @@ class TestHigherOrder:
     def test_finite_sum_is_the_convolution_power(self):
         for r in range(4):
             for lam in range(6):
-                got = [r_derangement_lam(k, r, lam) for k in range(14)]
+                got = [r_derangement(k, r, lam) for k in range(14)]
                 assert all(type(v) is int for v in got)
                 assert got == _convolution_power(13, r, lam), (r, lam)
 
     def test_hand_values(self):
-        assert [r_derangement_lam(k, 1, 2) for k in range(8)] == [
+        assert [r_derangement(k, 1, 2) for k in range(8)] == [
             0, 0, 2, 12, 96, 800, 7440, 75936
         ]
         # lam = 0: binomial(-1, 0) = 1 leaves only k = 0
-        assert [r_derangement_lam(k, 2, 0) for k in range(4)] == [1, 0, 0, 0]
+        assert [r_derangement(k, 2, 0) for k in range(4)] == [1, 0, 0, 0]
 
     @pytest.mark.parametrize("args", [(-1, 0, 1), (2, -1, 1), (2, 1, -1)])
     def test_negative_rejected(self, args):
         with pytest.raises(ValueError):
-            r_derangement_lam(*args)
+            r_derangement(*args)
 
 
 class TestOracleAgreement:

@@ -31,6 +31,12 @@ def lister(family):
     return lambda *point: listing(family, *point)
 
 
+def copied(walk) -> list:
+    """The partitions a walk yields, each copied to a tuple of tuples as it comes:
+    the walker hands out its live block list, so collecting it needs a copy."""
+    return [tuple(map(tuple, p)) for p in walk]
+
+
 def first_r_separated(p, r: int) -> bool:
     """Whether 1..r lie in pairwise distinct blocks of the partition p: the
     membership oracle the walker and the growth-string tallies are judged by."""
@@ -70,7 +76,7 @@ class TestSetPartitions:
 
     def test_generation_is_canonical(self):
         for n in range(7):
-            produced = list(_partitions_raw(n))
+            produced = copied(_partitions_raw(n))
             assert len(set(produced)) == len(produced)
             for p in produced:
                 check_standard_form(p)
@@ -89,13 +95,37 @@ class TestSetPartitions:
         # with k no block past the k-th, with r 1..r in their own blocks from
         # the start: the unbounded walk filtered, in its order (r > n: nothing)
         for n in range(9):
-            partitions = list(_partitions_raw(n))
+            partitions = copied(_partitions_raw(n))
             for r in range(4):
                 apart = [p for p in partitions if first_r_separated(p, r)]
-                assert list(_partitions_raw(n, r=r)) == apart, (n, r)
+                assert copied(_partitions_raw(n, r=r)) == apart, (n, r)
                 for k in range(-1, n + 2):
                     expected = [p for p in apart if len(p) == k]
-                    assert list(_partitions_raw(n, k, r)) == expected, (n, k, r)
+                    assert copied(_partitions_raw(n, k, r)) == expected, (n, k, r)
+
+    def test_walk_yields_one_live_block_list(self):
+        for n, k, r in [(5, None, 0), (6, 3, 0), (6, None, 2), (7, 4, 2)]:
+            walk = _partitions_raw(n, k, r)
+            first = next(walk)
+            assert all(p is first for p in walk), (n, k, r)
+
+    def test_listers_match_lines_from_copied_partitions(self, monkeypatch):
+        # every lister reads each live partition before the walk advances, so
+        # its lines are those it makes from partitions copied one by one
+        points = {
+            "set-partitions": [(n, k) for n in range(7) for k in range(n + 1)],
+            "r-stirling": [(n, k, r) for n in range(5) for k in range(n + 1) for r in range(3)],
+            "ordered": [(n,) for n in range(6)],
+            "barred": [(n, lam) for n in range(5) for lam in (1, 2, 3)],
+            "r-derangements": [(k, r) for k in range(5) for r in range(3)],
+            "r-deranged-partitions": [(n, r) for n in range(5) for r in range(3)],
+        }
+        assert sorted(points) == sorted(FAMILIES)
+        live = {family: [listing(family, *point) for point in pts] for family, pts in points.items()}
+        monkeypatch.setattr(enumeration, "_partitions_raw",
+                            lambda n, k=None, r=0: copied(_partitions_raw(n, k, r)))
+        for family, pts in points.items():
+            assert [listing(family, *point) for point in pts] == live[family], family
 
 
 class TestRStirling:
@@ -269,7 +299,7 @@ class TestGenerators:
         # the tallies walk growth strings; the recursive block generator with
         # the block-membership test is an independent route to the same counts
         for total in range(10):
-            partitions = list(_partitions_raw(total))
+            partitions = copied(_partitions_raw(total))
             for r in range(total + 2):
                 expected = {}
                 for p in partitions:
