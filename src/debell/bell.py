@@ -20,10 +20,13 @@ series route works at order n_max, and a memoized vector is a tuple keyed on
 A series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free factor
 from ``_gamma_free`` (B and omega) or ``_product_factor`` (the product
 readings), each keyed on the order and the rescale S of ``_with_head``, so the
-gammas that share S share one build.  Every ``_gamma_free`` series at one
-X = x u, B's at any lam and r and omega's, reads X and log(1 - X) from one
-``_xu_and_log`` entry; the product readings build their own log, so EQ40 checks
-the log and exp kernel independently.  The closed sums read every n off one
+gammas that share S share one build.  Where u is a polynomial (alpha != 0 and
+beta/alpha a nonnegative integer) ``_gamma_free`` reads its section factor off
+the first-order differential equation the factor satisfies, with no log or exp;
+at a transcendental X = x u every ``_gamma_free`` series, B's at any lam and r and
+omega's, reads X and log(1 - X) from one ``_xu_and_log`` entry.  The product
+readings build their own log and exps, so EQ40 checks the differential-equation
+route against the log and exp kernel.  The closed sums read every n off one
 Stirling ladder; the scalars ``bell_lambda1`` and ``omega`` read one row.
 """
 
@@ -67,9 +70,9 @@ def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
 
 @lru_cache(maxsize=None)
 def _xu_and_log(alpha, beta, x, s: int, order: int) -> tuple:
-    """X = x u and log(1 - X), keyed on (alpha, beta, x, S, order): both are free of
-    p, e and c, so every ``_gamma_free`` series at one X, B's at any lam and r and
-    omega's, reads one X and one log."""
+    """X = x u and log(1 - X) at a transcendental X, keyed on (alpha, beta, x, S, order):
+    both are free of p, e and c, so every ``_gamma_free`` series at one such X, B's at
+    any lam and r and omega's, reads one X and one log.  A polynomial X needs no log."""
     xu = _xu(alpha, beta, x, s, order)
     return xu, (TruncatedSeries.one(order) - xu).log()
 
@@ -78,10 +81,21 @@ def _xu_and_log(alpha, beta, x, s: int, order: int) -> tuple:
 def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> TruncatedSeries:
     """X^p exp(-e X) / (1 - X)^c at X = x u, keyed on (alpha, beta, x, S, order,
     p, e, c), the order being its reader's n_max; gamma-free as gamma enters only
-    the head, and one exponential exp(-c log(1 - X) - e X), so ints stay ints.
-    X and log(1 - X) come from ``_xu_and_log``, shared by every (p, e, c)."""
-    xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
-    return xu.pow_int(p) * (log_one_minus.scale(-c) - xu.scale(e)).exp()
+    the head.  F = exp(-e X) / (1 - X)^c solves (1 - X) F' = X' (c - e + e X) F, and
+    where u is a polynomial of degree d = beta/alpha (alpha != 0, d a nonnegative
+    integer) F is read off that equation by ``TruncatedSeries.ode`` in O(N d) products,
+    with no log or exp.  At a transcendental X it is one exponential
+    exp(-c log(1 - X) - e X), X and log(1 - X) coming from ``_xu_and_log``, shared by
+    every (p, e, c).  Both routes are division-free, so ints stay ints."""
+    d = Fraction(beta) / alpha if alpha else -1  # u's degree, where it is a polynomial
+    if d >= 0 and d.denominator == 1:
+        xu, one = _xu(alpha, beta, x, s, order), TruncatedSeries.one(order)
+        slope = TruncatedSeries([*xu.egf_coeffs[1:], 0])  # X'; ode never reads its top entry
+        factor = (one - xu).ode(slope * (xu.scale(e) - one.scale(e - c)))
+    else:
+        xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
+        factor = (log_one_minus.scale(-c) - xu.scale(e)).exp()
+    return xu.pow_int(p) * factor
 
 
 @lru_cache(maxsize=None)

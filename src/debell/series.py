@@ -10,9 +10,13 @@ C(m,k) = C(m,m-k), which halves its binomial products.  A product sums
 only up to the degree d (the last nonzero numerator) of its lower-degree
 operand, and log only up to the degree of its argument, so with a degree-d
 polynomial, the unit series included, each costs O(N d) coefficient products
-rather than O(N^2).  Only inverse divides (by its constant term), so
-integer numerators stay ``int`` and no gcd is paid; other entries are
-``Fraction``s.  There is deliberately no asymptotically fast multiplication.
+rather than O(N^2).  ``ode`` solves a G' = b G, G(0) = 1, for a with constant
+term 1 by the EGF form of the same recurrence, its sums stopping at the
+degrees of a and b: with polynomial a and b of degree at most d it costs
+O(N d) products, where exp costs O(N^2).  Only inverse divides (by its
+constant term), so integer numerators stay ``int`` and no gcd is paid; other
+entries are ``Fraction``s.  There is deliberately no asymptotically fast
+multiplication.
 Reading a series at t -> S t multiplies a_n by S^n; the family routes in
 ``bell`` use this to make rational weights integral.  ``egf_coeff(n)``
 reads a_n back (an ``int`` where integral), ``egf_coeffs`` every a_n at once,
@@ -22,7 +26,7 @@ and ``coeffs`` gives the ordinary coefficients c_n as ``Fraction``s.
 from __future__ import annotations
 
 from math import factorial
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable
 
 from .exact import as_rat, narrow
@@ -160,6 +164,27 @@ class TruncatedSeries:
         for m in range(len(f) - 1):
             out.append(f[m + 1] - _dot3(row[1:], tail, out[m : max(m - d, 0) : -1]))
             row = _next_row(row)[: d + 1]
+        return TruncatedSeries(out)
+
+    def ode(self, b: "TruncatedSeries") -> "TruncatedSeries":
+        """The G with G(0) = 1 and a G' = b G, a this series; requires a's constant term 1.
+        G_{m+1} = sum_k C(m,k) b_k G_{m-k} - sum_{k>=1} C(m,k) a_k G_{m+1-k}, read as one
+        dot product sum_j (C(m,j) b_j - C(m,j+1) a_{j+1}) G_{m-j} that stops at
+        j = max(deg b, deg a - 1); neither a_N nor b_N is read.  Division-free, and with
+        polynomial a and b of degree at most d it costs O(N d) coefficient products."""
+        self._same_order(b)
+        a = self._a
+        if a[0] != 1:
+            raise ValueError("ode requires a constant term 1")
+        bs, a_tail = b._a[:-1], a[1:]
+        width = max(_degree(bs), _degree(a_tail)) + 1  # the terms j = 0..width-1
+        bs, a_tail = bs[:width], a_tail[:width]
+        out, row = [1], [1] + [0] * width  # C(m, 0..width), zero past m
+        for m in range(len(a) - 1):
+            window = out[m::-1] if m < width else out[m : m - width : -1]  # G_m down to G_(m-j)
+            weights = map(sub, map(mul, row, bs), map(mul, row[1:], a_tail))
+            out.append(sum(map(mul, weights, window)))
+            row = _next_row(row)[: width + 1]
         return TruncatedSeries(out)
 
     def pow_int(self, m: int) -> "TruncatedSeries":

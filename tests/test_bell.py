@@ -561,12 +561,12 @@ class TestGammaSharing:
 
 
 class TestSharedLog:
-    """X = x u and log(1 - X) are free of p, e and c, so B at any lam and r and omega
-    read one ``_xu_and_log`` entry per (alpha, beta, x, S, order)."""
+    """X = x u and log(1 - X) are free of p, e and c, so at a transcendental X, B at
+    any lam and r and omega read one ``_xu_and_log`` entry per (alpha, beta, x, S, order)."""
 
     def test_bell_then_omega_build_one_log(self):
-        """At a table-deep point (S = 6, n = 200) cold B builds the log and omega reads it."""
-        p = ParamSet.make(Fraction(1, 3), 1, 0, Fraction(3, 2), 1, 2)
+        """At alpha = 0 (S = 2, n = 200) cold B builds the log and omega reads it."""
+        p = ParamSet.make(0, 1, 0, Fraction(3, 2), 1, 2)
         for cache in (_bell_egf, _gamma_free, _xu_and_log):
             cache.cache_clear()
         bell_egf(200, p)
@@ -846,6 +846,19 @@ def _typed(values):
 
 
 _F = Fraction
+POLYNOMIAL_U_POINTS = {  # beta/alpha = d, a nonnegative integer: u has degree d
+    "d0": ParamSet.make(_F(1, 2), 0, _F(1, 3), _F(-3, 2), 2, 0),
+    "d1": ParamSet.make(_F(1, 3), _F(1, 3), _F(-2, 5), -2, 2, 1),
+    "d2": ParamSet.make(_F(-1, 2), -1, _F(7, 3), _F(3, 2), 3, 0),
+    "d3": ParamSet.make(_F(2, 3), 2, _F(1, 2), _F(-1, 3), 1, 2),
+    "d3-int": ParamSet.make(-2, -6, 3, _F(1, 2), 2, 1),
+    "d4": ParamSet.make(_F(1, 4), 1, -1, _F(-5, 4), 2, 1),  # past the order at n_max 3
+}
+TRANSCENDENTAL_U_POINTS = {
+    "alpha0": ParamSet.make(0, _F(2, 3), _F(-1, 2), _F(-3, 2), 2, 1),
+    "d3/2": ParamSet.make(_F(1, 3), _F(1, 2), _F(-5, 7), 2, 2, 1),
+    "d-6": ParamSet.make(_F(-1, 2), 3, _F(7, 3), _F(-1, 3), 1, 2),
+}
 SECTION_EDGE_POINTS = [
     ParamSet.make(0, 1, 0, 1, 0, 1),  # lam = 0
     ParamSet.make(1, 2, 2, 0, 2, 1),  # x = 0
@@ -854,16 +867,19 @@ SECTION_EDGE_POINTS = [
     ParamSet.make(0, 1, _F(-2, 5), 1, 2, 2),  # gamma != 0
     ParamSet.make(_F(1, 3), 1, 1, 1, 1, 1),  # fractional alpha
     ParamSet.make(_F(-1, 2), _F(2, 3), _F(-2, 5), _F(-3, 2), 3, 2),
+    *POLYNOMIAL_U_POINTS.values(),
+    *TRANSCENDENTAL_U_POINTS.values(),
 ]
 
 
 class TestSectionFactor:
-    """The section factor is one exp of -c log(1 - xu) - e xu; the chained
-    form with two exps and a product is its oracle."""
+    """Where u is a polynomial the section factor is read off its differential
+    equation, elsewhere it is one exp of -c log(1 - xu) - e xu; the chained form
+    with two exps and a product is the oracle for both."""
 
     @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
     def test_matches_chained_factors(self, p):
-        for order in (0, 1, 9):
+        for order in (0, 1, 3, 9):
             s, _, xu = _rescaled(p, order)
             for e, c in ((p.lam, (p.r + 1) * p.lam), (0, p.lam)):
                 got = _gamma_free(p.alpha, p.beta, p.x, s, order, 0, e, c)
@@ -872,7 +888,7 @@ class TestSectionFactor:
 
     @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
     def test_vectors_match_chained_route(self, p):
-        for n_max in (0, 1, 7):
+        for n_max in (0, 1, 3, 4, 7, 60):
             b, w = _chain_vectors(n_max, p)
             assert _typed(bell_egf(n_max, p)) == _typed(b)
             assert _typed(omega_egf(n_max, p)) == _typed(w)
@@ -889,3 +905,34 @@ class TestSectionFactor:
         assert bell_egf(n_max, p1) == [bell_lambda1(n, p1) for n in ns]
         assert bell_egf(n_max, p2) == section_convolution(n_max, p2)
         assert omega_egf(n_max, p2) == [omega(n, p2) for n in ns]
+
+
+class TestSectionFactorRoutes:
+    """Where u = (1+alpha t)^(beta/alpha) - 1 is a polynomial, ``_gamma_free`` builds
+    no log and no exp; elsewhere B and omega share one log and take one exp each."""
+
+    @staticmethod
+    def _counted_transcendentals(monkeypatch, p) -> dict:
+        calls = {"exp": 0, "log": 0}
+        for name in calls:
+            method = getattr(TruncatedSeries, name)
+
+            def counted(self, method=method, name=name):
+                calls[name] += 1
+                return method(self)
+
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+        for cache in (_bell_egf, _gamma_free, _xu_and_log):
+            cache.cache_clear()
+        bell_egf(20, p)
+        omega_egf(20, p)
+        return calls
+
+    @pytest.mark.parametrize("p", POLYNOMIAL_U_POINTS.values(), ids=list(POLYNOMIAL_U_POINTS))
+    def test_polynomial_x_builds_no_exp_or_log(self, monkeypatch, p):
+        assert self._counted_transcendentals(monkeypatch, p) == {"exp": 0, "log": 0}
+        assert _xu_and_log.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("p", TRANSCENDENTAL_U_POINTS.values(), ids=list(TRANSCENDENTAL_U_POINTS))
+    def test_transcendental_x_shares_one_log(self, monkeypatch, p):
+        assert self._counted_transcendentals(monkeypatch, p) == {"exp": 2, "log": 1}

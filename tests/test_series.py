@@ -205,6 +205,76 @@ class TestExpLog:
         assert a.exp().log() == a
 
 
+def dense_ode(a, b):
+    """Ordinary coefficients g_n of the G with G(0) = 1 and a G' = b G, a(0) = 1, as
+    Fractions: the t^m coefficient (m+1) g_(m+1) + sum_(k>=1) a_k (m+1-k) g_(m+1-k) =
+    sum_k b_k g_(m-k), every index summed.  The oracle for ``ode``, which works on EGF
+    numerators with binomials and stops at the degrees."""
+    a, b = TruncatedSeries(a).coeffs, TruncatedSeries(b).coeffs
+    g = [Fraction(1)]
+    for m in range(len(a) - 1):
+        rhs = sum(b[k] * g[m - k] for k in range(m + 1))
+        rhs -= sum(a[k] * (m + 1 - k) * g[m + 1 - k] for k in range(1, m + 1))
+        g.append(rhs / (m + 1))
+    return g
+
+
+def padded_derivative(s):
+    """s' at s's own order: the shifted numerators and a 0 where s_(N+1) would be,
+    an entry ``ode`` never reads."""
+    return TruncatedSeries([*s.egf_coeffs[1:], 0])
+
+
+@st.composite
+def polynomials(draw, constant):
+    """Series of order 0..12 that are polynomials of degree 0..order with the given
+    constant term, their other coefficients all ints or all Fractions."""
+    order = draw(st.integers(0, 12))
+    degree = draw(st.integers(0, order))
+    coeff = draw(st.sampled_from([st.integers(-9, 9), rationals]))
+    tail = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    return TruncatedSeries([constant, *tail] + [0] * (order - degree))
+
+
+class TestOde:
+    def test_matches_dense_oracle(self):
+        for order in range(13):
+            for a in operands(order):
+                if a[0] != 1:
+                    continue
+                for b in operands(order):
+                    got = TruncatedSeries(a).ode(TruncatedSeries(b))
+                    assert got.coeffs == tuple(dense_ode(a, b))
+
+    def test_geometric(self):
+        """(1 - t) G' = G gives 1 / (1 - t), whose numerators are n!."""
+        got = TruncatedSeries([1, -1, 0, 0, 0]).ode(TruncatedSeries.one(4))
+        assert got == TruncatedSeries([1, 1, 2, 6, 24])
+
+    def test_top_entries_are_never_read(self):
+        a, b = TruncatedSeries([1, 2, -1, 0]), TruncatedSeries([3, 0, 1, 0])
+        assert a.ode(b) == a.ode(TruncatedSeries([3, 0, 1, 99]))
+        assert a.ode(b) == TruncatedSeries([1, 2, -1, 99]).ode(b)
+
+    def test_order_zero(self):
+        assert TruncatedSeries([1]).ode(TruncatedSeries([5])) == TruncatedSeries.one(0)
+
+    def test_preconditions(self):
+        for constant in (0, 2, -1, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="constant term 1"):
+                TruncatedSeries([constant, 1, 0]).ode(TruncatedSeries([0, 1, 0]))
+        with pytest.raises(ValueError, match="order mismatch"):
+            TruncatedSeries([1, 1, 0]).ode(TruncatedSeries([0, 1]))
+
+    @given(polynomials(0))
+    def test_unit_a_and_derivative_b_give_exp(self, g):
+        assert TruncatedSeries.one(g.order).ode(padded_derivative(g)) == g.exp()
+
+    @given(polynomials(1))
+    def test_a_and_minus_its_derivative_give_inverse(self, f):
+        assert f.ode(padded_derivative(f).scale(-1)) == f.inverse()
+
+
 class TestPowInt:
     def test_zero_exponent(self):
         s = TruncatedSeries([2, 1, 1])
@@ -300,6 +370,7 @@ class TestIntegerNumerators:
             "pow_int": g.pow_int(5),
             "inverse": g.inverse(),
             "inverse of -g": g.scale(-1).inverse(),
+            "ode": g.ode(f),
         }
         for name, series in results.items():
             assert [type(a) for a in series._a] == [int] * (order + 1), name

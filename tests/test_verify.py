@@ -129,8 +129,10 @@ class TestPerPointEvaluation:
         distinct = {(n_max, p) for p, ns in requests.items() for n_max in ns}
         assert bell._bell_egf.cache_info().misses == len(distinct) == 972
         assert bell._gamma_free.cache_info().misses == 324
-        # one log(1 - x u) per (alpha, beta, x, S, order) under those 324
-        assert bell._xu_and_log.cache_info().currsize == 64
+        # one log(1 - x u) per transcendental (alpha, beta, x, S, order) under those 324:
+        # every alpha != 0 grid point has an integral beta/alpha and builds no log, so
+        # only the six alpha = 0 X's (beta in {1, 2, 4}, x in {1, 2}) at orders 4, 8, 9, 10
+        assert bell._xu_and_log.cache_info().currsize == 24
         assert [p for p, ns in requests.items() if len(set(ns)) > 1] == []
         scaled = {p: ns for p, ns in requests.items() if p.lam in (100, 1000)}
         assert len(scaled) == 96 and {n for ns in scaled.values() for n in ns} == {4}
