@@ -22,12 +22,15 @@ from ``_gamma_free`` (B and omega) or ``_product_factor`` (the product
 readings), each keyed on the order and the rescale S of ``_with_head``, so the
 gammas that share S share one build.  Where u is a polynomial (alpha != 0 and
 beta/alpha a nonnegative integer) ``_gamma_free`` reads its section factor off
-the first-order differential equation the factor satisfies, with no log or exp;
-at a transcendental X = x u every ``_gamma_free`` series, B's at any lam and r and
-omega's, reads X and log(1 - X) from one ``_xu_and_log`` entry.  The product
-readings build their own log and exps, so EQ40 checks the differential-equation
-route against the log and exp kernel.  The closed sums read every n off one
-Stirling ladder; the scalars ``bell_lambda1`` and ``omega`` read one row.
+the first-order differential equation the factor satisfies, with no log or exp,
+and builds that equation's right side from two ``binpow`` series in closed form,
+with no product; at a transcendental X = x u every ``_gamma_free`` series, B's at
+any lam and r and omega's, reads X and log(1 - X) from one ``_xu_and_log`` entry.
+X = x u itself is built in ints (``_xu``), with no ``Fraction`` multiply.  The
+product readings build their own log and exps, so EQ40 checks the
+differential-equation route against the log and exp kernel.  The closed sums
+read every n off one Stirling ladder; the scalars ``bell_lambda1`` and ``omega``
+read one row.
 """
 
 from __future__ import annotations
@@ -49,8 +52,12 @@ def _check_n_max(n_max: int) -> None:
 
 
 def _xu(alpha, beta, x, s: int, order: int) -> TruncatedSeries:
-    """x u read at t -> S t, numerators x (beta S|alpha S)_n = x (den x)^n (...)_n."""
-    return (binpow(alpha * s, beta * s, order) - TruncatedSeries.one(order)).scale(x)
+    """x u read at t -> S t, in ints: its numerators are x (beta S|alpha S)_n for n >= 1,
+    and each (beta S|alpha S)_n there has the factor beta S, which den x divides (S
+    carries den x), so each is (num x) (beta S|alpha S)_n exactly divided by den x."""
+    num, den = x.numerator, x.denominator
+    u = binpow(alpha * s, beta * s, order).egf_coeffs
+    return TruncatedSeries([0, *(num * v // den for v in u[1:])])
 
 
 def _with_head(params: ParamSet, n_max: int, rest, *args) -> list:
@@ -84,14 +91,24 @@ def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> T
     the head.  F = exp(-e X) / (1 - X)^c solves (1 - X) F' = X' (c - e + e X) F, and
     where u is a polynomial of degree d = beta/alpha (alpha != 0, d a nonnegative
     integer) F is read off that equation by ``TruncatedSeries.ode`` in O(N d) products,
-    with no log or exp.  At a transcendental X it is one exponential
-    exp(-c log(1 - X) - e X), X and log(1 - X) coming from ``_xu_and_log``, shared by
-    every (p, e, c).  Both routes are division-free, so ints stay ints."""
+    with no log or exp.  Its right side needs no product: read at t -> S t, with
+    V_j = (1 + alpha S t)^(j beta/alpha - 1) = ``binpow(alpha S, j beta S - alpha S)``,
+    X' = x beta S V_1 and X' X = x^2 beta S (V_2 - V_1), as V_1 (1 + u) = V_2.  Each
+    numerator of both is an int, den x dividing beta S and den x^2 dividing
+    beta S (V_2 - V_1)_n (V_2 - V_1 = V_1 u, and beta S divides every numerator of
+    u).  At a transcendental X, F is one exponential exp(-c log(1 - X) - e X), X and
+    log(1 - X) coming from ``_xu_and_log``, shared by every (p, e, c).  Both routes
+    keep ints as ints."""
     d = Fraction(beta) / alpha if alpha else -1  # u's degree, where it is a polynomial
     if d >= 0 and d.denominator == 1:
-        xu, one = _xu(alpha, beta, x, s, order), TruncatedSeries.one(order)
-        slope = TruncatedSeries([*xu.egf_coeffs[1:], 0])  # X'; ode never reads its top entry
-        factor = (one - xu).ode(slope * (xu.scale(e) - one.scale(e - c)))
+        xu, sa, sb = _xu(alpha, beta, x, s, order), narrow(alpha * s), narrow(beta * s)
+        v1 = binpow(sa, sb - sa, order).egf_coeffs
+        v2 = binpow(sa, 2 * sb - sa, order).egf_coeffs
+        num, den = x.numerator, x.denominator
+        # (c - e) X' = lin V_1 and e X' X = quad (V_2 - V_1) / den^2
+        lin, quad = (c - e) * num * (sb // den), e * num * num * sb
+        rhs = TruncatedSeries(lin * w1 + quad * (w2 - w1) // den**2 for w1, w2 in zip(v1, v2))
+        factor = TruncatedSeries([1, *(-v for v in xu.egf_coeffs[1:])]).ode(rhs)  # 1 - X
     else:
         xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
         factor = (log_one_minus.scale(-c) - xu.scale(e)).exp()

@@ -9,8 +9,9 @@ terms k and m-k of its recurrence as one pair under their common binomial
 C(m,k) = C(m,m-k), which halves its binomial products.  A product sums
 only up to the degree d (the last nonzero numerator) of its lower-degree
 operand, and log only up to the degree of its argument, so with a degree-d
-polynomial, the unit series included, each costs O(N d) coefficient products
-rather than O(N^2).  ``ode`` solves a G' = b G, G(0) = 1, for a with constant
+polynomial each costs O(N d) coefficient products rather than O(N^2); a
+constant operand, the unit series included, makes the product one scaling
+pass of N + 1 products.  ``ode`` solves a G' = b G, G(0) = 1, for a with constant
 term 1 by the EGF form of the same recurrence, its sums stopping at the
 degrees of a and b: with polynomial a and b of degree at most d it costs
 O(N d) products, where exp costs O(N^2).  Only inverse divides (by its
@@ -25,6 +26,7 @@ and ``coeffs`` gives the ordinary coefficients c_n as ``Fraction``s.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial
 from operator import add, mul, sub
 from typing import Iterable
@@ -45,6 +47,12 @@ def _degree(nums) -> int:
     return d
 
 
+def _check_order(order: int) -> None:
+    """A series of order N holds N + 1 numerators, so N must be nonnegative."""
+    if order < 0:
+        raise ValueError(f"a series order must be nonnegative, got {order}")
+
+
 def _dot3(xs, ys, zs):
     """sum_i xs[i] ys[i] zs[i] over the shortest of the three."""
     return sum(map(mul, map(mul, xs, ys), zs))
@@ -63,6 +71,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
+        _check_order(order)
         return cls([1] + [0] * order)
 
     # -- basic protocol -------------------------------------------------------
@@ -100,12 +109,16 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Binomial convolution.  The sum stops at the degree d (the last
-        nonzero numerator) of the lower-degree operand: O(N d) products."""
+        nonzero numerator) of the lower-degree operand: O(N d) products.  At
+        d = 0 that operand is a constant c, and the product is the scaling
+        c b_n in one pass, unnarrowed like the convolution's single term."""
         self._same_order(other)
         a, b = self._a, other._a
         da, db = _degree(a), _degree(b)
         if da > db:
             a, b, da = b, a, db
+        if da == 0:
+            return TruncatedSeries(map(mul, repeat(a[0]), b))
         a = a[: da + 1]
         width = len(a)
         out, row = [], [1]
@@ -221,6 +234,7 @@ def binpow(alpha, c, order: int) -> TruncatedSeries:
     Its EGF numerators are (c|alpha)_n = c (c - alpha) ... (c - (n-1) alpha),
     one running product for every alpha, the degenerate alpha = 0 included.
     """
+    _check_order(order)
     alpha, c = narrow(alpha), narrow(c)
     nums = [1]
     for n in range(order):

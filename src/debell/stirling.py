@@ -119,10 +119,13 @@ def stirling_rec(n: int, k: int, alpha, beta, gamma) -> Fraction:
 
 def stirling_egf(n: int, k: int, alpha, beta, gamma) -> Fraction:
     """Series-route value: n!/k! times the t^n coefficient of
-    (u/beta)^k (1+alpha t)^(gamma/alpha) with u = (1+alpha t)^(beta/alpha) - 1."""
+    (u/beta)^k (1+alpha t)^(gamma/alpha) with u = (1+alpha t)^(beta/alpha) - 1;
+    out-of-triangle indices give 0, as on the triangle route."""
     alpha, beta, gamma = as_rat(alpha), as_rat(beta), as_rat(gamma)
     if beta == 0:
         raise ValueError("the series route divides by beta^k; use stirling_rec at beta = 0")
+    if n < 0 or k < 0:
+        return _ZERO
     # Read the series at t -> S t, S = lcm of the weight denominators, so every
     # EGF numerator is an integer; built at order n, the series ends at the t^n
     # numerator, which carries S^n.

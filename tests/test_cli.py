@@ -526,6 +526,14 @@ PINNED_BYTES = {
         (0, "cb0bd8e30fdd74a020154e4e3977803acdbb6be63ba39eac40f131aff92313b6", ''),
     "table --max-n 6 --x 1/3 --lambda 2 --r 1":
         (0, "39566551244a68508ec438fedef4281ea4168b095b8c11f69f01464c38bb51df", ''),
+    # N = 200 at gamma != 0, so the head multiplies a large-order factor: a dense head
+    # at polynomial u, a dense head at alpha = 0, and a polynomial head
+    "table --max-n 200 --alpha 1/3 --gamma 1/2 --x 3/2 --lambda 3 --r 1":
+        (0, "b41109ece7d8f7576fab490c0b9f19e50b9d88e6fe8b3db8acfba0f6ee938f85", ''),
+    "table --max-n 200 --gamma 2 --lambda 2 --r 1":
+        (0, "5ea02368c4dccf36c1d5cc2b064d264e7d1c95e410a496da5756b41f1e23b161", ''),
+    "table --max-n 200 --alpha 1 --beta 2 --gamma 4 --x 2 --lambda 3 --r 2":
+        (0, "b978c6d266cc7a2241dbce9ba22beb169729b91b44739ab92c1c05867f49aa27", ''),
     "verify --claims T5,OMEGA-ID --max-n 2 --format json":
         (0, "53391a82248fb332422bd4c00d3d810da6311c515c7c8d76430b1c50c94a3251", ''),
     "verify --claims T5,OMEGA-ID --max-n 2 --format csv":

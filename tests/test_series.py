@@ -56,11 +56,14 @@ def dense_exp(g):
 
 
 def operands(order):
-    """Numerator lists at ``order``: the unit, the zero series (int and
-    Fraction zeros), monomials, polynomials of degree 1..3 with int and
-    Fraction coefficients (the latter with Fraction(0) tails), and dense series."""
+    """Numerator lists at ``order``: the unit, two other constants (an int, and a
+    Fraction with a Fraction(0) tail), the zero series (int and Fraction zeros),
+    monomials, polynomials of degree 1..3 with int and Fraction coefficients (the
+    latter with Fraction(0) tails), and dense series."""
     pad = [0] * order
     yield [1] + pad
+    yield [-3] + pad
+    yield [Fraction(2, 3)] + [Fraction(0)] * order
     yield [0] + pad
     yield [Fraction(0)] * (order + 1)
     for degree in range(order + 1):
@@ -124,6 +127,19 @@ class TestRingOps:
                 for b in cases:
                     got = TruncatedSeries(a) * TruncatedSeries(b)
                     assert_matches_oracle(got, dense_mul(a, b))
+
+    def test_constant_operand_scales_unnarrowed(self):
+        """A product of a nonzero b by a constant c is c b_n, value for value and type for
+        type, as the convolution's single term gives it: Fraction(2, 3) * 3 stays a Fraction."""
+        for order in range(6):
+            for c in ([1] + [0] * order, [-3] + [0] * order,
+                      [Fraction(2, 3)] + [Fraction(0)] * order):
+                for b in filter(any, operands(order)):  # a zero b is the lower-degree operand
+                    want = [c[0] * v for v in b]
+                    for got in (TruncatedSeries(c) * TruncatedSeries(b),
+                                TruncatedSeries(b) * TruncatedSeries(c)):
+                        assert got._a == tuple(want)
+                        assert list(map(type, got._a)) == list(map(type, want))
 
     def test_truncate_and_derivative(self):
         s = TruncatedSeries([1, 2, 3, 4])
@@ -302,6 +318,12 @@ class TestBinpow:
 
     def test_degenerate_limit(self):
         assert binpow(0, 1, 6).coeffs == tuple(Fraction(1, factorial(n)) for n in range(7))
+
+    def test_negative_order_rejected(self):
+        for build in (lambda: binpow(1, 1, -1), lambda: binpow(0, 2, -3),
+                      lambda: TruncatedSeries.one(-1)):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                build()
 
     @given(rationals, rationals, rationals)
     def test_exponent_additivity(self, alpha, c1, c2):

@@ -134,8 +134,8 @@ class TestWeightedSums:
 class TestRouteEquality:
     def test_rational_grid(self):
         for alpha, beta, gamma in RATIONAL_TRIPLES:
-            for n in range(13):
-                for k in range(n + 1):
+            for n in range(-1, 13):  # with the out-of-triangle indices, which give 0
+                for k in range(-1, n + 2):
                     assert stirling_egf(n, k, alpha, beta, gamma) == stirling_rec(
                         n, k, alpha, beta, gamma
                     ), (alpha, beta, gamma, n, k)
