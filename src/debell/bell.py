@@ -30,7 +30,7 @@ X = x u itself is built in ints (``_xu``), with no ``Fraction`` multiply.  The
 product readings build their own log and exps, so EQ40 checks the
 differential-equation route against the log and exp kernel.  The closed sums
 read every n off one Stirling ladder; the scalars ``bell_lambda1`` and ``omega``
-read one row.
+pass the same reader the range of their one row, one dot product each.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> T
         # (c - e) X' = lin V_1 and e X' X = quad (V_2 - V_1) / den^2
         lin, quad = (c - e) * num * (sb // den), e * num * num * sb
         rhs = TruncatedSeries(lin * w1 + quad * (w2 - w1) // den**2 for w1, w2 in zip(v1, v2))
-        factor = TruncatedSeries([1, *(-v for v in xu.egf_coeffs[1:])]).ode(rhs)  # 1 - X
+        factor = (TruncatedSeries.one(order) - xu).ode(rhs)
     else:
         xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
         factor = (log_one_minus.scale(-c) - xu.scale(e)).exp()
@@ -134,8 +134,8 @@ def bell_egf(n_max: int, params: ParamSet) -> list:
 def _lambda1(n_max: int, alpha, beta, gamma, x, r: int) -> tuple:
     """sum_k d_{k,r} (x beta)^k S(n,k) for n = 0..n_max, one ladder for every n;
     ints where integral, in a tuple its readers share."""
-    d = (r_derangement(k, r) for k in range(n_max + 1))
-    return tuple(stirling.table(alpha, beta, gamma).weighted_sums(n_max, x * beta, d))
+    d = (r_derangement(k, r, 1) for k in range(n_max + 1))
+    return tuple(stirling.table(alpha, beta, gamma).weighted_sums(range(n_max + 1), x * beta, d))
 
 
 def lambda1_sums(n_max: int, params: ParamSet) -> tuple:
@@ -150,8 +150,8 @@ def bell_lambda1(n: int, params: ParamSet) -> Fraction:
     if params.lam != 1:
         raise ValueError("the lambda-1 route requires lam == 1")
     a, b, g, x, _, r = params.key
-    d = (r_derangement(k, r) for k in range(n + 1))
-    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, d))
+    d = (r_derangement(k, r, 1) for k in range(n + 1))
+    return Fraction(stirling.table(a, b, g).weighted_sums(range(n, n + 1), x * b, d)[0])
 
 
 def bell_closed_lam(n_max: int, params: ParamSet) -> list:
@@ -160,7 +160,7 @@ def bell_closed_lam(n_max: int, params: ParamSet) -> list:
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
     weights = (r_derangement(k, r, lam) for k in range(n_max + 1))
-    return stirling.table(a, b, g).weighted_sums(n_max, x * b, weights)
+    return stirling.table(a, b, g).weighted_sums(range(n_max + 1), x * b, weights)
 
 
 def general_closed_sums(n_max: int, params: ParamSet) -> list:
@@ -169,8 +169,9 @@ def general_closed_sums(n_max: int, params: ParamSet) -> list:
     weight is 1; elsewhere their agreement is a recorded claim, not a postcondition."""
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
-    weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r) for k in range(n_max + 1))
-    return stirling.table(a, b, g).weighted_sums(n_max, x * b, weights)
+    weights = (binomial(k + r + lam - 1, k + r) * r_derangement(k, r, 1)
+               for k in range(n_max + 1))
+    return stirling.table(a, b, g).weighted_sums(range(n_max + 1), x * b, weights)
 
 
 def _binomial_convolution(a: list, b: list) -> list:
@@ -234,14 +235,16 @@ def bell_classic(n: int, params: ParamSet) -> int:
 def omega(n: int, params: ParamSet) -> Fraction:
     """Closed sum sum_k C(k+lam-1, k) x^k k! beta^k S(n,k)."""
     a, b, g, x, lam, _ = params.key
-    return Fraction(stirling.table(a, b, g).weighted_sum(n, x * b, _omega_weights(lam, n)))
+    weights = _omega_weights(lam, n)
+    return Fraction(stirling.table(a, b, g).weighted_sums(range(n, n + 1), x * b, weights)[0])
 
 
 def omega_sums(n_max: int, params: ParamSet) -> list:
     """``omega`` at n = 0..n_max, held as ints where integral."""
     _check_n_max(n_max)
     a, b, g, x, lam, _ = params.key
-    return stirling.table(a, b, g).weighted_sums(n_max, x * b, _omega_weights(lam, n_max))
+    weights = _omega_weights(lam, n_max)
+    return stirling.table(a, b, g).weighted_sums(range(n_max + 1), x * b, weights)
 
 
 def _omega_weights(lam: int, n: int) -> list:
@@ -262,7 +265,7 @@ def fixed_block_sums(n_max: int, params: ParamSet) -> list:
     sums of one ``weighted_sums`` call and one binomial convolution; ints where integral."""
     _check_n_max(n_max)
     a, b, _, x, lam, _ = params.key
-    inner = stirling.table(a, b, 0).weighted_sums(n_max, b * x * lam, [1] * (n_max + 1))
+    inner = stirling.table(a, b, 0).weighted_sums(range(n_max + 1), b * x * lam, [1] * (n_max + 1))
     return _binomial_convolution(bell_egf(n_max, params), inner)
 
 

@@ -18,19 +18,19 @@ from functools import lru_cache
 from math import perm
 
 from .exact import binomial
-from .series import TruncatedSeries, binpow
+from .series import binpow
 
 
 def r_derangement_egf(k: int, r: int) -> int:
     """k! times the t^k coefficient of t^r e^{-t} / (1-t)^{r+1}: with
-    g = e^{-t} / (1-t)^{r+1} read at order k - r, that is k!/(k-r)! g_(k-r)."""
+    g = e^{-t} / (1-t)^{r+1} read at order k - r, that is k!/(k-r)! g_(k-r).  The
+    polynomial (1-t)^{r+1} = ``binpow(-1, -(r+1))`` is inverted in O(N r) products."""
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     if r > k:
         return 0
     order = k - r
-    one_minus_t = TruncatedSeries([1, -1][: order + 1] + [0] * (order - 1))
-    g = one_minus_t.inverse().pow_int(r + 1) * binpow(0, -1, order)
+    g = binpow(-1, -(r + 1), order).inverse() * binpow(0, -1, order)
     value = perm(k, r) * g.egf_coeff(order)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"d_({k},{r}) not a nonnegative integer: {value}")
@@ -56,5 +56,5 @@ def r_derangement_rec(k: int, r: int, s: int) -> int:
         raise ValueError("k must be nonnegative")
     if not 1 <= s <= r:
         raise ValueError(f"pivot s={s} outside 1..{r}")
-    return sum(binomial(j - 1, s - 1) * perm(k, j) * r_derangement(k - j, r - s)
+    return sum(binomial(j - 1, s - 1) * perm(k, j) * r_derangement(k - j, r - s, 1)
                for j in range(s, k + 1))

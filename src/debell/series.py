@@ -3,8 +3,8 @@
 A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N, and the
 constructor takes these numerators a_0..a_N.  Every operation truncates at
 that order, and binary operations require equal orders.  A product is the
-binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp, log and inverse
-use the EGF forms of the O(N^2) differential recurrences, and exp sums the
+binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp and log use the
+EGF forms of the O(N^2) differential recurrences, and exp sums the
 terms k and m-k of its recurrence as one pair under their common binomial
 C(m,k) = C(m,m-k), which halves its binomial products.  A product sums
 only up to the degree d (the last nonzero numerator) of its lower-degree
@@ -14,10 +14,11 @@ constant operand, the unit series included, makes the product one scaling
 pass of N + 1 products.  ``ode`` solves a G' = b G, G(0) = 1, for a with constant
 term 1 by the EGF form of the same recurrence, its sums stopping at the
 degrees of a and b: with polynomial a and b of degree at most d it costs
-O(N d) products, where exp costs O(N^2).  Only inverse divides (by its
-constant term), so integer numerators stay ``int`` and no gcd is paid; other
-entries are ``Fraction``s.  There is deliberately no asymptotically fast
-multiplication.
+O(N d) products, where exp costs O(N^2).  ``inverse`` is a reader of ``ode``
+(1/f solves f h' = -f' h), O(N^2) only for a dense f, and divides only in
+scaling f to constant term 1 and back, so integer numerators at constant term
++-1 stay ``int`` and no gcd is paid; other entries are ``Fraction``s.  There
+is deliberately no asymptotically fast multiplication.
 Reading a series at t -> S t multiplies a_n by S^n; the family routes in
 ``bell`` use this to make rational weights integral.  ``egf_coeff(n)``
 reads a_n back (an ``int`` where integral), ``egf_coeffs`` every a_n at once,
@@ -132,17 +133,15 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         """Reciprocal series; requires a nonzero constant term.
-        h = 1/f: h_m = -(1/f_0) sum_{k=1}^m C(m,k) f_k h_{m-k}."""
-        f = self._a
-        if f[0] == 0:
+        h = 1/f solves f h' = -f' h, so with u = f/f_0 (constant term 1) it is u.ode(-u')
+        scaled by 1/f_0, u' being u's numerators shifted down one index.  Those two
+        scalings are its only division; O(N d) products for f of degree d, O(N^2) dense."""
+        if self._a[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        minus_inv0 = narrow(-1 / as_rat(f[0]))
-        tail = f[1:]
-        out, row = [-minus_inv0], [1]
-        for _ in tail:
-            row = _next_row(row)
-            out.append(minus_inv0 * _dot3(row[1:], tail, out[::-1]))
-        return TruncatedSeries(out)
+        inv0 = 1 / as_rat(self._a[0])
+        u = self.scale(inv0)
+        minus_slope = TruncatedSeries([*(-a for a in u._a[1:]), 0])  # -u', padded to u's order
+        return u.ode(minus_slope).scale(inv0)
 
     def exp(self) -> "TruncatedSeries":
         """Formal exponential; requires constant term 0.

@@ -23,8 +23,8 @@ S gamma) yields T(n, k) = S^(n-k) S(n, k); row n of the table holds those
 scaled values, which are S(n, k) itself when S = 1.
 
 The closed sums sum_k w_k c^k S(n, k) read the scaled rows against the ladder
-w_k (c S)^k: ``weighted_sum`` for one n, ``weighted_sums`` for every n up to
-n_max, which builds the ladder once and reads each row as one dot product.
+w_k (c S)^k in ``weighted_sums``, which builds the ladder once, to the last row of
+its range of rows, and reads each row as one dot product; a scalar is one row.
 """
 
 from __future__ import annotations
@@ -62,33 +62,30 @@ class StirlingTable:
             return _ZERO
         return Fraction(self.row(n)[k], self.scale ** (n - k))
 
-    def weighted_sum(self, n: int, c, weights) -> int | Fraction:
-        """sum_k weights[k] c^k S(n, k), read off the scaled row as
-        S^-n sum_k weights[k] (c S)^k T(n, k); an int where integral.
-        ``weights`` yields the k-th weight at k = 0, 1, ..."""
-        return self._read(n, *self._ladder(n, c, weights))
-
-    def weighted_sums(self, n_max: int, c, weights) -> list:
-        """``weighted_sum`` at n = 0..n_max, the ladder built once for all n."""
-        ladder, denominator = self._ladder(n_max, c, weights)
-        return [self._read(n, ladder, denominator) for n in range(n_max + 1)]
+    def weighted_sums(self, rows: range, c, weights) -> list:
+        """sum_k weights[k] c^k S(n, k) at each n of the ascending ``rows`` (range(n_max + 1)
+        for a vector, range(n, n + 1) for a scalar), read off the scaled row as S^-n sum_k
+        weights[k] (c S)^k T(n, k) against one ladder built to the last row; ints where
+        integral.  ``weights`` yields the k-th weight at k = 0, 1, ..."""
+        if not rows or rows[0] < 0 or rows.step < 0:
+            raise ValueError(f"rows must be a nonempty ascending range of rows >= 0, got {rows}")
+        ladder, denominator = self._ladder(rows[-1], c, weights)
+        sums = []
+        for n in rows:
+            total = sum(map(mul, ladder, self.row(n)))
+            scaled = denominator * self.scale**n
+            sums.append(narrow(total if scaled == 1 else Fraction(total, scaled)))
+        return sums
 
     def _ladder(self, n_max: int, c, weights) -> tuple:
         """q^n_max weights[k] (c S)^k = weights[k] p^k q^(n_max-k) for k = 0..n_max with
         c S = p/q, so ints (for int weights) whatever c is, and q^n_max to divide by."""
-        self.row(n_max)  # rejects a negative n_max before the ladder is built; grows the table once
         p, q = (c * self.scale).as_integer_ratio()
         ladder, power = [], 1
         for k, w in zip(range(n_max + 1), weights):
             ladder.append(w * power * q ** (n_max - k))
             power *= p
         return ladder, q**n_max
-
-    def _read(self, n: int, ladder: list, denominator: int) -> int | Fraction:
-        """S^-n sum_k ladder[k] T(n, k) / denominator, narrowed."""
-        total = sum(map(mul, ladder, self.row(n)))
-        denominator *= self.scale**n
-        return narrow(total if denominator == 1 else Fraction(total, denominator))
 
     def _grow(self):
         n = len(self._rows) - 1

@@ -1,10 +1,11 @@
-"""Every brute-force enumerator at its full default cap against its formula route.
+"""Every brute-force enumerator at its full default cap against its formula route,
+and every closed route against the series route on the n = 5 and 6 grids.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-It checks 495 points: every counter against its formula route (set
+It makes 133,587 checks.  The first 495 check every counter against its formula route (set
 partitions for n <= 10; r-Stirling for n+r <= 10 with r <= 3; ordered and
 barred arrangements, lam 1..3, for n <= 9; r-derangements for k+r <= 9 with
 r <= 3; deranged partitions for n+r <= 8 with r <= 3), then every family's
@@ -14,7 +15,10 @@ lam 1..3; r-derangements for k+r <= 8 with r <= 3; deranged partitions for
 n+r <= 6 with r <= 2), then the cycle-insertion derangement counter against
 the permutation filter at 9 elements with r <= 3, then the block walker's
 count at each block count against the growth-string tally at 10 elements
-with r <= 3.  It prints every mismatch
+with r <= 3.  Last come the checks of ``tests/test_polynomial_identity.py`` at
+n = 5 and 6, on the axes of its first 6 and 7 values: 133,092 checks at 33,273
+points, which by that module's degree lemma prove every closed route equal to
+the series route for all parameters at those n.  It prints every mismatch
 and exits 1 if there is any.  pytest does not collect this file: the full
 sweep is too slow for tier-1.
 """
@@ -26,6 +30,7 @@ import time
 
 from debell import bell, derangements, enumeration, stirling
 from debell.exact import ParamSet
+from test_polynomial_identity import identity_checks
 
 
 def sweep():
@@ -79,6 +84,9 @@ def sweep():
         yield (f"_partitions_raw(10, k, {r}) per k",
                [sum(1 for _ in enumeration._partitions_raw(10, k, r)) for k in range(11)],
                [tally.get(k, 0) for k in range(11)])
+    for n in (5, 6):  # the closed routes against the series route past tier-1's n <= 4
+        for route, p, value, series_value in identity_checks(n):
+            yield f"{route}({n}) at {p}", value, series_value
 
 
 def listed(family: str, *point):

@@ -673,6 +673,14 @@ class TestRouteIndependence:
         assert (after.misses, after.currsize) == (before.misses, before.currsize) == (11, 11)
         assert after.hits - before.hits == 11
 
+    def test_every_closed_sum_keys_one_weight_per_value(self):
+        # d_{k,r} and d_1(k, r) are one number under one memo key, whichever route asks
+        p = self.POINTS[0].replace(lam=1)
+        r_derangement.cache_clear()
+        for route in (lambda1_sums, bell_closed_lam, bell_lambda1, general_closed_sums):
+            route(10, p)
+        assert r_derangement.cache_info().currsize == 11
+
     # every claim the default evaluator runs, read off the registry: the memoized
     # builders its two sides reach share nothing, so neither side is the other
     VS_CLAIMS = sorted(cid for cid, claim in claim_registry().items()

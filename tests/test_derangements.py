@@ -48,8 +48,8 @@ class TestSeriesRoute:
 
     def test_index_shift_matches_canonical_table(self):
         # t^r is read by shifting the index, k = r (order 0) and k < r included
-        for r in range(5):
-            for k in range(12):
+        for r in range(6):
+            for k in range(40):
                 value = r_derangement_egf(k, r)
                 assert type(value) is int and value == r_derangement(k, r), (k, r)
 

@@ -39,9 +39,9 @@ class TestTriangle:
         with pytest.raises(ValueError):
             tab.row(-1)
         with pytest.raises(ValueError):
-            tab.weighted_sum(-2, 1, [1, 1, 1])
+            tab.weighted_sums(range(-2, -1), 1, [1, 1, 1])
         with pytest.raises(ValueError):
-            tab.weighted_sums(-1, 1, [1])
+            tab.weighted_sums(range(0), 1, [1])
 
     def test_unrolled_example(self):
         # S(2, 0; 1, beta, 3) = (3|1)_2, whatever beta is
@@ -100,8 +100,8 @@ class TestScaledTriangle:
 
 class TestWeightedSums:
     """``weighted_sums`` builds the ladder w_k (c S)^k once for n = 0..20, in
-    ints even where c S is not integral; each entry equals the scalar
-    ``weighted_sum`` and the sum taken in Fraction."""
+    ints even where c S is not integral; each entry equals the one-row read
+    range(n, n + 1) and the sum taken in Fraction."""
 
     WEIGHTS = [3, 0, -1, 2, 5, 0, 7, -4, 1, 2, 6, -2, 0, 1, 9, -5, 3, 4, 0, 8, -1]  # n <= 20
 
@@ -118,8 +118,8 @@ class TestWeightedSums:
     def test_every_n_matches_the_scalar_sum(self, triple, c):
         tab, w = StirlingTable(*triple), self.WEIGHTS
         n_max = len(w) - 1
-        sums = tab.weighted_sums(n_max, c, w)
-        assert sums == [tab.weighted_sum(n, c, w) for n in range(n_max + 1)]
+        sums = tab.weighted_sums(range(n_max + 1), c, w)
+        assert sums == [tab.weighted_sums(range(n, n + 1), c, w)[0] for n in range(n_max + 1)]
         assert sums == [sum(w[k] * Fraction(c) ** k * tab.value(n, k) for k in range(n + 1))
                         for n in range(n_max + 1)]
         assert [type(v) for v in sums] == [
@@ -128,7 +128,14 @@ class TestWeightedSums:
         # the ladder is ints at a rational c S too, so each dot product runs in ints
         assert all(type(v) is int for v in tab._ladder(n_max, c, w)[0])
         # an unbounded weight iterator is read only to k = n_max
-        assert tab.weighted_sums(4, c, count(1)) == tab.weighted_sums(4, c, [1, 2, 3, 4, 5])
+        assert (tab.weighted_sums(range(5), c, count(1))
+                == tab.weighted_sums(range(5), c, [1, 2, 3, 4, 5]))
+        # a range that does not start at row 0 reads the same rows against its own ladder
+        assert tab.weighted_sums(range(3, 9), c, w) == sums[3:9]
+        # no row, or rows read downward past a ladder built to the last one, is refused
+        for rows in (range(4, 4), range(8, 2, -1)):
+            with pytest.raises(ValueError):
+                tab.weighted_sums(rows, c, w)
 
 
 class TestRouteEquality:
