@@ -26,11 +26,15 @@ the first-order differential equation the factor satisfies, with no log or exp,
 and builds that equation's right side from two ``binpow`` series in closed form,
 with no product; at a transcendental X = x u every ``_gamma_free`` series, B's at
 any lam and r and omega's, reads X and log(1 - X) from one ``_xu_and_log`` entry.
-X = x u itself is built in ints (``_xu``), with no ``Fraction`` multiply.  The
-product readings build their own log and exps, so EQ40 checks the
-differential-equation route against the log and exp kernel.  The closed sums
-read every n off one Stirling ladder; the scalars ``bell_lambda1`` and ``omega``
-pass the same reader the range of their one row, one dot product each.
+At alpha = 0, where X = x (e^(beta t) - 1), ``_gamma_free`` takes X^p times the
+factor as p shift passes (``TruncatedSeries.times_exp``) instead of a power and a
+product; elsewhere X^p is ``pow_int``.  X = x u itself is built in ints
+(``_xu``), with no ``Fraction`` multiply.  The product readings build their own
+log, exps and ``pow_int``, so EQ40 checks the differential-equation route against
+the log and exp kernel, and at alpha = 0 the shift passes against the product
+kernel.  The closed sums read every n off one Stirling ladder; the scalars
+``bell_lambda1`` and ``omega`` pass the same reader the range of their one row,
+one dot product each.
 """
 
 from __future__ import annotations
@@ -97,8 +101,12 @@ def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> T
     numerator of both is an int, den x dividing beta S and den x^2 dividing
     beta S (V_2 - V_1)_n (V_2 - V_1 = V_1 u, and beta S divides every numerator of
     u).  At a transcendental X, F is one exponential exp(-c log(1 - X) - e X), X and
-    log(1 - X) coming from ``_xu_and_log``, shared by every (p, e, c).  Both routes
-    keep ints as ints."""
+    log(1 - X) coming from ``_xu_and_log``, shared by every (p, e, c).  X^p is
+    ``pow_int`` times F, except at alpha = 0: there X = x (exp(beta S t) - 1) read at
+    t -> S t, beta S an int, and X^p F is p shift passes F <- F exp(beta S t) - F
+    (``times_exp``, no binomial) and one scaling of each numerator by (num x)^p exactly
+    divided by (den x)^p, as (beta S)^p divides every numerator of
+    (exp(beta S t) - 1)^p F and den x divides beta S.  Every route keeps ints as ints."""
     d = Fraction(beta) / alpha if alpha else -1  # u's degree, where it is a polynomial
     if d >= 0 and d.denominator == 1:
         xu, sa, sb = _xu(alpha, beta, x, s, order), narrow(alpha * s), narrow(beta * s)
@@ -112,7 +120,13 @@ def _gamma_free(alpha, beta, x, s: int, order: int, p: int, e: int, c: int) -> T
     else:
         xu, log_one_minus = _xu_and_log(alpha, beta, x, s, order)
         factor = (log_one_minus.scale(-c) - xu.scale(e)).exp()
-    return xu.pow_int(p) * factor
+    if alpha:
+        return xu.pow_int(p) * factor
+    sb = narrow(beta * s)
+    for _ in range(p):  # factor <- (exp(beta S t) - 1) factor
+        factor = factor.times_exp(sb) - factor
+    num, den = x.numerator**p, x.denominator**p
+    return TruncatedSeries(num * v // den for v in factor.egf_coeffs)
 
 
 @lru_cache(maxsize=None)

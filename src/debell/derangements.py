@@ -24,13 +24,14 @@ from .series import binpow
 def r_derangement_egf(k: int, r: int) -> int:
     """k! times the t^k coefficient of t^r e^{-t} / (1-t)^{r+1}: with
     g = e^{-t} / (1-t)^{r+1} read at order k - r, that is k!/(k-r)! g_(k-r).  The
-    polynomial (1-t)^{r+1} = ``binpow(-1, -(r+1))`` is inverted in O(N r) products."""
+    polynomial (1-t)^{r+1} = ``binpow(-1, -(r+1))`` is inverted in O(N r) products,
+    and the factor e^{-t} taken by ``times_exp(-1)``'s shift passes."""
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     if r > k:
         return 0
     order = k - r
-    g = binpow(-1, -(r + 1), order).inverse() * binpow(0, -1, order)
+    g = binpow(-1, -(r + 1), order).inverse().times_exp(-1)
     value = perm(k, r) * g.egf_coeff(order)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"d_({k},{r}) not a nonnegative integer: {value}")

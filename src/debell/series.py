@@ -4,21 +4,24 @@ A series sum_n c_n t^n of order N is held as a_n = n! c_n, n = 0..N, and the
 constructor takes these numerators a_0..a_N.  Every operation truncates at
 that order, and binary operations require equal orders.  A product is the
 binomial convolution (fg)_n = sum_k C(n,k) f_k g_{n-k}; exp and log use the
-EGF forms of the O(N^2) differential recurrences, and exp sums the
-terms k and m-k of its recurrence as one pair under their common binomial
-C(m,k) = C(m,m-k), which halves its binomial products.  A product sums
-only up to the degree d (the last nonzero numerator) of its lower-degree
-operand, and log only up to the degree of its argument, so with a degree-d
-polynomial each costs O(N d) coefficient products rather than O(N^2); a
-constant operand, the unit series included, makes the product one scaling
-pass of N + 1 products.  ``ode`` solves a G' = b G, G(0) = 1, for a with constant
-term 1 by the EGF form of the same recurrence, its sums stopping at the
-degrees of a and b: with polynomial a and b of degree at most d it costs
-O(N d) products, where exp costs O(N^2).  ``inverse`` is a reader of ``ode``
-(1/f solves f h' = -f' h), O(N^2) only for a dense f, and divides only in
-scaling f to constant term 1 and back, so integer numerators at constant term
-+-1 stay ``int`` and no gcd is paid; other entries are ``Fraction``s.  There
-is deliberately no asymptotically fast multiplication.
+EGF forms of the O(N^2) differential recurrences, and exp sums the terms k and
+m-k of its recurrence as one pair under their common binomial C(m,k) =
+C(m,m-k), which halves its binomial products and lets it grow only the half
+Pascal row C(m, 0..m/2) it reads.  A product sums only up to the degree d (the
+last nonzero numerator) of its lower-degree operand, and log only up to the
+degree of its argument, so with a degree-d polynomial each costs O(N d)
+coefficient products rather than O(N^2); a product of polynomials stops at the
+sum of their degrees, and a constant operand, the unit series included, makes
+the product one scaling pass of N + 1 products.  ``times_exp(c)`` multiplies
+by exp(c t), c an int, with no binomial: h_n = ((E + c)^n f)_0, E the index
+shift, is N passes of additions and products by c.  ``ode`` solves a G' = b G,
+G(0) = 1, for a with constant term 1 by the EGF form of the same recurrence,
+its sums stopping at the degrees of a and b: with polynomial a and b of degree
+at most d it costs O(N d) products, where exp costs O(N^2).  ``inverse`` is a
+reader of ``ode`` (1/f solves f h' = -f' h), O(N^2) only for a dense f, and
+divides only in scaling f to constant term 1 and back, so integer numerators
+at constant term +-1 stay ``int`` and no gcd is paid; other entries are
+``Fraction``s.  There is deliberately no asymptotically fast multiplication.
 Reading a series at t -> S t multiplies a_n by S^n; the family routes in
 ``bell`` use this to make rational weights integral.  ``egf_coeff(n)``
 reads a_n back (an ``int`` where integral), ``egf_coeffs`` every a_n at once,
@@ -110,12 +113,15 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Binomial convolution.  The sum stops at the degree d (the last
-        nonzero numerator) of the lower-degree operand: O(N d) products.  At
-        d = 0 that operand is a constant c, and the product is the scaling
-        c b_n in one pass, unnarrowed like the convolution's single term."""
+        nonzero numerator) of the lower-degree operand: O(N d) products, and
+        it runs only up to index deg a + deg b (0 for a zero operand), past
+        which every numerator is an ``int`` 0.  At d = 0 that operand is a
+        constant c, and the product is the scaling c b_n in one pass,
+        unnarrowed like the convolution's single term."""
         self._same_order(other)
         a, b = self._a, other._a
         da, db = _degree(a), _degree(b)
+        top = min(self.order, da + db) if min(da, db) >= 0 else 0  # the last index summed
         if da > db:
             a, b, da = b, a, db
         if da == 0:
@@ -123,10 +129,23 @@ class TruncatedSeries:
         a = a[: da + 1]
         width = len(a)
         out, row = [], [1]
-        for n in range(len(b)):
+        for n in range(top + 1):
             window = b[n::-1] if n < width else b[n : n - width : -1]  # b_n down to b_(n-d)
             out.append(_dot3(row, a, window))
             row = _next_row(row)[:width]
+        return TruncatedSeries(out + [0] * (self.order - top))
+
+    def times_exp(self, c: int) -> "TruncatedSeries":
+        """This series times exp(c t), c an int.  Its numerators are
+        h_n = ((E + c)^n f)_0, E the index shift, so each h_n is one pass
+        v_i <- v_(i+1) + c v_i over the numerators: additions and products by c
+        (none at c = +-1), no binomial, and ints stay ints."""
+        step = {1: add, -1: sub}.get(c)  # v_(i+1) +- v_i
+        v = list(self._a)
+        out = [v[0]]
+        for _ in range(self.order):
+            v = list(map(step, v[1:], v) if step else map(add, v[1:], map(mul, repeat(c), v)))
+            out.append(v[0])
         return TruncatedSeries(out)
 
     # -- multiplicative transcendentals ---------------------------------------
@@ -152,7 +171,7 @@ class TruncatedSeries:
         if g[0] != 0:
             raise ValueError("exp requires constant term 0")
         tail = g[1:]
-        out, row = [1], [1]
+        out, row = [1], [1]  # row: the half row C(m, 0..m//2)
         for m in range(len(tail)):
             half = (m + 1) // 2  # the pairs k = 0..half-1; map stops at row[:half]
             pairs = map(add, map(mul, tail, reversed(out)), map(mul, tail[m::-1], out))
@@ -160,7 +179,7 @@ class TruncatedSeries:
             if not m & 1:
                 total += row[half] * tail[half] * out[half]
             out.append(total)
-            row = _next_row(row)
+            row = [1, *map(add, row, row[1:])] + ([2 * row[-1]] if m & 1 else [])
         return TruncatedSeries(out)
 
     def log(self) -> "TruncatedSeries":

@@ -877,13 +877,20 @@ SECTION_EDGE_POINTS = [
     ParamSet.make(_F(-1, 2), _F(2, 3), _F(-2, 5), _F(-3, 2), 3, 2),
     *POLYNOMIAL_U_POINTS.values(),
     *TRANSCENDENTAL_U_POINTS.values(),
+    # alpha = 0, where X^p F is read by p shift passes
+    ParamSet.make(0, 2, 1, 0, 2, 1),  # x = 0
+    ParamSet.make(0, 0, 1, 2, 2, 1),  # beta = 0
+    ParamSet.make(0, _F(-3, 2), _F(1, 2), 1, 2, 1),  # beta < 0
+    ParamSet.make(0, _F(1, 2), 1, _F(-5, 3), 1, 2),  # x = -5/3
+    ParamSet.make(0, _F(2, 3), _F(1, 2), _F(3, 2), 3, 2),  # p = 6, gamma != 0
 ]
 
 
 class TestSectionFactor:
     """Where u is a polynomial the section factor is read off its differential
-    equation, elsewhere it is one exp of -c log(1 - xu) - e xu; the chained form
-    with two exps and a product is the oracle for both."""
+    equation, elsewhere it is one exp of -c log(1 - xu) - e xu, and at alpha = 0
+    X^p times it is p shift passes; the chained form with two exps, ``pow_int``
+    and products is the oracle for all three."""
 
     @pytest.mark.parametrize("p", SECTION_EDGE_POINTS)
     def test_matches_chained_factors(self, p):

@@ -534,6 +534,9 @@ PINNED_BYTES = {
         (0, "5ea02368c4dccf36c1d5cc2b064d264e7d1c95e410a496da5756b41f1e23b161", ''),
     "table --max-n 200 --alpha 1 --beta 2 --gamma 4 --x 2 --lambda 3 --r 2":
         (0, "b978c6d266cc7a2241dbce9ba22beb169729b91b44739ab92c1c05867f49aa27", ''),
+    # alpha = 0 with p = r lam = 6 and gamma != 0: X^p F by shift passes under a dense head
+    "table --max-n 120 --beta 2/3 --gamma 1/2 --x 3/2 --lambda 3 --r 2":
+        (0, "e750d0936f0616a0b35f91629b851089a2b128e08256da3578c2466bebf6de06", ''),
     "verify --claims T5,OMEGA-ID --max-n 2 --format json":
         (0, "53391a82248fb332422bd4c00d3d810da6311c515c7c8d76430b1c50c94a3251", ''),
     "verify --claims T5,OMEGA-ID --max-n 2 --format csv":

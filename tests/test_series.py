@@ -55,6 +55,19 @@ def dense_exp(g):
     return out
 
 
+def degree(nums) -> int:
+    """Index of the last nonzero numerator, -1 for the zero series."""
+    return max((n for n, v in enumerate(nums) if v), default=-1)
+
+
+def dense_times_exp(a, c):
+    """EGF numerators of a exp(c t) as Fractions: the ordinary coefficients of a
+    times those of exp(c t), c^j / j!, summed term by term and scaled back by n!.
+    The oracle for ``times_exp``, which takes shift passes and no binomial."""
+    f, e = TruncatedSeries(a).coeffs, [Fraction(c) ** j / factorial(j) for j in range(len(a))]
+    return [factorial(n) * sum(f[k] * e[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
 def operands(order):
     """Numerator lists at ``order``: the unit, two other constants (an int, and a
     Fraction with a Fraction(0) tail), the zero series (int and Fraction zeros),
@@ -127,6 +140,18 @@ class TestRingOps:
                 for b in cases:
                     got = TruncatedSeries(a) * TruncatedSeries(b)
                     assert_matches_oracle(got, dense_mul(a, b))
+
+    def test_product_past_the_degree_sum_is_int_zero(self):
+        """The convolution stops at index deg a + deg b (0 at a zero operand): past it
+        every numerator is an int 0, whatever the operands' types."""
+        for order in range(13):
+            cases = [f for f in operands(order) if degree(f) != 0]
+            for a in cases:
+                for b in cases:
+                    got = TruncatedSeries(a) * TruncatedSeries(b)
+                    top = degree(a) + degree(b) if min(degree(a), degree(b)) >= 0 else 0
+                    assert got._a[top + 1 :] == (0,) * (order - top)
+                    assert {type(v) for v in got._a[top + 1 :]} <= {int}
 
     def test_constant_operand_scales_unnarrowed(self):
         """A product of a nonzero b by a constant c is c b_n, value for value and type for
@@ -207,9 +232,10 @@ class TestExpLog:
                     assert_matches_oracle(TruncatedSeries(f).log(), dense_log(f))
 
     def test_exp_matches_term_by_term_oracle(self):
-        """Orders 0..30 cover odd m and even m, whose middle term has no partner;
-        the numerators agree value for value and type for type."""
-        for order in range(31):
+        """Orders 0..40 cover odd m and even m, whose middle term has no partner and
+        whose half row of binomials C(m, 0..m/2) ends at it; the numerators agree
+        value for value and type for type."""
+        for order in range(41):
             ints = [0] + [(-1) ** n * (n * n + 1) for n in range(1, order + 1)]
             quotients = [Fraction(0)] + [Fraction(n - 7, n + 2) for n in range(1, order + 1)]
             for g in [ints, quotients, *(f for f in operands(order) if f[0] == 0)]:
@@ -293,7 +319,21 @@ class TestOde:
 
     @given(polynomials(1))
     def test_a_and_minus_its_derivative_give_inverse(self, f):
-        assert f.ode(padded_derivative(f).scale(-1)) == f.inverse()
+        """h = f.ode(-f') solves f h' = -f' h, so f h is the unit: checked by the
+        product kernel, not by ``inverse``, which is itself a reader of ``ode``."""
+        assert f * f.ode(padded_derivative(f).scale(-1)) == TruncatedSeries.one(f.order)
+
+
+class TestTimesExp:
+    def test_matches_dense_oracle(self):
+        """Orders 0..12, int and Fraction numerators, positive, zero and negative c."""
+        for order in range(13):
+            for a in operands(order):
+                for c in (-2, -1, 0, 1, 3):
+                    got = TruncatedSeries(a).times_exp(c)
+                    assert got == TruncatedSeries(dense_times_exp(a, c))
+                    if all(type(v) is int for v in a):
+                        assert {type(v) for v in got._a} == {int}
 
 
 class TestPowInt:
@@ -398,6 +438,8 @@ class TestIntegerNumerators:
             "inverse": g.inverse(),
             "inverse of -g": g.scale(-1).inverse(),
             "ode": g.ode(f),
+            "times_exp": f.times_exp(-2),
+            "times_exp at c = 1": g.times_exp(1),
         }
         for name, series in results.items():
             assert [type(a) for a in series._a] == [int] * (order + 1), name
