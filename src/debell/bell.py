@@ -41,7 +41,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
+from operator import mul
 
 from . import stirling
 from .derangements import r_derangement
@@ -74,9 +76,13 @@ def _with_head(params: ParamSet, n_max: int, rest, *args) -> list:
 
 
 def _unscale(ser: TruncatedSeries, s: int, n_max: int) -> list:
-    """a_n / S^n for n = 0..n_max, held as an int where integral (a_n itself at S = 1)."""
+    """a_n / S^n for n = 0..n_max, held as an int where integral (a_n itself at S = 1);
+    S^n is a running power."""
     nums = ser.egf_coeffs[: n_max + 1]
-    return nums if s == 1 else [narrow(Fraction(a, s**n)) for n, a in enumerate(nums)]
+    if s == 1:
+        return nums
+    powers = accumulate(repeat(s, n_max), mul, initial=1)
+    return [narrow(Fraction(a, q)) for a, q in zip(nums, powers)]
 
 
 @lru_cache(maxsize=None)

@@ -5,12 +5,15 @@ decimal or exponent form ("0.5", "1e3") is read exactly, as Fraction reads it.
 Plain output is the canonical rational string followed by a newline; json
 and csv outputs are byte-deterministic for identical invocations.  Usage
 errors exit with 2, computation errors with 1, a closed stdout with 141.
+
+Each command imports the modules its route runs inside its own body, so a
+one-shot process compiles and loads only those: the module itself needs only
+click and ``debell.exact``.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -19,8 +22,7 @@ from fractions import Fraction
 import click
 from click.core import ParameterSource
 
-from . import __version__, bell, enumeration, stirling
-from .derangements import r_derangement_egf, r_derangement_rec
+from . import __version__
 from .exact import ParamSet, as_rat, csv_lines, format_point, format_rat
 
 
@@ -96,6 +98,8 @@ def _emit(fmt: str, out: str | None, doc, header, rows) -> None:
     """Write ``doc`` as sorted, indented JSON for fmt "json", and the iterable ``rows``, read
     as written, as CSV after ``header`` for "csv" or as each row's last cell for "plain"."""
     if fmt == "json":
+        import json
+
         chunks = [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()]
     elif fmt == "csv":
         chunks = map(str.encode, csv_lines(header, rows))
@@ -137,6 +141,8 @@ def main():
 @_output_options
 def stirling_cmd(n, k, route, alpha, beta, gamma, fmt, out):
     """Generalized Stirling number S(n, k; alpha, beta, gamma)."""
+    from . import stirling
+
     compute = stirling.stirling_rec if route == "rec" else stirling.stirling_egf
     value = _run(compute, n, k, alpha, beta, gamma)
     params = ParamSet.make(alpha, beta, gamma)
@@ -154,6 +160,8 @@ def rderange_cmd(k, r, s, fmt, out):
         raise click.BadParameter("--s needs --r >= 1 (at --r 0 there is no pivot)", param_hint="--s")
     if s is not None and not 1 <= s <= r:
         raise click.BadParameter(f"{s} is outside the pivot range 1..r = 1..{r}", param_hint="--s")
+    from .derangements import r_derangement_egf, r_derangement_rec
+
     if s is None:
         value = _run(r_derangement_egf, k, r)
     else:
@@ -161,12 +169,13 @@ def rderange_cmd(k, r, s, fmt, out):
     _emit_scalar("rderange", ParamSet.make(lam=1, r=r), fmt, out, {"k": k, "r": r, "s": s}, value)
 
 
+# --route's choices, each read off the ``bell`` module once the command has imported it
 _BELL_ROUTES = {
-    "egf": lambda n, params: bell.bell_egf(n, params)[n],
-    "lambda1": bell.bell_lambda1,
-    "closed": lambda n, params: bell.bell_closed_lam(n, params)[n],
-    "convolution": bell.bell_convolution,
-    "classic": bell.bell_classic,
+    "egf": lambda bell, n, params: bell.bell_egf(n, params)[n],
+    "lambda1": lambda bell, n, params: bell.bell_lambda1(n, params),
+    "closed": lambda bell, n, params: bell.bell_closed_lam(n, params)[n],
+    "convolution": lambda bell, n, params: bell.bell_convolution(n, params),
+    "classic": lambda bell, n, params: bell.bell_classic(n, params),
 }
 
 
@@ -177,8 +186,10 @@ _BELL_ROUTES = {
 @_output_options
 def bell_cmd(n, route, alpha, beta, gamma, x, lam, r, fmt, out):
     """Higher-order r-deranged Bell number B[n]."""
+    from . import bell
+
     params = ParamSet.make(alpha, beta, gamma, x, lam, r)
-    value = _run(_BELL_ROUTES[route], n, params)
+    value = _run(_BELL_ROUTES[route], bell, n, params)
     _emit_scalar("bell", params, fmt, out, {"n": n, "route": route}, value)
 
 
@@ -191,12 +202,19 @@ def bell_cmd(n, route, alpha, beta, gamma, x, lam, r, fmt, out):
 def omega_cmd(n, alpha, beta, gamma, x, lam, fmt, out):
     """Barred-arrangement polynomial value omega[n]; it does not depend on r,
     so there is no --r."""
+    from . import bell
+
     params = ParamSet.make(alpha, beta, gamma, x, lam)
     _emit_scalar("omega", params, fmt, out, {"n": n}, _run(bell.omega, n, params))
 
 
+# enumeration.FAMILIES's keys, in order: --family's choices, declared without importing it
+FAMILY_NAMES = ("set-partitions", "r-stirling", "ordered", "barred", "r-derangements",
+                "r-deranged-partitions")
+
+
 @main.command("enumerate")
-@click.option("--family", type=click.Choice(list(enumeration.FAMILIES)), required=True)
+@click.option("--family", type=click.Choice(FAMILY_NAMES), required=True)
 @click.option("--n", type=click.IntRange(min=0), default=None)
 @click.option("--k", type=click.IntRange(min=0), default=None)
 @_r_option
@@ -205,6 +223,8 @@ def omega_cmd(n, alpha, beta, gamma, x, lam, fmt, out):
 @_output_options
 def enumerate_cmd(family, n, k, r, lam, list_items, fmt, out):
     """Brute-force counts (and listings) of the combinatorial families."""
+    from . import enumeration
+
     spec = enumeration.FAMILIES[family]
     given = {"n": n, "k": k, "r": r, "lam": lam}
     source = click.get_current_context().get_parameter_source
@@ -294,6 +314,8 @@ def verify_cmd(claims, fmt, out, max_n):
 @_out_option
 def table_cmd(max_n, alpha, beta, gamma, x, lam, r, out):
     """CSV table of B[n] for n = 0..max-n."""
+    from . import bell
+
     values = _run(bell.bell_egf, max_n, ParamSet.make(alpha, beta, gamma, x, lam, r))
     _emit("csv", out, None, ["n", "value"], ((n, format_rat(v)) for n, v in enumerate(values)))
 

@@ -570,6 +570,59 @@ class TestPinnedBytes:
                 assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, line
 
 
+# The top-level and per-command help, and the usage errors of the two --family and --route
+# choices, as the console script prints them at 80 columns: (exit code, sha256 of stdout,
+# stderr).  The choices are declared without importing the modules that implement them.
+HELP_BYTES = {
+    "--help":
+        (0, "33f0d9dbf42f2e174419dae75edf446df7c2d21ea3d2f2e57db2e43a795ce65a", ""),
+    "asymp --help":
+        (0, "a01db9ce2f3f82d6fde64ded803f5a33fdd0d30c9c60efeeae59928c75688cdb", ""),
+    "bell --help":
+        (0, "a12d48567d494e5274ace206e383ecc41947720b4563e42bfe2edff936dbee5a", ""),
+    "enumerate --help":
+        (0, "446b4a0e42b033472d51cf7235497778b2a80067ca776bcded600da6db7c6bae", ""),
+    "omega --help":
+        (0, "93f8292f9545c8c5573215bcbcbc2f1f5ca3b42b3dda996c85046a1899e46695", ""),
+    "rderange --help":
+        (0, "308528196e49b1f2fef8caca098524f8b860af82949ab5969792639d7bde3a4e", ""),
+    "stirling --help":
+        (0, "ffa4f3065052e4cff567b11ad3f56ff9fddf0e4a971d2728bbb2aaf1cd0ba1ca", ""),
+    "table --help":
+        (0, "ff5d73f6008a14cf7eeae3ffb55295450375621041c36ba76023fbcd48970716", ""),
+    "verify --help":
+        (0, "a4e289250a4f1ea50ce5436488766158a590fb6fd3460d9eb61f6fd999f33e51", ""),
+    "enumerate --family nope --n 1":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "Usage: debell enumerate [OPTIONS]\nTry 'debell enumerate --help' for help.\n\n"
+         "Error: Invalid value for '--family': 'nope' is not one of 'set-partitions', "
+         "'r-stirling', 'ordered', 'barred', 'r-derangements', 'r-deranged-partitions'.\n"),
+    "bell --n 1 --route nope":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "Usage: debell bell [OPTIONS]\nTry 'debell bell --help' for help.\n\n"
+         "Error: Invalid value for '--route': 'nope' is not one of 'egf', 'lambda1', "
+         "'closed', 'convolution', 'classic'.\n"),
+}
+
+
+class TestHelpBytes:
+    def test_every_command_has_a_help_pin(self):
+        assert {line for line in HELP_BYTES if line.endswith(" --help")} == {
+            f"{name} --help" for name in main.commands
+        }
+
+    @pytest.mark.parametrize("line", list(HELP_BYTES))
+    def test_exit_code_stdout_and_stderr(self, line):
+        result = CliRunner().invoke(main, line.split(), prog_name="debell", terminal_width=80)
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert (result.exit_code, digest, result.stderr) == HELP_BYTES[line]
+
+    def test_family_choices_are_the_enumeration_families(self):
+        from debell import cli, enumeration
+
+        assert cli.FAMILY_NAMES == tuple(enumeration.FAMILIES)
+
+
 def _reads(fn) -> set:
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     body = tree.body[0].body
