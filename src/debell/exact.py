@@ -122,18 +122,16 @@ class ParamSet:
     r: int
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "x"):
-            object.__setattr__(self, name, as_rat(getattr(self, name)))
+        alpha, beta, gamma, x = map(as_rat, (self.alpha, self.beta, self.gamma, self.x))
         if not isinstance(self.lam, int) or self.lam < 0:
             raise ValueError("lam must be a nonnegative integer")
         if not isinstance(self.r, int) or self.r < 0:
             raise ValueError("r must be a nonnegative integer")
-        key = tuple(narrow(getattr(self, name)) for name in ("alpha", "beta", "gamma", "x"))
-        key += (self.lam, self.r)
+        key = (narrow(alpha), narrow(beta), narrow(gamma), narrow(x), self.lam, self.r)
         pairs = tuple(zip(("alpha", "beta", "gamma", "x", "lam", "r"), map(format_rat, key)))
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_pairs", pairs)
+        # written past the frozen __setattr__ in one update, as its own __init__ writes past it
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma, x=x, key=key, _hash=hash(key),
+                             _pairs=pairs)
 
     def __eq__(self, other):
         return self.key == other.key if other.__class__ is self.__class__ else NotImplemented

@@ -12,7 +12,9 @@ last nonzero numerator) of its lower-degree operand, and log only up to the
 degree of its argument, so with a degree-d polynomial each costs O(N d)
 coefficient products rather than O(N^2); a product of polynomials stops at the
 sum of their degrees, and a constant operand, the unit series included, makes
-the product one scaling pass of N + 1 products.  ``times_exp(c)`` multiplies
+the product one scaling pass of N + 1 products.  Each product numerator is one
+inline dot product over the Pascal row C(n, 0..min(n, d)), which the loop steps
+itself, with no helper call per index.  ``times_exp(c)`` multiplies
 by exp(c t), c an int, with no binomial: h_n = ((E + c)^n f)_0, E the index
 shift, is N passes of additions and products by c.  ``ode`` solves a G' = b G,
 G(0) = 1, for a with constant term 1 by the EGF form of the same recurrence,
@@ -55,11 +57,6 @@ def _check_order(order: int) -> None:
     """A series of order N holds N + 1 numerators, so N must be nonnegative."""
     if order < 0:
         raise ValueError(f"a series order must be nonnegative, got {order}")
-
-
-def _dot3(xs, ys, zs):
-    """sum_i xs[i] ys[i] zs[i] over the shortest of the three."""
-    return sum(map(mul, map(mul, xs, ys), zs))
 
 
 class TruncatedSeries:
@@ -128,11 +125,12 @@ class TruncatedSeries:
             return TruncatedSeries(map(mul, repeat(a[0]), b))
         a = a[: da + 1]
         width = len(a)
-        out, row = [], [1]
+        out, row = [], [1]  # row: C(n, 0..min(n, d))
         for n in range(top + 1):
             window = b[n::-1] if n < width else b[n : n - width : -1]  # b_n down to b_(n-d)
-            out.append(_dot3(row, a, window))
-            row = _next_row(row)[:width]
+            out.append(sum(map(mul, map(mul, row, a), window)))
+            inner = map(add, row, row[1:])
+            row = [1, *inner, 1] if n < da else [1, *inner]
         return TruncatedSeries(out + [0] * (self.order - top))
 
     def times_exp(self, c: int) -> "TruncatedSeries":
@@ -193,7 +191,8 @@ class TruncatedSeries:
         tail = f[1 : d + 1]
         out, row = [0], [1]
         for m in range(len(f) - 1):
-            out.append(f[m + 1] - _dot3(row[1:], tail, out[m : max(m - d, 0) : -1]))
+            window = out[m : max(m - d, 0) : -1]  # g_m down to g_(m+1-d)
+            out.append(f[m + 1] - sum(map(mul, map(mul, row[1:], tail), window)))
             row = _next_row(row)[: d + 1]
         return TruncatedSeries(out)
 

@@ -84,7 +84,9 @@ class GridSpec:
     def top(self, bound: int | None = None) -> int:
         """The last n a claim writes: its own ``bound`` cut at ``max_n``, or,
         for a grid claim (no bound of its own), ``max_n`` itself, 8 without it."""
-        return min((n for n in (bound, self.max_n) if n is not None), default=8)
+        if self.max_n is not None and (bound is None or self.max_n < bound):
+            return self.max_n
+        return 8 if bound is None else bound
 
     def triples(self) -> Iterator[tuple]:
         """The weights (alpha, beta, gamma) with alpha | beta and alpha | gamma
@@ -105,17 +107,17 @@ def _points(params: ParamSet, top: int) -> tuple:
     """A row's point, the parameters then n, for n = 0..top: built once per (point, top),
     so every claim's rows at one point share one tuple per n, with no lookup per row."""
     pairs = params.as_pairs()
-    return tuple(pairs + (("n", str(n)),) for n in range(top + 1))
+    return tuple([pairs + (("n", str(n)),) for n in range(top + 1)])
 
 
-def _vs(claim: Claim, params: ParamSet, grid: GridSpec, lhs_r=False, rhs_r=False) -> list:
+def _vs(claim: Claim, params: ParamSet, grid: GridSpec, lhs_r=False, rhs_r=False) -> Iterator:
     """n = 0..top: the vector routes ``claim.lhs`` and ``claim.rhs``, read off ``bell`` when
     called (a patched route is the one that runs), a side flagged ``*_r`` read at n + r.  The
     lhs is built to top + r, the length every B reader asks for, so a point builds B once."""
     top, r = grid.top(), params.r
     rhs = getattr(bell, claim.rhs)(top + r if rhs_r else top, params)
     lhs = getattr(bell, claim.lhs)(top + r, params)
-    return list(zip(_points(params, top), lhs[r * lhs_r:], rhs[r * rhs_r:]))
+    return zip(_points(params, top), lhs[r * lhs_r:], rhs[r * rhs_r:])
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,14 @@ class Claim:
 def _rows(claim: Claim, params: ParamSet, grid: GridSpec) -> list:
     """The row writer: one point's rows of ``claim``, each judged EQUAL or UNEQUAL with the
     claim's note, an EQUAL row's rhs text its lhs text (``format_rat`` is canonical), or,
-    for a claim that ``needs_lam`` >= 1, SKIPPED rows n = 0..top at lam = 0."""
+    for a claim that ``needs_lam`` >= 1, SKIPPED rows n = 0..top at lam = 0.  Each row is
+    made by ``tuple.__new__``: the same ``ReportRow``, without its Python-level ``__new__``."""
+    new, cid, note = tuple.__new__, claim.id, claim.note
     if claim.needs_lam and params.lam < 1:
-        return [ReportRow(claim.id, point, "", "", SKIPPED, "needs lam >= 1")
+        return [new(ReportRow, (cid, point, "", "", SKIPPED, "needs lam >= 1"))
                 for point in _points(params, grid.top())]
-    return [ReportRow(claim.id, point, text, text, EQUAL, claim.note) if lhs == rhs
-            else ReportRow(claim.id, point, text, format_rat(rhs), UNEQUAL, claim.note)
+    return [new(ReportRow, (cid, point, text, text, EQUAL, note)) if lhs == rhs
+            else new(ReportRow, (cid, point, text, format_rat(rhs), UNEQUAL, note))
             for point, lhs, rhs in claim.values(claim, params, grid) for text in (format_rat(lhs),)]
 
 
@@ -288,19 +292,26 @@ def run_claims(ids=None, grid: GridSpec | None = None) -> VerificationReport:
 def _json_chunks(rows) -> Iterator[bytes]:
     """The JSON report in pieces: each row as json.dumps(..., sort_keys=True,
     indent=2) lays it out, led by the text that precedes it, then the closing
-    text (the whole text of an empty report).  A claim's, note's, status's and (key, value)
-    pair's text is formatted once, and each distinct point's is joined once from its pairs'."""
-    pair_text = cache(lambda pair:
-                      f"        [\n          {_js(pair[0])},\n          {_js(pair[1])}\n        ]")
-    point_json = cache(lambda point: "[\n" + ",\n".join(map(pair_text, point)) + "\n      ]"
-                       if point else "[]")
-    claim_text = cache(lambda claim: f'    {{\n      "claim": {_js(claim)},\n      "lhs": ')
-    note_text = cache(lambda note: f',\n      "note": {_js(note)},\n      "point": ')
-    status_text = cache(lambda status: f',\n      "status": {_js(status)}\n    }}')
+    text (the whole text of an empty report).  Each distinct claim's, note's, status's,
+    point's and (key, value) pair's text is formatted once, into a dict local to the call
+    (``d.get(k) or d.setdefault(k, text)``: texts are nonempty, so only a miss formats)."""
+    pairs, points, claims, notes, statuses = {}, {}, {}, {}, {}
+
+    def pair_text(pair):
+        return pairs.get(pair) or pairs.setdefault(
+            pair, f"        [\n          {_js(pair[0])},\n          {_js(pair[1])}\n        ]")
+
     lead = '{\n  "rows": [\n'
     for claim, point, lhs, rhs, status, note in rows:  # unpacked: faster than six attribute reads
-        yield (f"{lead}{claim_text(claim)}{_js(lhs)}{note_text(note)}"
-               f'{point_json(point)},\n      "rhs": {_js(rhs)}{status_text(status)}').encode()
+        c = claims.get(claim) or claims.setdefault(
+            claim, f'    {{\n      "claim": {_js(claim)},\n      "lhs": ')
+        n = notes.get(note) or notes.setdefault(
+            note, f',\n      "note": {_js(note)},\n      "point": ')
+        p = points.get(point) or points.setdefault(
+            point, "[\n" + ",\n".join(map(pair_text, point)) + "\n      ]" if point else "[]")
+        s = statuses.get(status) or statuses.setdefault(
+            status, f',\n      "status": {_js(status)}\n    }}')
+        yield f'{lead}{c}{_js(lhs)}{n}{p},\n      "rhs": {_js(rhs)}{s}'.encode()
         lead = ",\n"
     yield b"\n  ]\n}\n" if lead == ",\n" else b'{\n  "rows": []\n}\n'
 

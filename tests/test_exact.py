@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -186,6 +187,15 @@ class TestParamSet:
         assert not ParamSet.make(0, 1, 0, 0, 1, 0).combinatorial_regime  # x must be positive
         assert not ParamSet.make("1/2", 1, 0, 1, 1, 0).combinatorial_regime
         assert not ParamSet.make(0, 1, Fraction(-1), 1, 1, 0).combinatorial_regime
+
+    def test_fields_are_frozen(self):
+        """``__post_init__`` writes the converted fields past the frozen ``__setattr__``;
+        assigning one from outside still raises, so the key and hash stay the fields'."""
+        p = ParamSet.make(1, 2, 0, 1, 2, 1)
+        for name in ("alpha", "beta", "gamma", "x", "lam", "r", "key"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 3)
+        assert p.key == (1, 2, 0, 1, 2, 1) and type(p.alpha) is Fraction
 
     def test_replace_and_pairs(self):
         p = ParamSet.make(1, 2, 0, 1, 2, 1)

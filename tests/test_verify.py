@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from debell import asymptotics, bell
 from debell.exact import narrow
@@ -59,6 +61,40 @@ SMALL_GRID = GridSpec(
     rs=(0, 1),
     max_n=6,  # W4-explicit and W5-explicit start at n = 5 and 6
 )
+
+
+def dumped(report: VerificationReport) -> bytes:
+    """The report as ``json.dumps(payload, sort_keys=True, indent=2)`` writes it, plus a newline."""
+    payload = {
+        "rows": [
+            {"claim": row.claim, "point": [[k, v] for k, v in row.point],
+             "lhs": row.lhs, "rhs": row.rhs, "status": row.status, "note": row.note}
+            for row in report.rows
+        ]
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+# short texts JSON must escape (quotes, backslashes, control and non-ASCII characters),
+# drawn from few characters so one string recurs as a claim, a note, a status or a pair text
+TEXTS = st.one_of(st.text(st.sampled_from('a"\\\n\t\u00e9\u03bb\u2603'), max_size=3),
+                  st.sampled_from([EQUAL, UNEQUAL, SKIPPED]))
+
+
+@st.composite
+def reports(draw) -> VerificationReport:
+    """Rows whose claims, notes and points come from small pools, empty points among them,
+    with all three statuses; when drawn, the first point recurs under two claims and notes."""
+    claims, notes = (draw(st.lists(TEXTS, min_size=1, max_size=3)) for _ in range(2))
+    points = draw(st.lists(st.lists(st.tuples(TEXTS, TEXTS), max_size=3).map(tuple),
+                           min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(st.sampled_from(claims), st.sampled_from(points), TEXTS,
+                                   TEXTS, st.sampled_from([EQUAL, UNEQUAL, SKIPPED]),
+                                   st.sampled_from(notes)), max_size=8))
+    if draw(st.booleans()):
+        rows += [(claims[0], points[0], "1", "1", EQUAL, notes[0]),
+                 (claims[0] + "x", points[0], "1", "2", UNEQUAL, notes[0] + "y")]
+    return VerificationReport(tuple(ReportRow(*row) for row in draw(st.permutations(rows))))
 
 
 def _row_ns(report: VerificationReport) -> dict:
@@ -162,6 +198,12 @@ class TestDefaultGrid:
     def test_without_max_n_it_is_the_field_defaults(self):
         assert GridSpec.default() == GridSpec()
 
+    @pytest.mark.parametrize("max_n", [None, 0, 5, 20])
+    @pytest.mark.parametrize("bound", [None, 4, 12])
+    def test_top_is_the_least_bound_given(self, bound, max_n):
+        bounds = [n for n in (bound, max_n) if n is not None]
+        assert GridSpec(max_n=max_n).top(bound) == (min(bounds) if bounds else 8)
+
     @pytest.mark.parametrize(
         "max_n, w_max_n, asymp_n",
         [(0, 0, ()), (3, 3, (1, 2, 3)), (8, 8, (1, 2, 3, 4)), (20, 12, (1, 2, 3, 4))],
@@ -257,6 +299,9 @@ class TestOutcomes:
             assert (row.status == EQUAL) == (row.lhs == row.rhs), row
 
     def test_rows_are_immutable_and_hashable(self):
+        # made by tuple.__new__, every row is exactly the ReportRow its fields construct
+        assert all(type(row) is ReportRow and row == ReportRow(*row)
+                   for row in run_claims(grid=SMALL_GRID).rows)
         row = run_claims(["T5"], SMALL_GRID).rows[0]
         with pytest.raises(AttributeError):
             row.lhs = "0"
@@ -333,16 +378,6 @@ class TestSerialization:
         assert emit_report(empty, "markdown").decode().startswith("# Verification report")
 
     def test_json_matches_json_dumps_byte_for_byte(self):
-        def dumped(report):
-            payload = {
-                "rows": [
-                    {"claim": row.claim, "point": [[k, v] for k, v in row.point],
-                     "lhs": row.lhs, "rhs": row.rhs, "status": row.status, "note": row.note}
-                    for row in report.rows
-                ]
-            }
-            return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-
         odd = VerificationReport((
             ReportRow("T5", (("alpha", "1/2"), ("n", "3")), 'say "hi"\\ \u00e9\u03bb\n2',
                       "-7/3", EQUAL, "tab\there \u2603 \"q\" \\"),
@@ -354,6 +389,14 @@ class TestSerialization:
             assert data == dumped(report)
             assert report_from_json(data) == report
         assert emit_report(VerificationReport(()), "json") == b'{\n  "rows": []\n}\n'
+
+    @given(reports())
+    def test_json_matches_json_dumps_on_drawn_reports(self, report):
+        """The emitter formats each distinct claim, note, status, point and pair text once
+        per call: a text served under the wrong key or field changes the bytes."""
+        expected = dumped(report)
+        assert emit_report(report, "json") == expected
+        assert b"".join(report_chunks(report, "json")) == expected
 
     def test_markdown_has_one_table_per_claim(self):
         report = run_claims(["T5", "EX-B1x2"], SMALL_GRID)
