@@ -16,7 +16,9 @@ assumed.
 
 Every vector route returns entries 0..n_max and builds nothing past them: a
 series route works at order n_max, and a memoized vector is a tuple keyed on
-(n_max, point) (``_bell_egf`` for B, ``_lambda1`` for the lam = 1 closed sums).
+(n_max, point) (``_bell_egf`` for B, ``_lambda1`` for the lam = 1 closed sums,
+``_section_convolution`` for the section convolution at each level lam, grown from
+level lam - 1 by one binomial convolution, so the lams at a point share their prefix).
 A series route is the head (1+alpha t)^(gamma/alpha) times a gamma-free factor
 from ``_gamma_free`` (B and omega) or ``_product_factor`` (the product
 readings), each keyed on the order and the rescale S of ``_with_head``, so the
@@ -200,23 +202,34 @@ def _binomial_convolution(a: list, b: list) -> list:
             for m in range(len(a))]
 
 
+@lru_cache(maxsize=None)
+def _section_convolution(n_max: int, alpha, beta, gamma, x, r: int, lam: int) -> tuple:
+    """The section convolution at level lam, entries 0..n_max: level 0 is (gamma|alpha)_i,
+    and level lam is level lam - 1 convolved once with the lam = 1, gamma = 0 closed sums,
+    so the levels below lam are shared with every lam that passes through them."""
+    if lam == 0:
+        acc = [1]  # (gamma|alpha)_i
+        for i in range(n_max):
+            acc.append(acc[-1] * (gamma - i * alpha))
+        return tuple(acc)
+    below = _section_convolution(n_max, alpha, beta, gamma, x, r, lam - 1)
+    return tuple(_binomial_convolution(below, _lambda1(n_max, alpha, beta, 0, x, r)))
+
+
 def section_convolution(n_max: int, params: ParamSet) -> list:
     """The section convolution at totals 0..n_max: (gamma|alpha)_i convolved
     lam times with the lam = 1, gamma = 0 closed sums B[i] (binomial
-    convolution, the EGF product).  Built from the falling factorials and the
-    closed sums alone, so it stays independent of the series route.  Entries
-    are exact rationals, held as ints where integral."""
+    convolution, the EGF product), each level memoized per (n_max, point) on
+    the one below.  Built from the falling factorials and the closed sums
+    alone, so it stays independent of the series route.  Entries are exact
+    rationals, held as ints where integral; each call returns its own copy."""
     if params.lam < 1:
         raise ValueError("the convolution route requires lam >= 1")
     _check_n_max(n_max)
     a, b, g, x, lam, r = params.key
-    acc = [1]  # (gamma|alpha)_i
-    for i in range(n_max):
-        acc.append(acc[-1] * (g - i * a))
-    base = _lambda1(n_max, a, b, 0, x, r)
-    for _ in range(lam):
-        acc = _binomial_convolution(acc, base)
-    return acc
+    for level in range(lam + 1):  # upward: a level's miss reads the memoized level below
+        acc = _section_convolution(n_max, a, b, g, x, r, level)
+    return list(acc)
 
 
 def bell_convolution(n: int, params: ParamSet) -> Fraction:

@@ -24,7 +24,8 @@ scaled values, which are S(n, k) itself when S = 1.
 
 The closed sums sum_k w_k c^k S(n, k) read the scaled rows against the ladder
 w_k (c S)^k in ``weighted_sums``, which builds the ladder once, to the last row of
-its range of rows, and reads each row as one dot product; a scalar is one row.
+its range of rows, grows the table once to that row and reads its range of rows as
+one slice of the stored rows, each row one dot product; a scalar is one row.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ class StirlingTable:
         if not rows or rows[0] < 0 or rows.step < 0:
             raise ValueError(f"rows must be a nonempty ascending range of rows >= 0, got {rows}")
         ladder, denominator = self._ladder(rows[-1], c, weights)
-        sums = []
-        for n in rows:
-            total = sum(map(mul, ladder, self.row(n)))
-            scaled = denominator * self.scale**n
+        self.row(rows[-1])  # grows the table through the last row, once
+        sums, scale = [], self.scale
+        for n, row in zip(rows, self._rows[rows.start:rows.stop:rows.step]):
+            total = sum(map(mul, ladder, row))
+            scaled = denominator * scale**n
             sums.append(narrow(total if scaled == 1 else Fraction(total, scaled)))
         return sums
 

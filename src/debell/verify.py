@@ -182,16 +182,18 @@ def _ex(claim: Claim, params: ParamSet, grid: GridSpec, n: int) -> list:
 
 
 def _w(claim: Claim, params: ParamSet, grid: GridSpec, f: int, n_max: int) -> list:
+    """W(n, f) at n = f+1..top, both sides read as one column each off one base vector."""
     top = grid.top(n_max)
     if top <= f:
         return []
-    c = bell.lambda1_sums(top, params)
-    lhs, rhs = getattr(asymptotics, claim.lhs), getattr(asymptotics, claim.rhs)
-    points = _points(params, top)
-    return [(points[n], lhs(c, n, f), rhs(c, n, f)) for n in range(f + 1, top + 1)]
+    c, ns = bell.lambda1_sums(top, params), range(f + 1, top + 1)
+    lhs, rhs = (getattr(asymptotics, side)(c, f, ns) for side in (claim.lhs, claim.rhs))
+    return list(zip(_points(params, top)[f + 1:], lhs, rhs))
 
 
 def _asymp(claim: Claim, params: ParamSet, grid: GridSpec, n_max: int, deltas: tuple) -> list:
+    """n = 1..top, then each delta: the full-order sums off one base vector, every delta read
+    at once, against one scaled B vector per delta."""
     top = grid.top(n_max)
     if top < 1:
         return []
@@ -199,9 +201,10 @@ def _asymp(claim: Claim, params: ParamSet, grid: GridSpec, n_max: int, deltas: t
     lhs, rhs = getattr(asymptotics, claim.lhs), getattr(asymptotics, claim.rhs)
     exact = [rhs(top, delta, params) for delta in deltas]
     points = _points(params, top)
-    return [(points[n] + (("delta", str(delta)), ("m", str(n - 1))), lhs(c, delta, n, n - 1),
+    return [(points[n] + (("delta", str(delta)), ("m", str(n - 1))), estimate,
              Fraction(b[n], factorial(n)))
-            for n in range(1, top + 1) for delta, b in zip(deltas, exact)]
+            for n, estimates in enumerate(lhs(c, deltas, top), 1)
+            for delta, b, estimate in zip(deltas, exact, estimates)]
 
 
 def _everywhere(point: dict) -> bool:
@@ -245,13 +248,13 @@ def claim_registry() -> dict:
               _EX + (("rs", (2,)),), "bell_egf", "_ex_b2x6", values=partial(_ex, n=6),
               note="candidate polynomial"),
         Claim("W4-explicit", "expanded W(n,4) form vs the generic partition sum", _LAM1,
-              "w_from_base", "w_explicit", values=partial(_w, f=4, n_max=12),
+              "w_column", "w_explicit_column", values=partial(_w, f=4, n_max=12),
               note="generic sum vs expanded form"),
         Claim("W5-explicit", "expanded W(n,5) form vs the generic partition sum", _LAM1,
-              "w_from_base", "w_explicit", values=partial(_w, f=5, n_max=12),
+              "w_column", "w_explicit_column", values=partial(_w, f=5, n_max=12),
               note="generic sum vs expanded form"),
         Claim("ASYMP-r0", "r=0 expansion at full order m=n-1 equals the exact scaled value",
-              _LAM1 + (("rs", (0,)),), "expansion", "scaled_bell", _everywhere,
+              _LAM1 + (("rs", (0,)),), "full_expansions", "scaled_bell", _everywhere,
               partial(_asymp, n_max=4, deltas=(100, 1000)), note="full-order expansion vs exact"),
     ]
     return {c.id: replace(c, evaluate=partial(_rows, c)) for c in claims}

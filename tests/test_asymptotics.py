@@ -9,7 +9,10 @@ from debell.asymptotics import (
     _excess_partitions,
     bell_asymptotic_estimate,
     expansion,
+    full_expansions,
+    w_column,
     w_explicit,
+    w_explicit_column,
     w_from_base,
 )
 from debell.bell import bell_lambda1, lambda1_sums
@@ -107,6 +110,58 @@ def _w_explicit_oracle(b, n, f):
 def w_explicit_cases(draw):
     base = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=7, max_size=7))
     return base, draw(st.integers(0, 10)), draw(st.integers(0, 5))
+
+
+@st.composite
+def w_columns(draw):
+    """An ordinary base b_0..b_top (b_0 is 1 or 0, b_1 is 0 about half the time, so
+    c_1 = 0 is reached), an excess f <= 5 and the column's last n, top > f."""
+    f = draw(st.integers(0, 5))
+    top = draw(st.integers(f + 1, 10))
+    b1 = draw(st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6)))
+    rest = draw(st.lists(st.fractions(-4, 4, max_denominator=6),
+                         min_size=max(top, 6) - 1, max_size=max(top, 6) - 1))
+    return [Fraction(draw(st.sampled_from((0, 1)))), b1] + rest, f, top
+
+
+class TestWColumns:
+    """The column readers hold W(n, f) at every n of a column, one value per n."""
+
+    @given(w_columns())
+    def test_generic_column_matches_the_series_oracle(self, case):
+        b, f, top = case
+        column = w_column(_numerators(b), f, range(f + 1, top + 1))
+        assert [type(w) for w in column] == [Fraction] * (top - f)
+        assert column == [_w_oracle(b, n, f) for n in range(f + 1, top + 1)]
+
+    @given(w_columns())
+    def test_expanded_column_matches_its_term_by_term_oracle(self, case):
+        b, f, top = case
+        column = w_explicit_column(_numerators(b), f, range(top + 1))
+        assert [type(w) for w in column] == [Fraction] * (top + 1)
+        assert column == [_w_explicit_oracle(b, n, f) for n in range(top + 1)]
+
+    @given(w_columns(), st.lists(st.one_of(st.integers(10, 200),
+                                           st.fractions(-20, 20, max_denominator=4)),
+                                 min_size=1, max_size=3))
+    def test_full_expansions_are_the_scalar_sums(self, case, deltas):
+        b, _, top = case
+        c = _numerators(b)
+        rows = full_expansions(c, deltas, top)
+        assert rows == [[expansion(c, delta, n, n - 1) for delta in deltas]
+                        for n in range(1, top + 1)]
+        assert {type(v) for row in rows for v in row} == {Fraction}
+
+    def test_bounds(self):
+        c = (1, 2, 3, 4, 5)
+        with pytest.raises(ValueError, match="f must satisfy"):
+            w_column(c, 2, range(2, 4))  # W(2, 2) is outside the triangle
+        with pytest.raises(ValueError, match="n and f must be nonnegative"):
+            w_explicit_column(c, 1, range(-1, 3))
+        with pytest.raises(ValueError, match="at least 1"):
+            full_expansions(c, (100,), 0)
+        with pytest.raises(ValueError, match="base sequence too short"):
+            full_expansions(c, (100,), 5)
 
 
 class TestWCoefficients:

@@ -13,9 +13,14 @@ import debell
 from debell import asymptotics, bell, derangements, series, stirling, verify
 from debell.asymptotics import (
     _excess_partitions,
+    _expanded_terms,
+    _w_scaled,
     bell_asymptotic_estimate,
     expansion,
+    full_expansions,
+    w_column,
     w_explicit,
+    w_explicit_column,
     w_from_base,
 )
 from debell.bell import (
@@ -250,6 +255,28 @@ class TestConvolutionRoute:
         assert bell_convolution(n, p) == _section_sum(n, n, p)
         assert section_convolution(n + p.r, p)[n + p.r] == _section_sum(n, n + p.r, p)
         assert section_convolution(7, p)[n] == _section_sum(n, n, p)
+
+    @pytest.mark.parametrize("p", [ParamSet.make(1, 2, 2, 2, 3, 1),
+                                   ParamSet.make(Fraction(1, 3), 1, Fraction(1, 2),
+                                                 Fraction(3, 2), 3, 2)],
+                             ids=["integer", "rational"])
+    def test_a_level_is_the_level_below_convolved_once(self, p, empty_memos):
+        """lam = 3 equals the composition oracle built cold, and, after lam = 1 and 2
+        have filled the memo, it is one more level: one miss, one convolution."""
+        want = [_section_sum(n, n, p) for n in range(8)]
+        cold = section_convolution(7, p)
+        bell._section_convolution.cache_clear()
+        for lam in (1, 2):
+            section_convolution(7, p.replace(lam=lam))
+        before = bell._section_convolution.cache_info().misses
+        warm = section_convolution(7, p)
+        assert bell._section_convolution.cache_info().misses == before + 1
+        assert _typed(cold) == _typed(warm) == _typed(map(narrow, want))
+
+    def test_a_high_lam_builds_its_levels_without_deep_recursion(self, empty_memos):
+        # 1,500 levels, more than the interpreter's recursion limit, each read off the one below
+        p = ParamSet.make(0, 1, 2, 1, 1500, 1)
+        assert section_convolution(3, p) == bell_egf(3, p)
 
     @given(rational_points().filter(lambda p: p.lam >= 1), st.integers(0, 7))
     def test_nr_variant_is_the_vector_at_n_plus_r(self, p, n):
@@ -701,16 +728,24 @@ class TestRouteIndependence:
         for side in (claim.lhs, claim.rhs):
             assert [m for m in (bell, asymptotics, verify) if callable(getattr(m, side, None))]
 
-    # the generic W and the expansion sum over the partitions of the excess, the
+    # the generic W and the expansions sum over the partitions of the excess, the
     # expanded W over its fixed forms: no series arithmetic, and neither W reaches
-    # the other's machinery
+    # the other's machinery, scalar or column
+    GENERIC = (w_from_base, w_column, _w_scaled, _excess_partitions.__wrapped__)
+    EXPANDED = (w_explicit, w_explicit_column, _expanded_terms)
     ASYMPTOTIC = {  # route: (a call at the base c, what it must reach, what it must never)
         w_from_base: (lambda c: [w_from_base(c, 6, f) for f in range(6)],
-                      _excess_partitions.__wrapped__, (w_explicit,)),
+                      _excess_partitions.__wrapped__, EXPANDED),
+        w_column: (lambda c: [w_column(c, f, range(f + 1, 7)) for f in range(6)],
+                   _excess_partitions.__wrapped__, EXPANDED),
         expansion: (lambda c: expansion(c, 100, 6, 5),
-                    _excess_partitions.__wrapped__, (w_explicit,)),
+                    _excess_partitions.__wrapped__, EXPANDED),
+        full_expansions: (lambda c: full_expansions(c, (100, 1000), 6),
+                          _excess_partitions.__wrapped__, EXPANDED),
         w_explicit: (lambda c: [w_explicit(c, 6, f) for f in range(6)],
-                     w_explicit, (_excess_partitions.__wrapped__, w_from_base)),
+                     _expanded_terms, GENERIC),
+        w_explicit_column: (lambda c: [w_explicit_column(c, f, range(7)) for f in range(6)],
+                            _expanded_terms, GENERIC),
     }
 
     @pytest.mark.parametrize("route", list(ASYMPTOTIC), ids=lambda route: route.__name__)

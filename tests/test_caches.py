@@ -13,6 +13,7 @@ ALLOWED = [
     "_lambda1",
     "_points",
     "_product_factor",
+    "_section_convolution",
     "_tally_by_run",
     "_xu_and_log",
     "claim_registry",

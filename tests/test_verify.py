@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -145,7 +146,7 @@ class TestPerPointEvaluation:
         assert 0 < len(with_lam) < len(points)  # the lam = 0 points skip
         assert calls == dict(zip(names, [points, with_lam, with_lam, with_lam]))
 
-    def test_one_b_build_per_request_on_the_default_grid(self, monkeypatch):
+    def test_one_b_build_per_request_on_the_default_grid(self, monkeypatch, empty_memos):
         """B is memoized per (n_max, point), so a cold default round builds each
         distinct request once: every claim at a grid point reads B[0..top + r],
         and ASYMP-r0 reads each of its 96 scaled points once, at n_max = 4."""
@@ -158,9 +159,6 @@ class TestPerPointEvaluation:
 
         monkeypatch.setattr(bell, "bell_egf", counted)
         monkeypatch.setattr(asymptotics, "bell_egf", counted)
-        bell._bell_egf.cache_clear()
-        bell._gamma_free.cache_clear()
-        bell._xu_and_log.cache_clear()
         run_claims()
         distinct = {(n_max, p) for p, ns in requests.items() for n_max in ns}
         assert bell._bell_egf.cache_info().misses == len(distinct) == 972
@@ -173,13 +171,26 @@ class TestPerPointEvaluation:
         scaled = {p: ns for p, ns in requests.items() if p.lam in (100, 1000)}
         assert len(scaled) == 96 and {n for ns in scaled.values() for n in ns} == {4}
 
-    def test_lambda1_vectors_are_shared_on_the_default_grid(self):
+    def test_lambda1_vectors_are_shared_on_the_default_grid(self, empty_memos):
         """A cold default round fills 368 lam = 1 vectors: 144 for T5, 144 for the
         W claims, 32 for T3-nr's longer bases at r >= 1 and 48 for ASYMP-r0, one
         per point; T3-n's base is T5's vector at gamma = 0, shared across gamma and lam."""
-        bell._lambda1.cache_clear()
         run_claims()
         assert bell._lambda1.cache_info().misses == 368
+
+    def test_each_section_convolution_level_is_built_once(self, monkeypatch, empty_memos):
+        """A cold default round makes 1,296 binomial convolutions, 720 of them T3's:
+        level lam of a point's section convolution is level lam - 1 convolved once, so
+        lam = 3 reuses the two convolutions of lam = 2, and T3-n and T3-nr share their
+        vectors at r = 0, where both read entries 0..max_n.  The other memos fill as before."""
+        route, calls = bell._binomial_convolution, []  # the caller's name at each call
+        monkeypatch.setattr(bell, "_binomial_convolution", lambda a, b: (
+            calls.append(sys._getframe(1).f_code.co_name), route(a, b))[1])
+        run_claims()
+        assert len(calls) == 1296 and calls.count("_section_convolution") == 720
+        assert bell._section_convolution.cache_info().misses == 960  # 720 levels >= 1, 240 level 0
+        memos = (bell._bell_egf, bell._gamma_free, bell._xu_and_log, bell._lambda1)
+        assert [memo.cache_info().currsize for memo in memos] == [972, 324, 24, 368]
 
     def test_t3_convolutions_stop_at_the_entries_they_compare(self, monkeypatch):
         route = bell.section_convolution
